@@ -32,13 +32,16 @@ count.
 The ``fast`` knob (per call, or ``fast_updates=`` as the oracle default —
 mirroring the ``construction`` knob) routes :meth:`insert_edge` /
 :meth:`insert_edges_batch` / :meth:`remove_edge` /
-:meth:`remove_edges_batch` / :meth:`apply_events_batch` through the
-vectorized CSR update engine of :mod:`repro.core.inchl_fast`; the
-labelling it produces is byte-identical to the sequential
-implementation's for every event kind.  The engine is cached across fast
-updates — including deletions — and transparently rebuilt after any
-other mutation (landmark maintenance, vertex removal, rebuild-strategy
-deletions).
+:meth:`remove_edges_batch` / :meth:`apply_events_batch` through one
+private helper into
+:meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`, the
+vectorized CSR engine's single entry point; the labelling it produces is
+byte-identical to the sequential implementation's for every event kind.
+``fast=False`` keeps the paper-faithful reference kernels (IncHL+,
+batch IncHL+, DecHL) — the test oracle and the reproduction path.  The
+engine is cached across fast updates and transparently rebuilt after any
+other mutation (reference-route updates, landmark maintenance, vertex
+removal, rebuild-strategy deletions).
 """
 
 from __future__ import annotations
@@ -347,6 +350,26 @@ class DynamicHCL:
         """Drop the cached fast engine (its overlay/rows are now stale)."""
         self._fast_engine = None
 
+    def _apply_fast(self, inserts, deletes, events: int, workers: int | None):
+        """The one vectorized update route every fast mutator takes.
+
+        Resolves the engine (before the graph changes: a fresh engine
+        seeds its rows from the pre-batch graph), applies the net edge
+        sets ``inserts``/``deletes`` to the graph, stamps ``events``
+        epochs and repairs through
+        :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.
+        """
+        engine = self._resolve_fast_engine()
+        graph = self._graph
+        for u, v in inserts:
+            graph.add_edge(u, v)
+        for u, v in deletes:
+            graph.remove_edge(u, v)
+        self._version += events
+        return engine.apply_mixed(
+            inserts, deletes, workers=self.workers if workers is None else workers
+        )
+
     def _route_fast(self, fast: bool | None) -> bool:
         """Resolve a per-call ``fast`` argument against the oracle default.
 
@@ -375,12 +398,8 @@ class DynamicHCL:
         way.  Returns the update statistics (affected counts per
         landmark).
         """
-        fast = self._route_fast(fast)
-        if fast:
-            engine = self._resolve_fast_engine()
-            self._graph.add_edge(u, v)
-            self._version += 1
-            return engine.insert_edge(u, v)
+        if self._route_fast(fast):
+            return self._apply_fast([(u, v)], [], 1, None)
         self._invalidate_fast()
         self._graph.add_edge(u, v)
         self._version += 1
@@ -430,16 +449,9 @@ class DynamicHCL:
         selects the dict kernels or the vectorized CSR engine (default:
         the oracle's ``fast_updates``).
         """
-        fast = self._route_fast(fast)
         edge_list = list(edges)
-        if fast:
-            engine = self._resolve_fast_engine()
-            for u, v in edge_list:
-                self._graph.add_edge(u, v)
-            self._version += len(edge_list)
-            return engine.insert_edges_batch(
-                edge_list, workers=self.workers if workers is None else workers
-            )
+        if self._route_fast(fast):
+            return self._apply_fast(edge_list, [], len(edge_list), workers)
         from repro.core.batch import apply_edge_insertions_batch
 
         self._invalidate_fast()
@@ -465,8 +477,8 @@ class DynamicHCL:
 
         ``fast`` selects the update route (default: the oracle's
         ``fast_updates``): when true (and ``strategy`` is the default
-        ``"partial"``) the deletion runs on the vectorized mixed-batch
-        engine (:meth:`repro.core.inchl_fast.FastUpdateEngine.remove_edge`)
+        ``"partial"``) the deletion runs on the vectorized update engine
+        (:meth:`repro.core.inchl_fast.FastUpdateEngine.apply_mixed`)
         — byte-identical labelling, dense rows kept valid, no engine
         invalidation.  Otherwise ``strategy="partial"`` runs the
         fine-grained DecHL of :mod:`repro.core.dechl`, confining work to
@@ -481,10 +493,7 @@ class DynamicHCL:
             strategy = "partial"  # shards have no rebuild route
         if strategy == "partial":
             if fast:
-                engine = self._resolve_fast_engine()
-                self._graph.remove_edge(u, v)
-                self._version += 1
-                return engine.remove_edge(u, v)
+                return self._apply_fast([], [(u, v)], 1, workers)
             from repro.core.dechl import apply_edge_deletion_partial
 
             self._invalidate_fast()
@@ -519,7 +528,7 @@ class DynamicHCL:
         The decremental counterpart of :meth:`insert_edges_batch`: on the
         fast route the whole burst is absorbed by one BatchHL-style
         find/repair pass per landmark
-        (:meth:`~repro.core.inchl_fast.FastUpdateEngine.remove_edges_batch`);
+        (:meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`);
         on the reference route the edges are deleted one at a time through
         DecHL.  Both end on the canonical minimal labelling of the final
         graph.  Returns a :class:`~repro.core.batch.MixedUpdateStats`.
@@ -592,19 +601,12 @@ class DynamicHCL:
             for key, final in state.items():
                 if final != graph.has_edge(*key):
                     (net_inserts if final else net_deletes).append(key)
+            if net_inserts or net_deletes:
+                return self._apply_fast(
+                    net_inserts, net_deletes, len(normalized), workers
+                )
             self._version += len(normalized)
-            if not net_inserts and not net_deletes:
-                return MixedUpdateStats([], [])
-            engine = self._resolve_fast_engine()
-            for u, v in net_inserts:
-                graph.add_edge(u, v)
-            for u, v in net_deletes:
-                graph.remove_edge(u, v)
-            return engine.apply_mixed(
-                net_inserts,
-                net_deletes,
-                workers=self.workers if workers is None else workers,
-            )
+            return MixedUpdateStats([], [])
         from repro.core.dechl import apply_edge_deletion_partial
 
         self._invalidate_fast()

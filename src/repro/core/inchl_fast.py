@@ -1,42 +1,37 @@
-"""IncHL+ fast path: vectorized find/repair over a dynamic CSR overlay.
+"""Vectorized update engine: one find/repair sweep per landmark, any batch.
 
 The pure-Python implementation of Section 4 (:mod:`repro.core.inchl`,
-:mod:`repro.core.batch`) recomputes every "old distance" it needs through
-label queries — ``O(l)`` dict work per scanned vertex — and walks
-adjacency one Python iteration per edge.  This module is the update-path
-counterpart of :mod:`repro.core.construction_fast`: the same three-phase
-algorithm, but
+:mod:`repro.core.batch`, :mod:`repro.core.dechl`) recomputes every "old
+distance" it needs through label queries — ``O(l)`` dict work per
+scanned vertex — and walks adjacency one Python iteration per edge.
+This module is the update-path counterpart of
+:mod:`repro.core.construction_fast`: the same three-phase algorithm, but
 
 * the graph is read through a :class:`~repro.graph.dyncsr.DynCSR` overlay
-  that stays valid across insertions (no per-update re-snapshot);
+  that stays valid across updates (no per-update re-snapshot);
 * old distances come from **dense per-landmark distance rows** maintained
   incrementally — by Eq. (1) a landmark query against a valid minimal
   labelling *is* the exact distance ``d_G(r, v)``, so seeding the rows
   with one CSR BFS per landmark and overwriting exactly the affected
   entries after each repair keeps them equal to what the dict kernels
   would derive from labels, at ``O(1)`` per lookup;
-* find and repair run as the numpy level kernels
-  :func:`~repro.parallel.sweeps.csr_find_affected` /
-  :func:`~repro.parallel.sweeps.csr_repair_affected`, with per-landmark
-  batch finds fanned out through the
-  :class:`~repro.parallel.engine.LandmarkEngine`.
+* find and repair run as the hybrid scalar/numpy level kernels
+  :func:`~repro.parallel.sweeps.csr_find_affected_mixed` /
+  :func:`~repro.parallel.sweeps.csr_repair_affected`.
 
-The produced labelling is byte-identical to the sequential Phase A/B/C
-implementation — same affected sets, same new distances, same covered
-verdicts, same entry/highway mutations (``docs/DESIGN.md`` §8; asserted
-exhaustively by ``tests/proptest``).
-
-The engine is *fully dynamic*: :meth:`FastUpdateEngine.remove_edge` /
-:meth:`FastUpdateEngine.apply_mixed` absorb deletions and mixed
-insert/delete batches through the BatchHL-style unified kernel
-(:func:`~repro.parallel.sweeps.csr_find_affected_mixed`,
-``docs/DESIGN.md`` §10), keeping the dense rows exact across every event
-kind; since the minimal labelling is a canonical function of the graph
-and landmark set, the result equals the sequential
-insert-then-:mod:`~repro.core.dechl` reference byte for byte.  Only
-landmark maintenance and vertex removal still invalidate the engine; the
-owning :class:`~repro.core.dynamic.DynamicHCL` drops it and rebuilds on
-the next fast update.
+:meth:`FastUpdateEngine.apply_mixed` is the engine's only update entry
+point.  It absorbs a single insertion, an insertion burst, a deletion or
+a mixed insert/delete batch alike — the BatchHL-style unified sweep of
+``docs/DESIGN.md`` §10, whose find degenerates to IncHL+'s jumped BFS
+(Lemma 4.4) when the batch holds no deletion — and keeps the dense rows
+exact across every event kind.  Since the minimal labelling is a
+canonical function of the graph and landmark set, the result equals the
+sequential IncHL+/DecHL replay byte for byte — same affected sets, same
+new distances, same covered verdicts, same entry/highway mutations
+(``docs/DESIGN.md`` §8; asserted exhaustively by ``tests/proptest``).
+Only landmark maintenance, vertex removal and reference-route updates
+invalidate the engine; the owning :class:`~repro.core.dynamic.DynamicHCL`
+drops it and rebuilds on the next fast update.
 """
 
 from __future__ import annotations
@@ -46,15 +41,12 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.batch import BatchUpdateStats, MixedUpdateStats
-from repro.core.inchl import UpdateStats
+from repro.core.batch import MixedUpdateStats
 from repro.exceptions import InvariantViolationError
 from repro.graph.dyncsr import UNREACH, DynCSR
 from repro.parallel.engine import LandmarkEngine
 from repro.parallel.sweeps import (
-    csr_batch_repair_mixed,
-    csr_batch_sweep,
-    csr_find_affected,
+    csr_find_affected_mixed,
     csr_mixed_sweep,
     csr_repair_affected,
 )
@@ -68,12 +60,12 @@ class FastUpdateEngine:
     Owns the :class:`DynCSR` overlay, the dense ``|R| x n`` old-distance
     matrix and the reusable scratch buffers.  Create it from a graph and
     labelling that are *in sync* (the labelling is valid and minimal for
-    the graph); apply every subsequent insertion through
-    :meth:`insert_edge` / :meth:`insert_edges_batch` — the caller mutates
-    the owning :class:`~repro.graph.dynamic_graph.DynamicGraph` first,
-    the engine mirrors the edge into its overlay and repairs the
-    labelling.  Any other mutation desynchronizes the engine: drop it and
-    build a fresh one (see :meth:`matches`).
+    the graph); apply every subsequent edge update through
+    :meth:`apply_mixed` — the caller mutates the owning
+    :class:`~repro.graph.dynamic_graph.DynamicGraph` first, the engine
+    mirrors the batch into its overlay and repairs the labelling.  Any
+    other mutation desynchronizes the engine: drop it and build a fresh
+    one (see :meth:`matches`).
 
     >>> from repro.core.construction import build_hcl
     >>> from repro.core.inchl import apply_edge_insertion
@@ -83,7 +75,7 @@ class FastUpdateEngine:
     >>> hcl_ref = build_hcl(g_ref, [0, 8])
     >>> engine = FastUpdateEngine(g_fast, hcl_fast)
     >>> g_fast.add_edge(0, 8); g_ref.add_edge(0, 8)
-    >>> _ = engine.insert_edge(0, 8)
+    >>> _ = engine.apply_mixed([(0, 8)], [])
     >>> _ = apply_edge_insertion(g_ref, hcl_ref, 0, 8)
     >>> hcl_fast == hcl_ref
     True
@@ -99,6 +91,7 @@ class FastUpdateEngine:
         "_has_entry",
         "_new_dist",
         "_covered",
+        "_del_mask",
         "_row_views",
         "_scratch_views",
         "workers",
@@ -160,13 +153,15 @@ class FastUpdateEngine:
                 self._has_entry[k, column] = 1
         self._new_dist = np.full(capacity, -1, dtype=np.int32)
         self._covered = np.zeros(capacity, dtype=np.uint8)
+        self._del_mask = np.zeros(capacity, dtype=np.uint8)
         self._rebuild_views()
 
     def _rebuild_views(self) -> None:
         """Cache the memoryviews the scalar kernel paths read.
 
         ``_row_views[k]`` is ``(dist_row_mv, has_entry_row_mv)``;
-        ``_scratch_views`` is ``(new_dist_mv, covered_mv, landmark_mv)``.
+        ``_scratch_views`` is ``(new_dist_mv, covered_mv, landmark_mv,
+        del_mask_mv)``.
         Rebuilt whenever the backing arrays are re-allocated
         (:meth:`_ensure_capacity`).
         """
@@ -178,6 +173,7 @@ class FastUpdateEngine:
             memoryview(self._new_dist),
             memoryview(self._covered),
             memoryview(self._is_landmark),
+            memoryview(self._del_mask),
         )
 
     # ------------------------------------------------------------------
@@ -186,15 +182,16 @@ class FastUpdateEngine:
     def matches(self, graph, labelling) -> bool:
         """Whether this engine still mirrors ``graph``/``labelling``.
 
-        Cheap counters-only check: every mutation routed around the fast
-        path (deletions, landmark maintenance, direct graph edits) changes
-        the edge count, shrinks the vertex count, or changes the landmark
-        list, so the owning oracle consults this before reusing a cached
-        engine.  The graph may have *more* vertices than the overlay:
-        vertices registered directly (the serving writer pre-registers
-        endpoints with ``add_vertex``) are necessarily isolated — every
-        edge mutation flows through the oracle — and the overlay picks
-        them up on their first incident insertion.
+        Cheap counters-only check: every mutation routed around the
+        engine (reference-route updates, landmark maintenance, direct
+        graph edits) changes the edge count, shrinks the vertex count, or
+        changes the landmark list, so the owning oracle consults this
+        before reusing a cached engine.  The graph may have *more*
+        vertices than the overlay: vertices registered directly (the
+        serving writer pre-registers endpoints with ``add_vertex``) are
+        necessarily isolated — every edge mutation flows through the
+        oracle — and the overlay picks them up on their first incident
+        insertion.
         """
         return (
             labelling is self._labelling
@@ -254,19 +251,160 @@ class FastUpdateEngine:
         covered = np.zeros(capacity, dtype=np.uint8)
         covered[: len(self._covered)] = self._covered
         self._covered = covered
+        self._del_mask = np.zeros(capacity, dtype=np.uint8)
         self._rebuild_views()
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _repair_and_fold(self, k: int, r: int, levels, stats, union) -> int:
-        """Phase C for one landmark: repair, refresh the dense row, reset
-        scratch.  Returns ``|Λ_r|``."""
+    def apply_mixed(
+        self,
+        inserts: Iterable[tuple[int, int]],
+        deletes: Iterable[tuple[int, int]],
+        workers: int | None = None,
+    ) -> MixedUpdateStats:
+        """BatchHL-style repair for an insert/delete batch of any shape.
+
+        The owning graph must already reflect the whole batch (inserts
+        present, deletes gone); the engine's overlay must not.  The two
+        edge sets must be disjoint and *net* — the caller
+        (:meth:`repro.core.dynamic.DynamicHCL.apply_events_batch`)
+        collapses insert-then-delete churn before calling in.  Phase A
+        resolves the deletion orientations per landmark from the dense
+        rows (``|old(a) - old(b)| == 1`` is the only shape the old
+        shortest-path DAG admits; insertion orientations are
+        deletion-region-dependent and resolve inside the kernel) and
+        skips landmarks the batch cannot affect.  Phase B/C then run
+        find and repair one landmark at a time on the engine's own
+        scratch — or, when the :class:`LandmarkEngine` fans out, all
+        finds on the pool first and the repairs afterwards in landmark
+        order.  Repair folds the new distances — including
+        :data:`UNREACH` for disconnected vertices — back into the dense
+        rows.
+        """
+        ins_list = [(int(a), int(b)) for a, b in inserts]
+        del_list = [(int(a), int(b)) for a, b in deletes]
+        if not ins_list and not del_list:
+            raise InvariantViolationError("update batch needs at least one event")
+        find_start = perf_counter()
+        dyn = self._dyn
+        if ins_list:
+            dyn.insert_edges_batch(ins_list)
+        if del_list:
+            dyn.remove_edges_batch(del_list)
+        self._ensure_capacity()
+        index = dyn.index
+        ins_idx = [(index(a), index(b)) for a, b in ins_list]
+        del_idx = [(index(a), index(b)) for a, b in del_list]
+
+        stats = MixedUpdateStats(ins_list, del_list)
+        stats.affected_per_landmark = dict.fromkeys(self._landmarks, 0)
+        plans: list[tuple[int, list, list]] = []
+        for k, (row_mv, _) in enumerate(self._row_views):
+            if del_idx:
+                del_seeds: list[tuple[int, int]] = []
+                for ai, bi in del_idx:
+                    da = row_mv[ai]
+                    db = row_mv[bi]
+                    # |old(a) - old(b)| == 1 is the only orientation the
+                    # old SP DAG admits; both-unreachable fails it because
+                    # UNREACH + 1 != UNREACH (unlike inf + 1 == inf, see
+                    # dechl).
+                    if da + 1 == db:
+                        del_seeds.append((bi, db))
+                    elif db + 1 == da:
+                        del_seeds.append((ai, da))
+                if del_seeds:
+                    plans.append((k, ins_idx, del_seeds))
+                    continue
+            for ai, bi in ins_idx:
+                # Without a deletion region, an insertion matters to this
+                # landmark iff one endpoint is strictly closer.
+                if row_mv[ai] != row_mv[bi]:
+                    plans.append((k, ins_idx, []))
+                    break
+
+        union: set[int] = set()
+        pool = LandmarkEngine(self.workers if workers is None else workers)
+        if pool.fans_out(len(plans)):
+            results = pool.map(csr_mixed_sweep, (dyn, self._dist), plans)
+            repair_start = perf_counter()
+            find_s = repair_start - find_start
+            new_dist = self._new_dist
+            new_mv = self._scratch_views[0]
+            for k, levels, removed in results:
+                # Pooled finds come back as bare levels; scatter them into
+                # the scratch the repair kernel reads.
+                for depth, verts in levels:
+                    if isinstance(verts, list):
+                        for v in verts:
+                            new_mv[v] = depth
+                    else:
+                        new_dist[verts] = depth
+                self._repair_landmark(k, levels, removed, stats, union)
+            repair_s = perf_counter() - repair_start
+        else:
+            find_s = perf_counter() - find_start
+            repair_s = 0.0
+            new_dist = self._new_dist
+            del_mask = self._del_mask
+            new_mv, _, _, del_mv = self._scratch_views
+            for k, ins_edges, del_seeds in plans:
+                t0 = perf_counter()
+                levels, removed = csr_find_affected_mixed(
+                    dyn,
+                    self._dist[k],
+                    ins_edges,
+                    del_seeds,
+                    new_dist,
+                    del_mask,
+                    views=(self._row_views[k][0], new_mv, del_mv),
+                )
+                t1 = perf_counter()
+                self._repair_landmark(k, levels, removed, stats, union)
+                find_s += t1 - t0
+                repair_s += perf_counter() - t1
+        stats.affected_union = len(union)
+        stats.phases = {"find": find_s, "repair": repair_s}
+        return stats
+
+    def _repair_landmark(self, k: int, levels, removed, stats, union) -> None:
+        """Phase C for the ``k``-th landmark: disconnect, repair, refresh
+        the dense row, reset scratch, and record ``|Λ_r|`` (settled +
+        disconnected) in ``stats``.
+
+        Vertices the batch cut off from the landmark lose their entry
+        (or, for landmarks, their highway pair) outright — mirroring
+        :func:`repro.core.dechl.repair_affected_deletion` — and their
+        dense slot goes to :data:`UNREACH` *before* the level sweep, so
+        the parent predicate never reads a stale finite distance.  The
+        level sweep is :func:`csr_repair_affected`: deletions flip cover
+        verdicts in either direction, but the parent predicate
+        re-derives them from scratch anyway.
+        """
+        r = self._landmarks[k]
         row = self._dist[k]
         new_dist = self._new_dist
         covered = self._covered
         row_mv, has_mv = self._row_views[k]
-        new_mv, covered_mv, landmark_mv = self._scratch_views
+        new_mv, covered_mv, landmark_mv, _ = self._scratch_views
+        if removed:
+            labels = self._labelling.labels
+            highway = self._labelling.highway
+            ids = self._dyn.ids
+            unreachable = int(UNREACH)
+            for v in removed:
+                vid = int(ids[v])
+                row_mv[v] = unreachable
+                if landmark_mv[v]:
+                    if highway.remove_distance(r, vid):
+                        stats.highway_updates += 1
+                elif has_mv[v]:
+                    labels.remove_entry(vid, r)
+                    has_mv[v] = 0
+                    stats.entries_removed += 1
+            stats.disconnected += len(removed)
+            union.update(removed)
         csr_repair_affected(
             self._dyn,
             self._labelling,
@@ -280,217 +418,7 @@ class FastUpdateEngine:
             stats,
             views=(row_mv, new_mv, landmark_mv, covered_mv, has_mv),
         )
-        affected = 0
-        for depth, verts in levels:
-            if isinstance(verts, list):
-                affected += len(verts)
-                union.update(verts)
-                for v in verts:
-                    row_mv[v] = depth
-                    new_mv[v] = -1
-                    covered_mv[v] = 0
-            else:
-                affected += verts.size
-                union.update(verts.tolist())
-                row[verts] = depth
-                new_dist[verts] = -1
-                covered[verts] = 0
-        return affected
-
-    def insert_edge(self, u: int, v: int) -> UpdateStats:
-        """IncHL+ for one insertion ``(u, v)`` — the kernel Phase A/B/C.
-
-        The owning graph must already contain the edge; the engine's
-        overlay must not (the caller inserts through the oracle, which
-        keeps the two in lockstep).
-        """
-        dyn = self._dyn
-        self._dyn.insert_edge(u, v)
-        self._ensure_capacity()
-        ui, vi = dyn.index(u), dyn.index(v)
-
-        stats = UpdateStats(edge=(u, v), affected_per_landmark={})
-        union: set[int] = set()
-        # Phase A on the dense rows (identical values to the pristine
-        # labelling queries), then find+repair per landmark in landmark
-        # order.  Interleaving is safe here — unlike the dict kernels, the
-        # find reads no labels, and repairs touch only r-entries — and the
-        # repair order equals the sequential Phase C order.
-        row_views = self._row_views
-        new_mv = self._scratch_views[0]
-        find_s = 0.0
-        repair_s = 0.0
-        for k, r in enumerate(self._landmarks):
-            row_mv = row_views[k][0]
-            da = row_mv[ui]
-            db = row_mv[vi]
-            if da == db:
-                stats.affected_per_landmark[r] = 0
-                continue
-            seeds = [(vi, da + 1)] if da < db else [(ui, db + 1)]
-            t0 = perf_counter()
-            levels = csr_find_affected(
-                dyn,
-                self._dist[k],
-                seeds,
-                self._new_dist,
-                views=(row_mv, new_mv),
-            )
-            t1 = perf_counter()
-            stats.affected_per_landmark[r] = self._repair_and_fold(
-                k, r, levels, stats, union
-            )
-            find_s += t1 - t0
-            repair_s += perf_counter() - t1
-        stats.affected_union = len(union)
-        stats.phases = {"find": find_s, "repair": repair_s}
-        return stats
-
-    # ------------------------------------------------------------------
-    # Mixed updates (deletions, insert/delete batches)
-    # ------------------------------------------------------------------
-    def remove_edge(self, u: int, v: int) -> MixedUpdateStats:
-        """Fast-path deletion of ``(u, v)`` — a mixed batch of one event.
-
-        The owning graph must already have the edge removed; the engine's
-        overlay must still contain it.
-        """
-        return self.apply_mixed([], [(u, v)])
-
-    def remove_edges_batch(
-        self, edges: Iterable[tuple[int, int]], workers: int | None = None
-    ) -> MixedUpdateStats:
-        """Fast-path deletion of a burst of edges in one combined sweep."""
-        return self.apply_mixed([], edges, workers=workers)
-
-    def apply_mixed(
-        self,
-        inserts: Iterable[tuple[int, int]],
-        deletes: Iterable[tuple[int, int]],
-        workers: int | None = None,
-    ) -> MixedUpdateStats:
-        """BatchHL-style repair for a combined insert/delete batch.
-
-        The owning graph must already reflect the whole batch (inserts
-        present, deletes gone); the two edge sets must be disjoint and
-        *net* — the caller (:meth:`repro.core.dynamic.DynamicHCL.
-        apply_events_batch`) collapses insert-then-delete churn before
-        calling in.  Phase A resolves the deletion orientations per
-        landmark from the dense rows (``|old(a) - old(b)| == 1`` is the
-        only shape the old shortest-path DAG admits; insertion
-        orientations are deletion-region-dependent and resolve inside the
-        kernel); Phase B fans the unified finds out across the
-        :class:`LandmarkEngine`; Phase C repairs in landmark order and
-        folds the new distances — including :data:`UNREACH` for
-        disconnected vertices — back into the dense rows.
-        """
-        ins_list = [(int(a), int(b)) for a, b in inserts]
-        del_list = [(int(a), int(b)) for a, b in deletes]
-        if not ins_list and not del_list:
-            raise InvariantViolationError("mixed batch needs at least one event")
-        if not del_list:
-            # Pure insertion burst: the specialized batch path is the same
-            # algorithm with the deletion stages compiled out.
-            batch = self.insert_edges_batch(ins_list, workers=workers)
-            stats = MixedUpdateStats(ins_list, [])
-            stats.affected_per_landmark = batch.affected_per_landmark
-            stats.affected_union = batch.affected_union
-            stats.entries_added = batch.entries_added
-            stats.entries_modified = batch.entries_modified
-            stats.entries_removed = batch.entries_removed
-            stats.highway_updates = batch.highway_updates
-            stats.phases = batch.phases
-            return stats
-        find_start = perf_counter()
-        dyn = self._dyn
-        if ins_list:
-            dyn.insert_edges_batch(ins_list)
-        dyn.remove_edges_batch(del_list)
-        self._ensure_capacity()
-        ins_idx = [(dyn.index(a), dyn.index(b)) for a, b in ins_list]
-        del_idx = [(dyn.index(a), dyn.index(b)) for a, b in del_list]
-
-        stats = MixedUpdateStats(ins_list, del_list)
-        unreachable = int(UNREACH)
-        plans: list[tuple[int, list, list]] = []
-        for k, r in enumerate(self._landmarks):
-            row_mv = self._row_views[k][0]
-            del_seeds: list[tuple[int, int]] = []
-            for ai, bi in del_idx:
-                da = row_mv[ai]
-                db = row_mv[bi]
-                # |old(a) - old(b)| == 1 is the only orientation the old
-                # SP DAG admits; both-unreachable fails it because UNREACH
-                # + 1 != UNREACH (unlike inf + 1 == inf, see dechl).
-                if da + 1 == db:
-                    del_seeds.append((bi, db))
-                elif db + 1 == da:
-                    del_seeds.append((ai, da))
-            stats.affected_per_landmark[r] = 0
-            if del_seeds:
-                plans.append((k, ins_idx, del_seeds))
-                continue
-            for ai, bi in ins_idx:
-                da = row_mv[ai]
-                db = row_mv[bi]
-                if (da != unreachable and da + 1 <= db) or (
-                    db != unreachable and db + 1 <= da
-                ):
-                    plans.append((k, ins_idx, []))
-                    break
-
-        engine = LandmarkEngine(self.workers if workers is None else workers)
-        results = engine.map(csr_mixed_sweep, (dyn, self._dist), plans)
-        repair_start = perf_counter()
-
-        union: set[int] = set()
-        new_dist = self._new_dist
-        new_mv = self._scratch_views[0]
-        for k, levels, removed in results:
-            r = self._landmarks[k]
-            for depth, verts in levels:
-                if isinstance(verts, list):
-                    for v in verts:
-                        new_mv[v] = depth
-                else:
-                    new_dist[verts] = depth
-            stats.disconnected += len(removed)
-            stats.affected_per_landmark[r] = self._repair_and_fold_mixed(
-                k, r, levels, removed, stats, union
-            )
-        stats.affected_union = len(union)
-        stats.phases = {
-            "find": repair_start - find_start,
-            "repair": perf_counter() - repair_start,
-        }
-        return stats
-
-    def _repair_and_fold_mixed(
-        self, k: int, r: int, levels, removed, stats, union
-    ) -> int:
-        """Phase C for one landmark of a mixed batch.  Returns ``|Λ_r|``
-        (settled + disconnected)."""
-        row = self._dist[k]
-        new_dist = self._new_dist
-        covered = self._covered
-        row_mv, has_mv = self._row_views[k]
-        new_mv, covered_mv, landmark_mv = self._scratch_views
-        csr_batch_repair_mixed(
-            self._dyn,
-            self._labelling,
-            r,
-            levels,
-            removed,
-            row,
-            new_dist,
-            self._is_landmark,
-            covered,
-            self._has_entry[k],
-            stats,
-            views=(row_mv, new_mv, landmark_mv, covered_mv, has_mv),
-        )
         affected = len(removed)
-        union.update(removed)
         for depth, verts in levels:
             if isinstance(verts, list):
                 affected += len(verts)
@@ -505,69 +433,4 @@ class FastUpdateEngine:
                 row[verts] = depth
                 new_dist[verts] = -1
                 covered[verts] = 0
-        return affected
-
-    def insert_edges_batch(
-        self, edges: Iterable[tuple[int, int]], workers: int | None = None
-    ) -> BatchUpdateStats:
-        """Batch IncHL+ — one kernel sweep per landmark for the burst.
-
-        Mirrors :func:`repro.core.batch.apply_edge_insertions_batch`:
-        Phase A keeps the seed orientations that can carry a new shortest
-        path, Phase B runs the multi-seed finds (fanned out across the
-        :class:`LandmarkEngine` when ``workers`` asks for it), Phase C
-        repairs in landmark order.  The owning graph must already contain
-        every edge of the batch.
-        """
-        edge_list = [(int(a), int(b)) for a, b in edges]
-        if not edge_list:
-            raise InvariantViolationError("batch insertion needs at least one edge")
-        find_start = perf_counter()
-        dyn = self._dyn
-        dyn.insert_edges_batch(edge_list)
-        self._ensure_capacity()
-        endpoints = [(dyn.index(a), dyn.index(b)) for a, b in edge_list]
-
-        stats = BatchUpdateStats(edge_list)
-        unreachable = int(UNREACH)
-        plans: list[tuple[int, list[tuple[int, int]]]] = []
-        for k, r in enumerate(self._landmarks):
-            row_mv = self._row_views[k][0]
-            seeds: list[tuple[int, int]] = []
-            for ai, bi in endpoints:
-                da = row_mv[ai]
-                db = row_mv[bi]
-                if da != unreachable and da + 1 <= db:
-                    seeds.append((bi, da + 1))
-                if db != unreachable and db + 1 <= da:
-                    seeds.append((ai, db + 1))
-            stats.affected_per_landmark[r] = 0
-            if seeds:
-                plans.append((k, seeds))
-
-        engine = LandmarkEngine(self.workers if workers is None else workers)
-        results = engine.map(csr_batch_sweep, (dyn, self._dist), plans)
-        repair_start = perf_counter()
-
-        union: set[int] = set()
-        new_dist = self._new_dist
-        new_mv = self._scratch_views[0]
-        for k, levels in results:
-            r = self._landmarks[k]
-            # Parallel finds come back as bare levels; scatter them into
-            # the shared scratch the repair kernel reads.
-            for depth, verts in levels:
-                if isinstance(verts, list):
-                    for v in verts:
-                        new_mv[v] = depth
-                else:
-                    new_dist[verts] = depth
-            stats.affected_per_landmark[r] = self._repair_and_fold(
-                k, r, levels, stats, union
-            )
-        stats.affected_union = len(union)
-        stats.phases = {
-            "find": repair_start - find_start,
-            "repair": perf_counter() - repair_start,
-        }
-        return stats
+        stats.affected_per_landmark[r] = affected

@@ -255,17 +255,7 @@ class DynCSR:
         :class:`~repro.graph.dynamic_graph.DynamicGraph` already rejects
         them).  Triggers compaction when the delta outgrows the base.
         """
-        self._views = None
-        ui = self.ensure_vertex(u)
-        vi = self.ensure_vertex(v)
-        self._delta.setdefault(ui, []).append(vi)
-        self._delta.setdefault(vi, []).append(ui)
-        self._delta_count[ui] += 1
-        self._delta_count[vi] += 1
-        self._delta_total += 2
-        self._num_edges += 1
-        if self._delta_total > max(256, len(self._base_indices) >> 2):
-            self.compact()
+        self.insert_edges_batch(((u, v),))
 
     def insert_edges_batch(self, edges: Iterable[tuple[int, int]]) -> None:
         """Insert a burst of edges (compaction checked once at the end)."""
@@ -318,12 +308,7 @@ class DynCSR:
         entry so a desynchronized caller fails loudly.  Vertices are never
         unregistered: an isolated index simply reads empty slices.
         """
-        self._views = None
-        ui = self.index(u)
-        vi = self.index(v)
-        self._remove_directed(ui, vi)
-        self._remove_directed(vi, ui)
-        self._num_edges -= 1
+        self.remove_edges_batch(((u, v),))
 
     def remove_edges_batch(self, edges: Iterable[tuple[int, int]]) -> None:
         """Remove a burst of edges (no compaction: deletions only shrink)."""

@@ -73,22 +73,18 @@ _MAX_DEPTH = 64
 #: the call graph of :mod:`repro.serving.service` /
 #: :mod:`repro.core.inchl_fast`.
 PHASE_MARKERS: dict[str, str] = {
-    # find sweep (vectorized + mixed variants)
-    "csr_find_affected": "find",
+    # find sweep (the kernel, and its process-pool task adapter)
     "csr_find_affected_mixed": "find",
-    # repair sweeps
+    "csr_mixed_sweep": "find",
+    # repair sweep (the engine's per-landmark Phase C and its kernel)
+    "_repair_landmark": "repair",
     "csr_repair_affected": "repair",
-    "csr_batch_repair_mixed": "repair",
-    "csr_batch_sweep": "repair",
-    "csr_mixed_sweep": "repair",
     # engine/batch apply entry points
     "apply_events_batch": "apply",
     "insert_edges_batch": "apply",
     "apply_mixed": "apply",
-    "_apply_insert_run": "apply",
     # writer-side coalescing (validation/dedup around the engine call)
     "_apply_chunk": "coalesce",
-    "_apply_chunk_mixed": "coalesce",
     # snapshot publication
     "_publish": "publish",
     "freeze": "publish",

@@ -13,9 +13,11 @@ labelling byte-identical to the serial one.
 
 Used by :func:`repro.core.construction.build_hcl`,
 :func:`repro.core.construction_fast.build_hcl_fast`,
-:func:`repro.core.batch.apply_edge_insertions_batch`, and
-:func:`repro.core.decremental.apply_edge_deletion`; surfaced to users as
-the ``workers=`` knob on :class:`repro.DynamicHCL` and the benchmark CLI.
+:func:`repro.core.batch.apply_edge_insertions_batch`,
+:func:`repro.core.decremental.apply_edge_deletion`, and
+:meth:`repro.core.inchl_fast.FastUpdateEngine.apply_mixed`; surfaced to
+users as the ``workers=`` knob on :class:`repro.DynamicHCL` and the
+benchmark CLI.
 
 >>> from repro.graph.generators import grid_graph
 >>> from repro.core.construction import build_hcl
@@ -42,7 +44,7 @@ from repro.parallel.engine import (
 )
 from repro.parallel.sweeps import (
     LandmarkSweep,
-    csr_find_affected,
+    csr_find_affected_mixed,
     csr_landmark_sweep,
     csr_repair_affected,
     landmark_sweep,
@@ -53,7 +55,7 @@ __all__ = [
     "LandmarkEngine",
     "LandmarkSweep",
     "available_parallelism",
-    "csr_find_affected",
+    "csr_find_affected_mixed",
     "csr_landmark_sweep",
     "csr_repair_affected",
     "fork_available",

@@ -137,8 +137,9 @@ class LandmarkEngine:
         """Whether :meth:`map` will attempt process fan-out."""
         return self.workers > 1 and fork_available()
 
-    def _uses_pool(self, num_items: int) -> bool:
-        """The one serial-vs-parallel gate both map methods consult."""
+    def fans_out(self, num_items: int) -> bool:
+        """Whether mapping ``num_items`` work items will use the process
+        pool — the one serial-vs-parallel gate both map methods consult."""
         return min(self.workers, num_items) > 1 and fork_available()
 
     def map(
@@ -162,7 +163,7 @@ class LandmarkEngine:
         def run_serial() -> list[Any]:
             return [task(state, item) for item in work]
 
-        if not self._uses_pool(len(work)):
+        if not self.fans_out(len(work)):
             return run_serial()
         pool_size = min(self.workers, len(work))
 
@@ -229,7 +230,7 @@ class LandmarkEngine:
         Returns the number of merged results.
         """
         work = list(items)
-        if not self._uses_pool(len(work)):
+        if not self.fans_out(len(work)):
             for item in work:
                 merge(task(state, item))
             return len(work)

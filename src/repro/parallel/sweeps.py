@@ -36,11 +36,8 @@ __all__ = [
     "construction_task",
     "csr_construction_task",
     "batch_find_task",
-    "csr_find_affected",
     "csr_find_affected_mixed",
     "csr_repair_affected",
-    "csr_batch_repair_mixed",
-    "csr_batch_sweep",
     "csr_mixed_sweep",
 ]
 
@@ -191,58 +188,170 @@ def merge_sweep(highway, labels, sweep: LandmarkSweep) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Incremental-update kernels (IncHL+ find/repair over DynCSR arrays)
+# Incremental-update kernels (find/repair over DynCSR arrays)
 # ---------------------------------------------------------------------------
-def csr_find_affected(dyn, old_dist, seeds, new_dist=None, views=None):
-    """Multi-seed jumped BFS (Lemma 4.4, batch form) over a DynCSR.
+def csr_find_affected_mixed(
+    dyn, old_dist, ins_edges, del_seeds, new_dist=None, del_mask=None, views=None
+):
+    """Affected-region search for one landmark of an insert/delete batch.
 
-    The array formulation of :func:`repro.core.batch.find_affected_batch`
-    for one landmark: ``old_dist`` is the landmark's dense pre-insertion
-    distance row (int32, :data:`~repro.graph.dyncsr.UNREACH` for
-    unreachable — exactly the values the dict implementation derives from
-    label queries, by Eq. (1)); ``seeds`` are ``(root_index,
-    candidate_depth)`` pairs, one per surviving orientation of an inserted
-    edge.  A bucket queue keyed on candidate depth settles vertices in
-    monotonically increasing depth, so a seed whose anchor distance
-    dropped because of *another* edge in the batch is discovered before
-    the stale seed pops (same monotone argument as the dict kernel).
+    The BatchHL-style unified find (``docs/DESIGN.md`` §10); the array
+    formulation of :func:`repro.core.batch.find_affected_batch` when the
+    batch holds only insertions.  ``dyn`` must already reflect the whole
+    batch (inserted edges present, deleted edges gone) while ``old_dist``
+    is still the landmark's pre-batch dense distance row (int32,
+    :data:`~repro.graph.dyncsr.UNREACH` for unreachable — exact by
+    Eq. (1)).  ``ins_edges`` are inserted edges as ``(ai, bi)``
+    compact-index pairs (orientation is resolved here, because it depends
+    on deletion-affected membership); ``del_seeds`` are ``(root_index,
+    old_depth)`` pairs, one per surviving orientation of a deleted edge
+    (``old(anchor) + 1 == old(root)``), as produced by the engine's
+    Phase A over the dense rows.
 
-    ``new_dist`` is an optional int32 scratch array (every entry ``-1``)
-    reused across calls; on return it holds the new depth at every
-    affected index — the caller repairs from it and then resets exactly
-    those entries.  Returns ``levels``: ``(depth, vertices)`` pairs in
-    increasing depth — ``Λ_r`` with exact post-insertion distances —
-    where ``vertices`` is a sorted Python list for small levels and a
-    sorted int64 array for large ones.
+    Three stages:
 
-    The two representations are the hybrid execution strategy: buckets at
-    or below :data:`_SCALAR_CUTOFF` candidates run as plain loops over
-    memoryviews of the same buffers (single-edge insertions mostly touch
-    a handful of vertices, where one numpy call costs more than the whole
+    1. **Closure** — descendants of the deletion roots in the old
+       shortest-path DAG (``old(w) == old(v) + 1`` level sweep over the
+       post-batch adjacency; hops across deleted edges are covered
+       because every deleted-edge orientation seeds its own root).  These
+       are the vertices whose distance may *increase or become infinite*;
+       they are marked in ``del_mask`` while stage 2 runs.
+       Over-inclusion through inserted edges is harmless: repair
+       re-derives an unchanged vertex identically.
+    2. **Seeding** — insertion anchors: the strictly closer endpoint of
+       an inserted edge seeds the other at ``old(anchor) + 1`` (an anchor
+       inside the deletion region contributes through expansion instead:
+       its own settled depth is the only sound candidate), plus, per
+       closure vertex, the cheapest re-entry candidate ``old(u) + 1``
+       over its unaffected neighbours ``u`` (their distances can only
+       have *decreased*, so the candidate never underestimates and
+       monotonicity repairs any overestimate).  Then every closure slot
+       of ``old_dist`` is set to ``UNREACH`` and the mask is cleared.
+    3. **Jumped bucket-queue BFS** (Lemma 4.4, multi-seed form) — a
+       vertex settles at the first popped depth with ``old >= depth``.
+       Closure vertices pass that test at any depth, so they settle at
+       their exact new distance however it compares to the old one.  A
+       bucket queue keyed on candidate depth settles vertices in
+       monotonically increasing depth, so a seed whose anchor distance
+       dropped because of *another* edge in the batch is discovered
+       before the stale seed pops.
+
+    Returns ``(levels, removed)``: ``(depth, vertices)`` pairs in
+    increasing new depth — ``Λ_r`` with exact post-batch distances — and
+    the sorted closure vertices that never settled, exactly the vertices
+    the batch disconnected from the landmark.  ``vertices`` is a sorted
+    Python list for small levels and a sorted int64 array for large ones:
+    buckets at or below :data:`_SCALAR_CUTOFF` candidates run as plain
+    loops over memoryviews of the same buffers (small updates touch a
+    handful of vertices, where one numpy call costs more than the whole
     level), larger buckets run as numpy level sweeps.  Both paths apply
     the same settle test to the same shared scratch, so the affected set
     does not depend on which one ran.
 
-    ``views`` is an optional pre-built ``(old_mv, new_mv)`` memoryview
-    pair over the same two arrays — the owning engine caches these across
-    calls; without it the views are built here.
+    ``new_dist`` (int32, every entry ``-1``) and ``del_mask`` (uint8,
+    zeroed) are optional scratch arrays reused across calls.  On return
+    ``new_dist`` holds the new depth at every settled index for the
+    caller to repair from and reset, and ``del_mask`` is zeroed again.
+    The closure slots of ``old_dist`` are left at ``UNREACH``: the caller
+    rewrites every one of them when it folds the result back (settled
+    vertices get their new depth, removed ones stay unreachable).
+    ``views`` is an optional pre-built ``(old_mv, new_mv, del_mv)``
+    memoryview bundle over the three arrays, cached by the owning
+    engine; without it the views are built here.
     """
     import numpy as np
 
     if new_dist is None:
         new_dist = np.full(dyn.num_vertices, -1, dtype=np.int32)
+    if del_mask is None:
+        del_mask = np.zeros(dyn.num_vertices, dtype=np.uint8)
     if views is None:
         old_mv = memoryview(old_dist)
         new_mv = memoryview(new_dist)
+        del_mv = memoryview(del_mask)
     else:
-        old_mv, new_mv = views
+        old_mv, new_mv, del_mv = views
     indptr, base_len, indices, delta, delta_count = dyn.scalar_views()
+
     # Bucket value = (scalar candidates, array candidates): the scalar
     # path extends the first, the vectorized path appends whole frontier
     # arrays to the second, and a pop never has to type-inspect elements.
     buckets: dict[int, tuple[list[int], list]] = {}
-    for root, depth in seeds:
-        buckets.setdefault(int(depth), ([], []))[0].append(int(root))
+    affected: list[int] = []
+    if del_seeds:
+        from repro.graph.dyncsr import UNREACH
+
+        unreachable = int(UNREACH)
+        # Stage 1: closure of the deletion roots over the old SP DAG.
+        closure: dict[int, list[int]] = {}
+        for root, depth in del_seeds:
+            closure.setdefault(int(depth), []).append(int(root))
+        while closure:
+            depth = min(closure)
+            group = closure.pop(depth)
+            child_depth = depth + 1
+            pushed: list[int] = []
+            for v in group:
+                if del_mv[v]:
+                    continue
+                del_mv[v] = 1
+                affected.append(v)
+                start = indptr[v]
+                for w in indices[start : start + base_len[v]]:
+                    if old_mv[w] == child_depth and not del_mv[w]:
+                        pushed.append(w)
+                if delta_count[v]:
+                    for w in delta[v]:
+                        if old_mv[w] == child_depth and not del_mv[w]:
+                            pushed.append(w)
+            if pushed:
+                closure.setdefault(child_depth, []).extend(pushed)
+
+        # Stage 2: insertion anchors outside the region, then re-entry
+        # candidates of the closure vertices.
+        for ai, bi in ins_edges:
+            da = old_mv[ai]
+            db = old_mv[bi]
+            if not del_mv[ai] and da != unreachable:
+                cand = da + 1
+                if del_mv[bi] or cand <= db:
+                    buckets.setdefault(cand, ([], []))[0].append(bi)
+            if not del_mv[bi] and db != unreachable:
+                cand = db + 1
+                if del_mv[ai] or cand <= da:
+                    buckets.setdefault(cand, ([], []))[0].append(ai)
+        for v in affected:
+            best = -1
+            start = indptr[v]
+            for w in indices[start : start + base_len[v]]:
+                if not del_mv[w]:
+                    dw = old_mv[w]
+                    if dw != unreachable and (best < 0 or dw + 1 < best):
+                        best = dw + 1
+            if delta_count[v]:
+                for w in delta[v]:
+                    if not del_mv[w]:
+                        dw = old_mv[w]
+                        if dw != unreachable and (best < 0 or dw + 1 < best):
+                            best = dw + 1
+            if best >= 0:
+                buckets.setdefault(best, ([], []))[0].append(v)
+        for v in affected:
+            old_mv[v] = unreachable
+            del_mv[v] = 0
+    else:
+        # Stage 2 without a deletion region: only the orientation whose
+        # anchor is strictly closer can carry a new shortest path (and
+        # that anchor is then necessarily reachable).
+        for ai, bi in ins_edges:
+            da = old_mv[ai]
+            db = old_mv[bi]
+            if da < db:
+                buckets.setdefault(da + 1, ([], []))[0].append(bi)
+            elif db < da:
+                buckets.setdefault(db + 1, ([], []))[0].append(ai)
+
+    # Stage 3: jumped monotone bucket-queue BFS.
     levels: list[tuple[int, object]] = []
     while buckets:
         depth = min(buckets)
@@ -266,7 +375,7 @@ def csr_find_affected(dyn, old_dist, seeds, new_dist=None, views=None):
             settled.sort()
             levels.append((depth, settled))
             next_depth = depth + 1
-            pushed: list[int] = []
+            pushed = []
             for v in settled:
                 # Test the old distance first: most scanned neighbours are
                 # unaffected border vertices, which fail it on one read.
@@ -305,204 +414,11 @@ def csr_find_affected(dyn, old_dist, seeds, new_dist=None, views=None):
                     buckets[depth + 1] = ([], [neighbours])
                 else:
                     bucket[1].append(neighbours)
-    return levels
 
-
-def csr_find_affected_mixed(
-    dyn, old_dist, ins_edges, del_seeds, new_dist=None, del_mask=None, views=None
-):
-    """Unified affected-region search for a *mixed* insert/delete batch.
-
-    The BatchHL-style generalization of :func:`csr_find_affected` for one
-    landmark (``docs/DESIGN.md`` §10).  ``dyn`` must already reflect the
-    whole batch (inserted edges present, deleted edges gone) while
-    ``old_dist`` is still the landmark's pre-batch dense distance row —
-    exact by Eq. (1).  ``ins_edges`` are inserted edges as ``(ai, bi)``
-    compact-index pairs (orientation is resolved here, because it depends
-    on deletion-affected membership); ``del_seeds`` are ``(root_index,
-    old_depth)`` pairs, one per surviving orientation of a deleted edge
-    (``old(anchor) + 1 == old(root)``), as produced by the engine's
-    Phase A over the dense rows.
-
-    Three stages, all sharing the hybrid scalar/vector machinery:
-
-    1. **Closure** — descendants of the deletion roots in the old
-       shortest-path DAG (``old(w) == old(v) + 1`` level sweep over the
-       post-batch adjacency; hops across deleted edges are covered
-       because every deleted-edge orientation seeds its own root).  These
-       are the vertices whose distance may *increase or become infinite*;
-       they are marked in ``del_mask`` and settle unconditionally.
-       Over-inclusion through inserted edges is harmless: repair
-       re-derives an unchanged vertex identically.
-    2. **Seeding** — insertion anchors (an anchor inside the deletion
-       region contributes through expansion instead: its own settled
-       depth is the only sound candidate) plus, per closure vertex, the
-       cheapest re-entry candidate ``old(u) + 1`` over its unaffected
-       neighbours ``u`` (their distances can only have *decreased*, so
-       the candidate never underestimates and monotonicity repairs any
-       overestimate).
-    3. **Unified bucket-queue BFS** — settles a vertex at the first
-       popped depth if it is closure-marked (exact new distance, however
-       it compares to the old one) or at ``old >= depth`` (the jumped
-       test of the insertion kernel).
-
-    Returns ``(levels, removed)``: the affected levels in increasing new
-    depth (hybrid list/array representation, as in
-    :func:`csr_find_affected`) and the sorted closure vertices that never
-    settled — exactly the vertices the batch disconnected from the
-    landmark.  ``del_mask`` (uint8 scratch, zeroed) is reset before
-    returning; ``new_dist`` is left populated at affected indices like
-    the insertion kernel.  With no ``del_seeds`` the closure and border
-    stages vanish and the search degenerates to byte-identical
-    :func:`csr_find_affected` behaviour.
-    """
-    import numpy as np
-
-    from repro.graph.dyncsr import UNREACH
-
-    unreachable = int(UNREACH)
-    if new_dist is None:
-        new_dist = np.full(dyn.num_vertices, -1, dtype=np.int32)
-    if del_mask is None:
-        del_mask = np.zeros(dyn.num_vertices, dtype=np.uint8)
-    if views is None:
-        old_mv = memoryview(old_dist)
-        new_mv = memoryview(new_dist)
-        del_mv = memoryview(del_mask)
-    else:
-        old_mv, new_mv, del_mv = views
-    indptr, base_len, indices, delta, delta_count = dyn.scalar_views()
-
-    # Stage 1: closure of the deletion roots over the old SP DAG.
-    affected: list[int] = []
-    if del_seeds:
-        closure: dict[int, list[int]] = {}
-        for root, depth in del_seeds:
-            closure.setdefault(int(depth), []).append(int(root))
-        while closure:
-            depth = min(closure)
-            group = closure.pop(depth)
-            child_depth = depth + 1
-            pushed: list[int] = []
-            for v in group:
-                if del_mv[v]:
-                    continue
-                del_mv[v] = 1
-                affected.append(v)
-                start = indptr[v]
-                for w in indices[start : start + base_len[v]]:
-                    if old_mv[w] == child_depth and not del_mv[w]:
-                        pushed.append(w)
-                if delta_count[v]:
-                    for w in delta[v]:
-                        if old_mv[w] == child_depth and not del_mv[w]:
-                            pushed.append(w)
-            if pushed:
-                closure.setdefault(child_depth, []).extend(pushed)
-
-    # Stage 2: seeds.  Bucket value = (scalar candidates, array
-    # candidates), exactly as in csr_find_affected.
-    buckets: dict[int, tuple[list[int], list]] = {}
-    for ai, bi in ins_edges:
-        da = old_mv[ai]
-        db = old_mv[bi]
-        if not del_mv[ai] and da != unreachable:
-            cand = da + 1
-            if del_mv[bi] or cand <= db:
-                buckets.setdefault(cand, ([], []))[0].append(bi)
-        if not del_mv[bi] and db != unreachable:
-            cand = db + 1
-            if del_mv[ai] or cand <= da:
-                buckets.setdefault(cand, ([], []))[0].append(ai)
-    for v in affected:
-        best = -1
-        start = indptr[v]
-        for w in indices[start : start + base_len[v]]:
-            if not del_mv[w]:
-                dw = old_mv[w]
-                if dw != unreachable and (best < 0 or dw + 1 < best):
-                    best = dw + 1
-        if delta_count[v]:
-            for w in delta[v]:
-                if not del_mv[w]:
-                    dw = old_mv[w]
-                    if dw != unreachable and (best < 0 or dw + 1 < best):
-                        best = dw + 1
-        if best >= 0:
-            buckets.setdefault(best, ([], []))[0].append(v)
-
-    # Stage 3: unified monotone bucket-queue BFS.
-    levels: list[tuple[int, object]] = []
-    while buckets:
-        depth = min(buckets)
-        ints, arrays = buckets.pop(depth)
-        size = len(ints)
-        for a in arrays:
-            size += len(a)
-        if size <= _SCALAR_CUTOFF:
-            for a in arrays:
-                ints.extend(a.tolist())
-            settled: list[int] = []
-            for v in ints:
-                if new_mv[v] < 0 and (del_mv[v] or old_mv[v] >= depth):
-                    new_mv[v] = depth
-                    settled.append(v)
-            if not settled:
-                continue
-            settled.sort()
-            levels.append((depth, settled))
-            next_depth = depth + 1
-            pushed = []
-            for v in settled:
-                start = indptr[v]
-                for w in indices[start : start + base_len[v]]:
-                    if new_mv[w] < 0 and (del_mv[w] or old_mv[w] >= next_depth):
-                        pushed.append(w)
-                if delta_count[v]:
-                    for w in delta[v]:
-                        if new_mv[w] < 0 and (
-                            del_mv[w] or old_mv[w] >= next_depth
-                        ):
-                            pushed.append(w)
-            if pushed:
-                bucket = buckets.get(next_depth)
-                if bucket is None:
-                    buckets[next_depth] = (pushed, [])
-                else:
-                    bucket[0].extend(pushed)
-            continue
-        if ints:
-            arrays.append(np.array(ints, dtype=np.int64))
-        cand = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-        cand = cand[
-            (new_dist[cand] < 0)
-            & ((del_mask[cand] != 0) | (old_dist[cand] >= depth))
-        ]
-        if cand.size == 0:
-            continue
-        level = np.unique(cand)
-        new_dist[level] = depth
-        levels.append((depth, level))
-        neighbours = dyn.gather_neighbours(level)
-        if neighbours.size:
-            neighbours = neighbours[
-                (new_dist[neighbours] < 0)
-                & (
-                    (del_mask[neighbours] != 0)
-                    | (old_dist[neighbours] >= depth + 1)
-                )
-            ]
-            if neighbours.size:
-                bucket = buckets.get(depth + 1)
-                if bucket is None:
-                    buckets[depth + 1] = ([], [neighbours])
-                else:
-                    bucket[1].append(neighbours)
-
+    if not affected:
+        return levels, affected
     removed = [v for v in affected if new_mv[v] < 0]
     removed.sort()
-    for v in affected:
-        del_mv[v] = 0
     return levels, removed
 
 
@@ -529,8 +445,9 @@ def csr_repair_affected(
     landmark (other than ``r``) or lack an ``r``-entry.  The dict kernel
     consults ``border_old``, which records exactly the unaffected
     neighbours of the affected region with their unchanged distances;
-    ``old_dist`` holds those same values for every vertex, so the parent
-    sets coincide and the two kernels issue the same entry
+    ``old_dist`` holds those same values for every unaffected vertex (the
+    predicate never reads it at an affected one), so the parent sets
+    coincide and the two kernels issue the same entry
     additions/modifications/removals and highway updates.
 
     ``new_dist`` must hold the find results (affected index -> new depth,
@@ -544,7 +461,7 @@ def csr_repair_affected(
     ``stats`` like the dict kernel.
 
     Levels arrive in the hybrid representation of
-    :func:`csr_find_affected` (lists for small levels, arrays for large
+    :func:`csr_find_affected_mixed` (lists for small levels, arrays for large
     ones) and are repaired scalar or vectorized accordingly; the two
     paths evaluate the same predicate over the same shared buffers.
 
@@ -697,74 +614,6 @@ def csr_repair_affected(
                 stats.entries_modified += modified
 
 
-def csr_batch_repair_mixed(
-    dyn,
-    labelling,
-    r,
-    levels,
-    removed,
-    old_dist,
-    new_dist,
-    is_landmark,
-    covered,
-    has_entry,
-    stats=None,
-    views=None,
-):
-    """Phase C for one landmark of a mixed batch: disconnect, then repair.
-
-    ``levels``/``removed`` come from :func:`csr_find_affected_mixed`.
-    Vertices the batch disconnected from ``r`` lose their entry (or, for
-    landmarks, their highway pair) outright — mirroring
-    :func:`repro.core.dechl.repair_affected_deletion` — and their dense
-    old-distance slot is set to :data:`~repro.graph.dyncsr.UNREACH`
-    *before* the level sweep, so the parent predicate can never read a
-    stale finite distance for them.  (They also can never neighbour a
-    settled vertex — a neighbour of a reachable vertex is reachable — so
-    this is belt and braces.)  The level sweep itself is exactly
-    :func:`csr_repair_affected`: deletions flip cover verdicts in either
-    direction, but the parent predicate re-derives them from scratch
-    anyway.
-    """
-    from repro.graph.dyncsr import UNREACH
-
-    if removed:
-        labels = labelling.labels
-        highway = labelling.highway
-        ids = dyn.ids
-        unreachable = int(UNREACH)
-        if views is None:
-            old_mv = memoryview(old_dist)
-            landmark_mv = memoryview(is_landmark)
-            has_mv = memoryview(has_entry)
-        else:
-            old_mv, _, landmark_mv, _, has_mv = views
-        for v in removed:
-            vid = int(ids[v])
-            old_mv[v] = unreachable
-            if landmark_mv[v]:
-                if highway.remove_distance(r, vid) and stats is not None:
-                    stats.highway_updates += 1
-            elif has_mv[v]:
-                labels.remove_entry(vid, r)
-                has_mv[v] = 0
-                if stats is not None:
-                    stats.entries_removed += 1
-    csr_repair_affected(
-        dyn,
-        labelling,
-        r,
-        levels,
-        old_dist,
-        new_dist,
-        is_landmark,
-        covered,
-        has_entry,
-        stats,
-        views=views,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Engine task adapters (module-level, hence picklable by reference)
 # ---------------------------------------------------------------------------
@@ -805,30 +654,17 @@ def batch_find_task(state, item):
     return find_affected_batch(graph, labelling, r, seeds)
 
 
-def csr_batch_sweep(state, item):
-    """Engine task for the fast batch-insertion Phase B: one kernel find.
-
-    ``state`` is ``(dyn, dist)`` — the post-insertion :class:`DynCSR` and
-    the dense per-landmark distance matrix, shared with workers via fork
-    inheritance; the work item is ``(k, seeds)`` with ``k`` the landmark's
-    row index and ``seeds`` as taken by :func:`csr_find_affected`.
-    Returns ``(k, levels)``; the levels arrays pickle compactly, and the
-    caller repairs and folds them in landmark order so serial and parallel
-    runs stay byte-identical.
-    """
-    dyn, dist = state
-    k, seeds = item
-    return k, csr_find_affected(dyn, dist[k], seeds)
-
-
 def csr_mixed_sweep(state, item):
-    """Engine task for the mixed-batch Phase B: one unified find.
+    """Engine task for a fanned-out Phase B: one unified find.
 
-    ``state`` is ``(dyn, dist)`` as in :func:`csr_batch_sweep`; the work
-    item is ``(k, ins_edges, del_seeds)`` as taken by
-    :func:`csr_find_affected_mixed`.  Returns ``(k, levels, removed)``;
-    the caller repairs in landmark order (:func:`csr_batch_repair_mixed`)
-    so serial and parallel runs stay byte-identical.
+    ``state`` is ``(dyn, dist)`` — the post-batch
+    :class:`~repro.graph.dyncsr.DynCSR` and the dense per-landmark
+    distance matrix, shared with workers via fork inheritance; the work
+    item is ``(k, ins_edges, del_seeds)`` with ``k`` the landmark's row
+    index and the rest as taken by :func:`csr_find_affected_mixed`.
+    Returns ``(k, levels, removed)``; the levels arrays pickle compactly,
+    and the caller repairs in landmark order so serial and parallel runs
+    stay byte-identical.
     """
     dyn, dist = state
     k, ins_edges, del_seeds = item

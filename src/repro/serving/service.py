@@ -4,31 +4,25 @@ Concurrency model (docs/DESIGN.md §7):
 
 * **One writer.**  A dedicated thread owns every mutation of the oracle.
   It drains :class:`~repro.workloads.streams.UpdateEvent` objects from an
-  internal queue and coalesces whole chunks into batch applies (one
-  find/repair sweep per landmark for the run, honouring the ``workers=``
-  knob) before publishing a fresh
-  :class:`~repro.serving.snapshot.OracleSnapshot`.  A pure-insert chunk
-  goes through :meth:`~repro.core.dynamic.DynamicHCL.insert_edges_batch`;
-  a chunk containing deletions is — on the default fast route — applied
-  as **one mixed run** through
-  :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch`, so a delete
-  mid-stream no longer breaks coalescing into per-event slow applies.
-  Updates run on the vectorized CSR update engine by default
-  (``fast=True``; see :mod:`repro.core.inchl_fast`) so a coalesced batch
-  applies as numpy level sweeps instead of dict BFS — byte-identical
-  labelling, far less time spent holding the write role.  With
-  ``fast=False`` (or a non-default ``delete_strategy``) deletions fall
-  back to one-at-a-time DecHL, the pre-mixed-engine behaviour.
+  internal queue, validates each drained chunk once, and applies the
+  accepted events — inserts, deletes or any mix — as **one** batch
+  through :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch` on
+  the vectorized update engine (:mod:`repro.core.inchl_fast`; one
+  find/repair sweep per landmark, honouring the ``workers=`` knob)
+  before publishing a fresh
+  :class:`~repro.serving.snapshot.OracleSnapshot`.  The labelling is
+  byte-identical to a one-at-a-time replay on the reference kernels.
 * **Many readers.**  ``query`` / ``query_many`` / ``shortest_path`` run on
   the caller's thread against the *latest published snapshot* — a single
   attribute read — so readers never take a lock, never block on the
   writer, and never observe a half-applied batch.
 
-Events that cannot apply (duplicate insert, delete of an absent edge) are
-counted as rejected and skipped — important because a client stream over
-TCP is not pre-validated the way generated workloads are, and because
-``insert_edges_batch`` mutates the graph up front: feeding it an invalid
-edge mid-batch would desynchronise graph and labelling.
+Events that cannot apply (duplicate insert, delete of an absent edge,
+self-loop, invalid vertex id) are counted as rejected and skipped —
+important because a client stream over TCP is not pre-validated the way
+generated workloads are, and because a batch apply mutates the graph up
+front: feeding it an invalid edge would desynchronise graph and
+labelling.
 """
 
 from __future__ import annotations
@@ -89,8 +83,6 @@ class OracleService:
         *,
         max_batch: int = 128,
         workers: int | None = None,
-        delete_strategy: str = "partial",
-        fast: bool = True,
         metrics: ServiceMetrics | None = None,
     ) -> None:
         if max_batch < 1:
@@ -98,10 +90,6 @@ class OracleService:
         self._oracle = oracle
         self._max_batch = max_batch
         self._workers = workers if workers is not None else oracle.workers
-        self._delete_strategy = delete_strategy
-        #: Whether insert runs go through the vectorized CSR update engine
-        #: (identical labelling; see :mod:`repro.core.inchl_fast`).
-        self._fast = fast
         self.metrics = metrics or ServiceMetrics()
         self._queue: queue.Queue = queue.Queue()
         self._snapshot: OracleSnapshot = oracle.snapshot()
@@ -339,7 +327,7 @@ class OracleService:
                 if events:
                     publish = self._apply_chunk(events)
             except Exception as exc:  # pragma: no cover - belt and braces
-                # _apply_chunk handles per-event failures itself; anything
+                # _apply_chunk handles apply failures itself; anything
                 # escaping it means unknown oracle state — degrade.
                 self._degraded = f"{type(exc).__name__}: {exc}"
                 publish = False
@@ -354,111 +342,39 @@ class OracleService:
                 return
 
     def _apply_chunk(self, events: list[UpdateEvent]) -> bool:
-        """Apply one drained chunk.
+        """Apply one drained chunk as a single engine batch.
 
-        On the fast route a chunk containing deletions coalesces into one
-        mixed :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch`
-        run (:meth:`_apply_chunk_mixed`).  Otherwise runs of consecutive
-        inserts go through the batch algorithm and everything else
-        applies one at a time — the writer never slow-paths a whole chunk
-        just because one delete interrupted an insert run.
+        Every event is validated once, against the edge state its
+        accepted predecessors in the chunk produce — the sequential
+        semantics of :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch`
+        — but rejected instead of raised: a delete of an edge inserted
+        earlier in the chunk is accepted (an insert-delete churn pair
+        cancels inside the engine), while a duplicate insert, self-loop,
+        absent-edge delete or invalid vertex id is counted as rejected
+        *before* any graph mutation, so a wire client can never kill the
+        writer or leave side effects behind a rejected event.  Endpoints
+        of accepted inserts are registered up front because the batch
+        call validates against the live graph.  The accepted events then
+        go through exactly one ``apply_events_batch`` call.
 
-        Inapplicable or malformed events (duplicate insert, self-loop,
-        absent-edge delete, invalid vertex ids) are counted as rejected
-        and skipped *before* any graph mutation — a wire client must never
-        be able to kill the writer or leave side effects behind a rejected
-        event.  If an *accepted* update raises mid-apply, graph and
-        labelling may be out of sync: the service degrades (no further
-        updates, last good snapshot keeps serving) and this returns
-        ``False`` so the loop never publishes the desynchronised state.
+        If that call raises, graph and labelling may be out of sync: the
+        service degrades (no further updates, last good snapshot keeps
+        serving) and this returns ``False`` so the loop never publishes
+        the desynchronised state.
         """
-        if (
-            self._fast
-            and self._delete_strategy == "partial"
-            and any(not event.is_insert for event in events)
-        ):
-            return self._apply_chunk_mixed(events)
-        oracle = self._oracle
-        graph = oracle.graph
-        i = 0
-        n = len(events)
-        while i < n:
-            if self._degraded is not None:
-                self.metrics.count_rejected(n - i)
-                return False
-            if events[i].is_insert:
-                j = i
-                run: list[tuple[int, int]] = []
-                seen: set[tuple[int, int]] = set()
-                while j < n and events[j].is_insert:
-                    u, v = events[j].edge
-                    # Validate fully before touching the graph (both ids,
-                    # then applicability): insert_edges_batch adds all
-                    # edges up front, so a bad edge must never reach it,
-                    # and a rejected event must leave no orphan vertices.
-                    if (
-                        not _valid_vertex_id(u)
-                        or not _valid_vertex_id(v)
-                        or u == v
-                        or graph.has_edge(u, v)
-                        or ((u, v) if u < v else (v, u)) in seen
-                    ):
-                        self.metrics.count_rejected()
-                    else:
-                        graph.add_vertex(u)
-                        graph.add_vertex(v)
-                        seen.add((u, v) if u < v else (v, u))
-                        run.append((u, v))
-                    j += 1
-                if run and not self._apply_insert_run(run):
-                    # The failed run plus everything not yet processed.
-                    self.metrics.count_rejected(len(run) + (n - j))
-                    return False
-                i = j
-            else:
-                u, v = events[i].edge
-                if not (
-                    _valid_vertex_id(u)
-                    and _valid_vertex_id(v)
-                    and graph.has_edge(u, v)
-                ):
-                    self.metrics.count_rejected()
-                else:
-                    start = perf_counter()
-                    try:
-                        oracle.remove_edge(u, v, strategy=self._delete_strategy)
-                    except Exception as exc:
-                        self._degraded = f"{type(exc).__name__}: {exc}"
-                        self.metrics.count_rejected(n - i)
-                        return False
-                    self.metrics.updates.record(perf_counter() - start)
-                    self.metrics.count_applied()
-                i += 1
-        return True
-
-    def _apply_chunk_mixed(self, events: list[UpdateEvent]) -> bool:
-        """Coalesce one mixed insert/delete chunk into a single
-        :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch` run.
-
-        Validation mirrors ``apply_events_batch``'s sequential semantics
-        but *rejects* instead of raising: each event is checked against
-        the edge state its accepted predecessors in the chunk produce, so
-        a delete of an edge inserted earlier in the same chunk is
-        accepted (and an insert-delete churn pair cancels inside the
-        engine), while a duplicate insert or absent-edge delete is
-        counted as rejected with no side effects.  Endpoints of accepted
-        inserts are registered up front — exactly like the insert-run
-        path — because the batch call validates against the live graph.
-        """
+        if self._degraded is not None:
+            self.metrics.count_rejected(len(events))
+            return False
         oracle = self._oracle
         graph = oracle.graph
         coalesce_start = perf_counter()
         accepted: list[tuple[str, tuple[int, int]]] = []
         state: dict[tuple[int, int], bool] = {}
+        rejected = 0
         for event in events:
             u, v = event.edge
             if not _valid_vertex_id(u) or not _valid_vertex_id(v) or u == v:
-                self.metrics.count_rejected()
+                rejected += 1
                 continue
             key = (u, v) if u < v else (v, u)
             present = state.get(key)
@@ -466,7 +382,7 @@ class OracleService:
                 present = graph.has_edge(u, v)
             if event.is_insert:
                 if present:
-                    self.metrics.count_rejected()
+                    rejected += 1
                     continue
                 graph.add_vertex(u)
                 graph.add_vertex(v)
@@ -474,14 +390,15 @@ class OracleService:
                 accepted.append(("insert", (u, v)))
             else:
                 if not present:
-                    self.metrics.count_rejected()
+                    rejected += 1
                     continue
                 state[key] = False
                 accepted.append(("delete", (u, v)))
+        if rejected:
+            self.metrics.count_rejected(rejected)
         if not accepted:
             return True
         start = perf_counter()
-        coalesce_s = start - coalesce_start
         try:
             batch_stats = oracle.apply_events_batch(
                 accepted, workers=self._workers, fast=True
@@ -491,63 +408,30 @@ class OracleService:
             self.metrics.count_rejected(len(accepted))
             return False
         elapsed = perf_counter() - start
+        # Attribute the batch's cost evenly to its events so the
+        # update-latency percentiles stay per-event comparable.
         for _ in accepted:
             self.metrics.updates.record(elapsed / len(accepted))
         self.metrics.count_applied(len(accepted))
-        self.metrics.count_mixed_batch()
+        self.metrics.count_batch()
         self._note_batch(
-            "mixed", len(accepted), elapsed, batch_stats, coalesce_s=coalesce_s
+            len(accepted), elapsed, batch_stats, coalesce_s=start - coalesce_start
         )
         return True
 
-    def _apply_insert_run(self, run: list[tuple[int, int]]) -> bool:
-        """Apply one validated insert run; ``False`` + degraded on failure
-        (the failed event itself is counted in the caller's reject tally)."""
-        start = perf_counter()
-        try:
-            if len(run) == 1:
-                run_stats = self._oracle.insert_edge(*run[0], fast=self._fast)
-            else:
-                run_stats = self._oracle.insert_edges_batch(
-                    run, workers=self._workers, fast=self._fast
-                )
-                self.metrics.count_insert_batch()
-        except Exception as exc:
-            self._degraded = f"{type(exc).__name__}: {exc}"
-            return False
-        elapsed = perf_counter() - start
-        # Attribute the run's cost evenly to its events so the
-        # update-latency percentiles stay per-event comparable.
-        for _ in run:
-            self.metrics.updates.record(elapsed / len(run))
-        self.metrics.count_applied(len(run))
-        self._note_batch("insert_run", len(run), elapsed, run_stats)
-        return True
-
     def _note_batch(
-        self,
-        mode: str,
-        events: int,
-        elapsed_s: float,
-        stats,
-        coalesce_s: float | None = None,
+        self, events: int, elapsed_s: float, stats, coalesce_s: float
     ) -> None:
         """Record one writer batch into the observability layer: phase
         histograms + |AFF|, a chunk span (its own trace id — batches
         belong to no single request), and the slow-batch log."""
-        phases: dict = {}
-        if stats is not None and getattr(stats, "phases", None):
-            phases.update(stats.phases)
-        if coalesce_s is not None:
-            phases["coalesce"] = coalesce_s
-        phases["apply"] = elapsed_s
-        affected = getattr(stats, "affected_union", None)
+        phases = {**stats.phases, "coalesce": coalesce_s, "apply": elapsed_s}
+        affected = stats.affected_union
         self.metrics.observe_batch(phases, affected)
         if not obs_enabled():
             return
         dur_ms = elapsed_s * 1000.0
         fields = {
-            "mode": mode,
             "events": events,
             "affected": affected,
             **{f"{k}_ms": round(v * 1000.0, 3) for k, v in phases.items()},

@@ -1,8 +1,10 @@
-"""Tests for the vectorized IncHL+ update engine (fast path).
+"""Tests for the vectorized update engine on insertions (fast path).
 
-The contract under test is byte-identity: every fast-path operation must
-leave the labelling exactly equal to what the sequential Phase A/B/C
-implementation produces, including the update statistics.
+The contract under test is byte-identity: every insertion applied
+through ``FastUpdateEngine.apply_mixed`` (directly, or through the
+``DynamicHCL`` fast route) must leave the labelling exactly equal to
+what the sequential Phase A/B/C implementation produces, including the
+update statistics.
 """
 
 import random
@@ -44,7 +46,7 @@ class TestEngineDirect:
             for edge in non_edges(g_fast)[:8]:
                 g_fast.add_edge(*edge)
                 g_ref.add_edge(*edge)
-                fast_stats = engine.insert_edge(*edge)
+                fast_stats = engine.apply_mixed([edge], [])
                 ref_stats = apply_edge_insertion(g_ref, hcl_ref, *edge)
                 assert hcl_fast == hcl_ref
                 assert stats_tuple(fast_stats) == stats_tuple(ref_stats)
@@ -59,7 +61,7 @@ class TestEngineDirect:
         batch = non_edges(g_fast)[:7]
         for edge in batch:
             g_fast.add_edge(*edge)
-        fast_stats = engine.insert_edges_batch(batch)
+        fast_stats = engine.apply_mixed(batch, [])
         ref_stats = ref.insert_edges_batch(batch)
         assert hcl_fast == ref.labelling
         assert stats_tuple(fast_stats) == stats_tuple(ref_stats)
@@ -77,8 +79,8 @@ class TestEngineDirect:
         for g in (g_par, g_ser):
             for edge in batch:
                 g.add_edge(*edge)
-        engine_par.insert_edges_batch(batch)
-        engine_ser.insert_edges_batch(batch)
+        engine_par.apply_mixed(batch, [])
+        engine_ser.apply_mixed(batch, [])
         assert hcl_par == hcl_ser
 
     def test_empty_batch_rejected(self):
@@ -86,7 +88,7 @@ class TestEngineDirect:
         hcl = build_hcl(graph, [0, 8])
         engine = FastUpdateEngine(graph, hcl)
         with pytest.raises(InvariantViolationError):
-            engine.insert_edges_batch([])
+            engine.apply_mixed([], [])
 
     def test_old_distance_exposes_dense_rows(self):
         graph = grid_graph(3, 3)
@@ -108,7 +110,7 @@ class TestEngineDirect:
         assert engine.old_distance(landmarks[0], 50) == float("inf")
         graph.add_edge(0, 50)
         g_ref.add_edge(0, 50)
-        engine.insert_edge(0, 50)
+        engine.apply_mixed([(0, 50)], [])
         apply_edge_insertion(g_ref, hcl_ref, 0, 50)
         assert hcl_fast == hcl_ref
         check_query_exactness(graph, hcl_fast)

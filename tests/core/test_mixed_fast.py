@@ -68,7 +68,7 @@ class TestEngineMixed:
             for _ in range(6):
                 u, v = rng.choice(sorted(g_fast.edges()))
                 g_fast.remove_edge(u, v)
-                engine.remove_edge(u, v)
+                engine.apply_mixed([], [(u, v)])
                 apply_edge_deletion_partial(g_ref, hcl_ref, u, v)
                 assert hcl_fast == hcl_ref
                 assert_rows_exact(engine, g_fast, landmarks)
@@ -103,7 +103,7 @@ class TestEngineMixed:
         hcl = build_hcl(graph, [0])
         engine = FastUpdateEngine(graph, hcl)
         graph.remove_edge(3, 4)
-        stats = engine.remove_edge(3, 4)
+        stats = engine.apply_mixed([], [(3, 4)])
         assert stats.disconnected == 4  # vertices 4..7 cut from landmark 0
         assert_rows_exact(engine, graph, [0])
         table = bfs_distances(graph, 0)
@@ -111,7 +111,7 @@ class TestEngineMixed:
             assert query_distance(graph, hcl, 0, v) == table.get(v, float("inf"))
         # Reconnect: rows and labelling must snap back to exact.
         graph.add_edge(3, 4)
-        engine.insert_edge(3, 4)
+        engine.apply_mixed([(3, 4)], [])
         assert_rows_exact(engine, graph, [0])
         check_matches_rebuild(graph, hcl)
 
@@ -154,16 +154,30 @@ class TestEngineMixed:
             assert sorted(fast.graph.edges()) == sorted(slow.graph.edges())
 
     def test_parallel_mixed_batch_is_byte_identical(self):
+        """The serial engine path (find then repair per landmark on the
+        engine's scratch) and the pooled path (all finds, then repairs)
+        share no code past Phase A, so every batch shape runs on both:
+        mixed, pure-insert, and single-event batches."""
         graph = ring_of_cliques(4, 5)
         serial = DynamicHCL.build(graph.copy(), num_landmarks=4)
         parallel = DynamicHCL.build(graph.copy(), landmarks=list(serial.landmarks))
         rng = random.Random(42)
-        inserts = non_edges(graph)[:6]
+        candidates = non_edges(graph)
+        inserts = candidates[:6]
         deletes = rng.sample(sorted(graph.edges()), 5)
-        events = [("insert", e) for e in inserts] + [("delete", e) for e in deletes]
-        serial.apply_events_batch(events, workers=1, fast=True)
-        parallel.apply_events_batch(events, workers=2, fast=True)
-        assert serial.labelling == parallel.labelling
+        batches = [
+            [("insert", e) for e in inserts] + [("delete", e) for e in deletes],
+            [("insert", e) for e in candidates[6:12]],  # pure insert
+            [("insert", candidates[12])],  # single insert
+            [("delete", inserts[0])],  # single delete
+        ]
+        for events in batches:
+            s_stats = serial.apply_events_batch(events, workers=1, fast=True)
+            p_stats = parallel.apply_events_batch(events, workers=2, fast=True)
+            assert serial.labelling == parallel.labelling, events
+            assert s_stats.affected_union == p_stats.affected_union
+        assert_rows_exact(serial._fast_engine, serial.graph, serial.landmarks)
+        assert_rows_exact(parallel._fast_engine, parallel.graph, parallel.landmarks)
 
     def test_empty_mixed_batch_rejected(self):
         graph = grid_graph(3, 3)

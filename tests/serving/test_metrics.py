@@ -87,13 +87,13 @@ def test_service_metrics_stats_shape():
     metrics = ServiceMetrics()
     metrics.count_applied(3)
     metrics.count_rejected()
-    metrics.count_insert_batch()
+    metrics.count_batch()
     metrics.count_snapshot()
     metrics.queries.record(0.002)
     stats = metrics.stats()
     assert stats["events_applied"] == 3
     assert stats["events_rejected"] == 1
-    assert stats["insert_batches"] == 1
+    assert stats["batches"] == 1
     assert stats["snapshots_published"] == 1
     assert stats["queries"]["count"] == 1
     assert stats["updates"]["count"] == 0

@@ -114,13 +114,13 @@ def test_insert_runs_are_batched():
     events = [UpdateEvent("insert", e)
               for e in [(0, 5), (1, 6), (2, 7), (3, 8), (9, 14)]]
     # Queue everything before the writer starts: the first drain must then
-    # coalesce the whole insert run into one insert_edges_batch sweep.
+    # coalesce the whole insert run into one engine batch.
     service.submit_many(events)
     with service:
         service.flush()
         stats = service.stats()
     assert stats["events_applied"] == len(events)
-    assert stats["insert_batches"] == 1
+    assert stats["batches"] == 1
 
 
 def test_mixed_chunk_coalesces_into_one_batch():
@@ -152,8 +152,7 @@ def test_mixed_chunk_coalesces_into_one_batch():
         stats = service.stats()
     assert stats["events_applied"] == len(events)
     assert stats["events_rejected"] == 0
-    assert stats["mixed_batches"] == 1
-    assert stats["insert_batches"] == 0
+    assert stats["batches"] == 1
     assert oracle.labelling == reference.labelling
     table = bfs_distances(oracle.graph, 0)
     for v in oracle.graph.vertices():
@@ -210,7 +209,7 @@ def test_mixed_chunk_rejects_without_side_effects():
         stats = service.stats()
     assert stats["events_applied"] == 2
     assert stats["events_rejected"] == 5
-    assert stats["mixed_batches"] == 1
+    assert stats["batches"] == 1
     assert oracle.graph.num_vertices == before_vertices
     assert not oracle.graph.has_vertex(50)
     table = bfs_distances(oracle.graph, 4)
@@ -247,26 +246,23 @@ def test_chunk_boundary_epochs_advance_by_accepted_events():
     assert stats["events_rejected"] == 2
 
 
-def test_mixed_chunk_slow_route_matches_fast():
-    """``fast=False`` services keep the legacy per-event delete loop; the
-    final labelling must still match the fast service byte for byte."""
+def test_service_labelling_matches_reference_replay():
+    """Whatever the chunking, the served labelling equals a reference
+    replay of the same events (IncHL+/DecHL, one at a time)."""
     graph = random_connected_graph(17, n_min=14, n_max=22)
     events = mixed_stream(graph, 24, rng=5)
-    oracle_fast = DynamicHCL.build(graph.copy(), num_landmarks=3)
-    landmarks = list(oracle_fast.landmarks)
-    oracle_slow = DynamicHCL.build(graph.copy(), landmarks=landmarks)
-    with OracleService(oracle_fast, max_batch=8, fast=True) as fast_svc:
-        fast_svc.submit_many(events)
-        fast_svc.flush()
-        fast_stats = fast_svc.stats()
-    with OracleService(oracle_slow, max_batch=8, fast=False) as slow_svc:
-        slow_svc.submit_many(events)
-        slow_svc.flush()
-        slow_stats = slow_svc.stats()
-    assert fast_stats["events_applied"] == slow_stats["events_applied"]
-    assert slow_stats["mixed_batches"] == 0  # legacy loop, no coalescing
-    assert oracle_fast.labelling == oracle_slow.labelling
-    assert sorted(oracle_fast.graph.edges()) == sorted(oracle_slow.graph.edges())
+    oracle = DynamicHCL.build(graph.copy(), num_landmarks=3)
+    reference = DynamicHCL.build(graph.copy(), landmarks=list(oracle.landmarks))
+    with OracleService(oracle, max_batch=8) as service:
+        service.submit_many(events)
+        service.flush()
+        stats = service.stats()
+    reference.apply_events_batch(events, fast=False)
+    assert stats["events_applied"] == len(events)
+    assert stats["events_rejected"] == 0
+    assert oracle.labelling == reference.labelling
+    assert sorted(oracle.graph.edges()) == sorted(reference.graph.edges())
+    assert service.snapshot.epoch == reference.version
 
 
 def test_queries_served_while_stopped_writer():
@@ -352,13 +348,13 @@ def test_stop_without_drain_abandons_backlog():
     graph = grid_graph(6, 6)
     backlog = [UpdateEvent("insert", e) for e in non_edges(graph)[:20]]
     oracle = DynamicHCL.build(graph, landmarks=[0, 35])
-    real_insert = oracle.insert_edge
+    real_apply = oracle.apply_events_batch
 
-    def slow_insert(u, v):  # make each apply slow so the race is decided
+    def slow_apply(events, workers=None, fast=None):  # decide the race
         time.sleep(0.05)
-        return real_insert(u, v)
+        return real_apply(events, workers=workers, fast=fast)
 
-    oracle.insert_edge = slow_insert
+    oracle.apply_events_batch = slow_apply
     service = OracleService(oracle, max_batch=1)
     service.submit_many(backlog)
     service.start()
@@ -435,17 +431,17 @@ def test_mid_apply_failure_degrades_instead_of_publishing_desync():
     repair incomplete) the service must keep serving the last good
     snapshot, refuse further updates, and report itself degraded."""
     oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
-    real_insert = oracle.insert_edge
+    real_apply = oracle.apply_events_batch
     calls = []
 
-    def exploding_insert(u, v, fast=None):
-        calls.append((u, v))
-        if (u, v) == (2, 6):
-            oracle.graph.add_edge(u, v)  # mutate like the real thing...
+    def exploding_apply(events, workers=None, fast=None):
+        calls.append(list(events))
+        if ("insert", (2, 6)) in events:
+            oracle.graph.add_edge(2, 6)  # mutate like the real thing...
             raise RuntimeError("repair blew up")  # ...then fail mid-repair
-        return real_insert(u, v, fast=fast)
+        return real_apply(events, workers=workers, fast=fast)
 
-    oracle.insert_edge = exploding_insert
+    oracle.apply_events_batch = exploding_apply
     service = OracleService(oracle, max_batch=1)
     with service:
         service.submit(UpdateEvent("insert", (0, 8)))

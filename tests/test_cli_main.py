@@ -165,7 +165,7 @@ class TestTop:
             "epoch": 3, "num_vertices": 16, "num_edges": 24,
             "label_entries": 120, "pending": 0, "running": True,
             "events_applied": 5, "events_rejected": 1,
-            "insert_batches": 2, "mixed_batches": 0,
+            "batches": 2,
             "snapshots_published": 3,
             "queries": {"count": 10, "qps": 100.0, "p50_ms": 0.5,
                         "p95_ms": 0.9, "p99_ms": 1.2},
@@ -178,6 +178,7 @@ class TestTop:
         assert "oracle    epoch=3 |V|=16 |E|=24 size(L)=120" in frame
         assert "queries   n=10 qps=100.0 p50=0.5ms p95=0.9ms p99=1.2ms" in frame
         assert "updates   n=0" in frame
+        assert "batches=2 " in frame
         assert "find" in frame and "total=12.5ms" in frame
         assert "aff/batch n=2" in frame
         assert "DEGRADED" not in frame
