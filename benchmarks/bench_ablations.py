@@ -9,6 +9,7 @@ Rendered tables: ``python -m repro.bench ablations``.
 
 import pytest
 
+from repro.bench.runner import paper_insert
 from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.workloads.datasets import build_dataset
@@ -30,8 +31,9 @@ def test_a1_landmark_strategy(benchmark, profile, dataset, strategy):
             graph.copy(), num_landmarks=spec.num_landmarks,
             strategy=strategy, rng=SEED,
         )
+        insert = paper_insert(oracle)
         for u, v in insertions:
-            oracle.insert_edge(u, v)
+            insert(u, v)
         return oracle
 
     oracle = benchmark.pedantic(replay, rounds=1, iterations=1)
@@ -54,9 +56,10 @@ def test_a2_update_vs_rebuild(benchmark, profile, dataset):
     oracle = DynamicHCL.build(graph, num_landmarks=spec.num_landmarks)
     from repro.utils.timing import Stopwatch
 
+    insert = paper_insert(oracle)
     with Stopwatch() as sw:
         for u, v in insertions:
-            oracle.insert_edge(u, v)
+            insert(u, v)
     update_ms = sw.elapsed * 1000 / len(insertions)
 
     benchmark.pedantic(
@@ -88,7 +91,8 @@ def test_a3_workload_realism(benchmark, profile, dataset, workload):
         oracle = DynamicHCL.build(
             working.copy(), num_landmarks=spec.num_landmarks
         )
-        affected = [oracle.insert_edge(u, v).affected_union for u, v in stream]
+        insert = paper_insert(oracle)
+        affected = [insert(u, v).affected_union for u, v in stream]
         return affected
 
     affected = benchmark.pedantic(replay, rounds=1, iterations=1)

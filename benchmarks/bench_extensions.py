@@ -13,6 +13,8 @@ import pytest
 from repro.core.batch import apply_edge_insertions_batch
 from repro.core.construction import build_hcl
 from repro.core.construction_fast import build_hcl_fast
+from repro.core.dechl import apply_edge_deletion_partial
+from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
 from repro.workloads.datasets import build_dataset
 from repro.workloads.streams import mixed_stream, replay
@@ -70,10 +72,14 @@ def test_a5_decremental_strategy(benchmark, profile, dataset, strategy):
         : max(4, profile.ablation_updates)
     ]
 
+    delete = (
+        apply_edge_deletion_partial if strategy == "partial" else apply_edge_deletion
+    )
+
     def run_deletions():
         oracle = DynamicHCL.build(graph.copy(), num_landmarks=spec.num_landmarks)
         for u, v in deletions:
-            oracle.remove_edge(u, v, strategy=strategy)
+            delete(oracle.graph, oracle.labelling, u, v)
         return oracle
 
     benchmark.pedantic(run_deletions, rounds=1, iterations=1)

@@ -9,6 +9,7 @@ Rendered series: ``python -m repro.bench figure3``.
 import pytest
 
 from repro.baselines.fd import FullDynamicOracle
+from repro.bench.runner import paper_insert
 from repro.core.dynamic import DynamicHCL
 from repro.workloads.datasets import build_dataset
 from repro.workloads.updates import sample_edge_insertions
@@ -39,8 +40,9 @@ def test_update_vs_landmarks(benchmark, profile, dataset, num_landmarks, method)
             oracle = DynamicHCL.build(working, num_landmarks=num_landmarks)
         else:
             oracle = FullDynamicOracle(working, num_landmarks=num_landmarks)
+        insert = paper_insert(oracle)
         for u, v in insertions:
-            oracle.insert_edge(u, v)
+            insert(u, v)
 
     benchmark.pedantic(replay, rounds=1, iterations=1)
     benchmark.extra_info.update({

@@ -3,7 +3,8 @@
 Benchmarks one IncHL+ insertion replay per mode on the same dataset and
 stream (the per-update granularity of the paper's Figure 4):
 
-* ``python``     — reference dict kernels, one edge at a time;
+* ``python``     — the paper's IncHL+ kernel, called directly, one edge
+  at a time;
 * ``fast``       — vectorized CSR engine, one edge at a time;
 * ``fast-batch`` — vectorized CSR engine, one combined sweep per chunk.
 
@@ -20,6 +21,7 @@ Run:  pytest benchmarks/bench_incremental_fast.py --benchmark-only
 import pytest
 
 from repro.core.dynamic import DynamicHCL
+from repro.core.inchl import apply_edge_insertion
 from repro.landmarks.selection import top_degree_landmarks
 
 _DATASET = "flickr-s"  # representative social stand-in
@@ -30,12 +32,11 @@ def setup(cache, profile):
     spec, graph, insertions, _ = cache.dataset(_DATASET)
     landmarks = top_degree_landmarks(graph, spec.num_landmarks)
     base = DynamicHCL.build(graph.copy(), landmarks=landmarks, construction="csr")
-    reference = DynamicHCL.build(
-        graph.copy(), landmarks=landmarks, construction="csr"
-    )
+    reference_graph, reference = graph.copy(), base.labelling.copy()
     for u, v in insertions:
-        reference.insert_edge(u, v)
-    return graph, landmarks, insertions, base.labelling, reference.labelling
+        reference_graph.add_edge(u, v)
+        apply_edge_insertion(reference_graph, reference, u, v)
+    return graph, landmarks, insertions, base.labelling, reference
 
 
 def _extra(benchmark, mode, insertions):
@@ -48,13 +49,12 @@ def _extra(benchmark, mode, insertions):
     })
 
 
-def _make_setup(graph, base_labelling, fast):
+def _make_setup(graph, base_labelling):
     """Per-round untimed setup: fresh oracle (engine pre-attached)."""
 
     def _setup():
-        oracle = DynamicHCL(graph.copy(), base_labelling.copy(), fast_updates=fast)
-        if fast:
-            oracle._resolve_fast_engine()
+        oracle = DynamicHCL(graph.copy(), base_labelling.copy())
+        oracle._resolve_fast_engine()
         return (oracle,), {}
 
     return _setup
@@ -64,16 +64,17 @@ def test_python_replay(benchmark, setup):
     graph, landmarks, insertions, base, expected = setup
     result = []
 
-    def replay(oracle):
-        for u, v in insertions:
-            oracle.insert_edge(u, v)
-        result.append(oracle)
+    def _setup():
+        return (graph.copy(), base.copy()), {}
 
-    benchmark.pedantic(
-        replay, setup=_make_setup(graph, base, fast=False),
-        rounds=3, warmup_rounds=1,
-    )
-    assert result[-1].labelling == expected
+    def replay(working, labelling):
+        for u, v in insertions:
+            working.add_edge(u, v)
+            apply_edge_insertion(working, labelling, u, v)
+        result.append(labelling)
+
+    benchmark.pedantic(replay, setup=_setup, rounds=3, warmup_rounds=1)
+    assert result[-1] == expected
     _extra(benchmark, "python", insertions)
 
 
@@ -87,7 +88,7 @@ def test_fast_replay(benchmark, setup):
         result.append(oracle)
 
     benchmark.pedantic(
-        replay, setup=_make_setup(graph, base, fast=True),
+        replay, setup=_make_setup(graph, base),
         rounds=3, warmup_rounds=1,
     )
     assert result[-1].labelling == expected  # byte-identity contract
@@ -105,7 +106,7 @@ def test_fast_batch_replay(benchmark, setup, profile):
         result.append(oracle)
 
     benchmark.pedantic(
-        replay, setup=_make_setup(graph, base, fast=True),
+        replay, setup=_make_setup(graph, base),
         rounds=3, warmup_rounds=1,
     )
     assert result[-1].labelling == expected

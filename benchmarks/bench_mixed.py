@@ -3,10 +3,10 @@
 Benchmarks one interleaved insert/delete stream replay per mode on the
 same dataset (the fully-dynamic extension of the Figure-4 replay):
 
-* ``sequential`` — reference kernels, one event at a time (IncHL+
-  insertions, DecHL deletions);
+* ``sequential`` — the paper's kernels, one event at a time (IncHL+
+  insertions, DecHL deletions) through ``replay_events``;
 * ``fallback``   — insert runs on the vectorized engine, each deletion
-  through DecHL with engine invalidation + re-attach (the
+  through the DecHL kernel with engine invalidation + re-attach (the
   pre-mixed-engine serving behaviour);
 * ``mixed``      — the BatchHL-style mixed batch engine, one net
   find/repair sweep per landmark per chunk.
@@ -21,6 +21,8 @@ Run:  pytest benchmarks/bench_mixed.py --benchmark-only
 
 import pytest
 
+from repro.core.batch import replay_events
+from repro.core.dechl import apply_edge_deletion_partial
 from repro.core.dynamic import DynamicHCL
 from repro.landmarks.selection import top_degree_landmarks
 from repro.workloads.streams import mixed_stream
@@ -37,16 +39,9 @@ def setup(cache, profile):
         graph, profile.figure4_total, insert_ratio=_INSERT_RATIO, rng=2021
     )
     base = DynamicHCL.build(graph.copy(), landmarks=landmarks, construction="csr")
-    reference = DynamicHCL.build(
-        graph.copy(), landmarks=landmarks, construction="csr"
-    )
-    for event in events:
-        u, v = event.edge
-        if event.is_insert:
-            reference.insert_edge(u, v, fast=False)
-        else:
-            reference.remove_edge(u, v, fast=False)
-    return graph, events, base.labelling, reference.labelling
+    reference = base.labelling.copy()
+    replay_events(graph.copy(), reference, events)
+    return graph, events, base.labelling, reference
 
 
 def _extra(benchmark, mode, events):
@@ -60,11 +55,12 @@ def _extra(benchmark, mode, events):
     })
 
 
-def _make_setup(graph, base_labelling, fast):
+def _make_setup(graph, base_labelling):
+    """Per-round untimed setup: fresh oracle, engine pre-attached."""
+
     def _setup():
-        oracle = DynamicHCL(graph.copy(), base_labelling.copy(), fast_updates=fast)
-        if fast:
-            oracle._resolve_fast_engine()
+        oracle = DynamicHCL(graph.copy(), base_labelling.copy())
+        oracle._resolve_fast_engine()
         return (oracle,), {}
 
     return _setup
@@ -74,20 +70,15 @@ def test_sequential_replay(benchmark, setup):
     graph, events, base, expected = setup
     result = []
 
-    def replay(oracle):
-        for event in events:
-            u, v = event.edge
-            if event.is_insert:
-                oracle.insert_edge(u, v, fast=False)
-            else:
-                oracle.remove_edge(u, v, fast=False)
-        result.append(oracle)
+    def _setup():
+        return (graph.copy(), base.copy()), {}
 
-    benchmark.pedantic(
-        replay, setup=_make_setup(graph, base, fast=False),
-        rounds=3, warmup_rounds=1,
-    )
-    assert result[-1].labelling == expected
+    def replay(working, labelling):
+        replay_events(working, labelling, events)
+        result.append(labelling)
+
+    benchmark.pedantic(replay, setup=_setup, rounds=3, warmup_rounds=1)
+    assert result[-1] == expected
     _extra(benchmark, "sequential", events)
 
 
@@ -104,15 +95,18 @@ def test_fallback_replay(benchmark, setup, profile):
                     run.append(event.edge)
                     continue
                 if run:
-                    oracle.insert_edges_batch(run, fast=True)
+                    oracle.insert_edges_batch(run)
                     run = []
-                oracle.remove_edge(*event.edge, fast=False)
+                apply_edge_deletion_partial(
+                    oracle.graph, oracle.labelling, *event.edge
+                )
+                oracle._invalidate_fast()
             if run:
-                oracle.insert_edges_batch(run, fast=True)
+                oracle.insert_edges_batch(run)
         result.append(oracle)
 
     benchmark.pedantic(
-        replay, setup=_make_setup(graph, base, fast=True),
+        replay, setup=_make_setup(graph, base),
         rounds=3, warmup_rounds=1,
     )
     assert result[-1].labelling == expected
@@ -126,13 +120,11 @@ def test_mixed_batch_replay(benchmark, setup, profile):
 
     def replay(oracle):
         for start in range(0, len(events), chunk_size):
-            oracle.apply_events_batch(
-                events[start : start + chunk_size], fast=True
-            )
+            oracle.apply_events_batch(events[start : start + chunk_size])
         result.append(oracle)
 
     benchmark.pedantic(
-        replay, setup=_make_setup(graph, base, fast=True),
+        replay, setup=_make_setup(graph, base),
         rounds=3, warmup_rounds=1,
     )
     assert result[-1].labelling == expected  # byte-identity contract

@@ -16,6 +16,7 @@ build it.  Regenerate the rendered table with ``python -m repro.bench table1``.
 import pytest
 
 from repro.bench.report import format_bytes
+from repro.bench.runner import paper_insert
 from repro.workloads.datasets import dataset_names
 
 METHODS = ("IncHL+", "IncFD", "IncPLL")
@@ -32,8 +33,9 @@ def test_update_stream(benchmark, cache, dataset, method):
     def run_updates():
         # Fresh copy per round: insertions must target non-edges.
         fresh = cache.build_oracle(dataset, method)
+        insert = paper_insert(fresh)
         for u, v in insertions:
-            fresh.insert_edge(u, v)
+            insert(u, v)
         return fresh
 
     result = benchmark.pedantic(run_updates, rounds=1, iterations=1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_table
-from repro.bench.runner import time_queries, time_updates
+from repro.bench.runner import paper_insert, time_queries, time_updates
 from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import BenchmarkError
@@ -56,7 +56,7 @@ def run_landmark_strategies(
                 rng=ensure_rng(seed),
             )
             entries_before = oracle.label_entries
-            update_ms = time_updates(oracle, insertions).mean_ms()
+            update_ms = time_updates(paper_insert(oracle), insertions).mean_ms()
             query_ms = time_queries(oracle, query_pairs).mean_ms()
             rows.append({
                 "experiment": "A1-landmark-strategy",
@@ -83,7 +83,7 @@ def run_update_vs_rebuild(
         rng = ensure_rng(hash((seed, name, "ablation-a2")) & 0x7FFFFFFF)
         insertions = sample_edge_insertions(graph, prof.ablation_updates, rng=rng)
         oracle = DynamicHCL.build(graph, num_landmarks=spec.num_landmarks)
-        update_ms = time_updates(oracle, insertions).mean_ms()
+        update_ms = time_updates(paper_insert(oracle), insertions).mean_ms()
         with Stopwatch() as sw:
             build_hcl(graph, oracle.landmarks)
         rebuild_ms = sw.elapsed * 1000.0
@@ -120,9 +120,10 @@ def run_workload_realism(
         ):
             oracle = DynamicHCL.build(g, num_landmarks=spec.num_landmarks)
             affected = []
-            stats = time_updates(oracle, [])
+            insert = paper_insert(oracle)
+            stats = time_updates(insert, [])
             for u, v in stream:
-                result = stats.time(oracle.insert_edge, u, v)
+                result = stats.time(insert, u, v)
                 affected.append(result.affected_union)
             rows.append({
                 "experiment": "A3-workload-realism",

@@ -26,6 +26,7 @@ from repro.analysis.costmodel import CostModel, UpdateRecord
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_table
+from repro.bench.runner import paper_insert
 from repro.core.batch import apply_edge_insertions_batch
 from repro.core.construction import build_hcl
 from repro.core.construction_fast import build_hcl_fast
@@ -233,12 +234,13 @@ def run_cost_model_fit(
             graph, max(8, prof.ablation_updates), rng=rng
         )
         oracle = DynamicHCL.build(graph, num_landmarks=spec.num_landmarks)
+        insert = paper_insert(oracle)
         records = []
         for u, v in insertions:
             avg_degree = graph.average_degree()
             avg_label = oracle.label_entries / graph.num_vertices
             with Stopwatch() as sw:
-                stats = oracle.insert_edge(u, v)
+                stats = insert(u, v)
             records.append(UpdateRecord(
                 affected_total=stats.total_affected,
                 avg_degree=avg_degree,

@@ -11,7 +11,7 @@ from repro.baselines.fd import FullDynamicOracle
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_table
-from repro.bench.runner import time_updates
+from repro.bench.runner import paper_insert, time_updates
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import BenchmarkError
 from repro.utils.rng import ensure_rng
@@ -47,9 +47,9 @@ def run(
             if num_landmarks >= base_graph.num_vertices:
                 continue
             hl = DynamicHCL.build(base_graph.copy(), num_landmarks=num_landmarks)
-            hl_ms = time_updates(hl, insertions).mean_ms()
+            hl_ms = time_updates(paper_insert(hl), insertions).mean_ms()
             fd = FullDynamicOracle(base_graph.copy(), num_landmarks=num_landmarks)
-            fd_ms = time_updates(fd, insertions).mean_ms()
+            fd_ms = time_updates(fd.insert_edge, insertions).mean_ms()
             rows.append({
                 "dataset": name,
                 "num_landmarks": num_landmarks,

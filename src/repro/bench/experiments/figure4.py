@@ -13,6 +13,7 @@ from __future__ import annotations
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import render_series
+from repro.bench.runner import paper_insert
 from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import BenchmarkError
@@ -46,13 +47,14 @@ def run(
         with Stopwatch() as initial_build:
             oracle = DynamicHCL.build(graph, num_landmarks=spec.num_landmarks)
 
+        insert = paper_insert(oracle)
         cumulative = 0.0
         points: list[tuple[int, float]] = []
         for start in range(0, len(insertions), prof.figure4_batch):
             batch = insertions[start : start + prof.figure4_batch]
             with Stopwatch() as sw:
                 for u, v in batch:
-                    oracle.insert_edge(u, v)
+                    insert(u, v)
             cumulative += sw.elapsed
             points.append((start + len(batch), cumulative))
 

@@ -4,8 +4,10 @@ Replays the Figure 4 insertion schedule (``figure4_total`` edges per
 dataset, one at a time — the paper's strictly-online model) through two
 oracles over identical graph copies:
 
-* **python** — the reference dict kernels of :mod:`repro.core.inchl`;
-* **fast** — the vectorized CSR engine of :mod:`repro.core.inchl_fast`
+* **python** — the paper's IncHL+ kernel of :mod:`repro.core.inchl`,
+  called directly;
+* **fast** — ``DynamicHCL.insert_edge``, i.e. the vectorized CSR engine
+  of :mod:`repro.core.inchl_fast`
   (DynCSR overlay + dense old-distance rows + numpy level kernels);
 
 plus a third **fast-batch** replay applying the same stream in Figure-4
@@ -32,6 +34,7 @@ from __future__ import annotations
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_table
+from repro.bench.runner import paper_insert
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import BenchmarkError
 from repro.landmarks.selection import top_degree_landmarks
@@ -84,14 +87,15 @@ def _phases_block(phase_s: dict, affected: list) -> dict | None:
     return block
 
 
-def _replay_single(oracle: DynamicHCL, insertions, fast: bool):
-    """One-at-a-time replay; returns (total_s, latencies_s, phases)."""
+def _replay_single(insert, insertions):
+    """One-at-a-time replay through ``insert(u, v)``; returns
+    (total_s, latencies_s, phases)."""
     latencies = []
     phase_s: dict[str, float] = {}
     affected: list[int] = []
     for u, v in insertions:
         with Stopwatch() as sw:
-            stats = oracle.insert_edge(u, v, fast=fast)
+            stats = insert(u, v)
         latencies.append(sw.elapsed)
         _accumulate_phases(phase_s, affected, stats)
     return sum(latencies), latencies, _phases_block(phase_s, affected)
@@ -107,7 +111,7 @@ def _replay_batched(oracle: DynamicHCL, insertions, batch_size: int, workers):
     for start in range(0, len(insertions), batch_size):
         chunk = insertions[start : start + batch_size]
         with Stopwatch() as sw:
-            stats = oracle.insert_edges_batch(chunk, workers=workers, fast=True)
+            stats = oracle.insert_edges_batch(chunk, workers=workers)
         total += sw.elapsed
         chunks += 1
         _accumulate_phases(phase_s, affected, stats)
@@ -146,7 +150,7 @@ def _profiler_overhead_row(graph, landmarks, insertions, workers, dataset):
         for _ in range(2):
             oracle = DynamicHCL.build(
                 graph.copy(), landmarks=landmarks, construction="csr",
-                fast_updates=True, workers=workers,
+                workers=workers,
             )
             oracle._resolve_fast_engine()
             profiler = SamplingProfiler() if profiled else None
@@ -154,7 +158,7 @@ def _profiler_overhead_row(graph, landmarks, insertions, workers, dataset):
                 profiler.start()
             with Stopwatch() as sw:
                 for u, v in insertions:
-                    oracle.insert_edge(u, v, fast=True)
+                    oracle.insert_edge(u, v)
             if profiler is not None:
                 profiler.stop()
             best = sw.elapsed if best is None else min(best, sw.elapsed)
@@ -198,23 +202,23 @@ def run(
             graph.copy(), landmarks=landmarks, construction="csr"
         )
         t_python, lat_python, _ = _replay_single(
-            python_oracle, insertions, fast=False
+            paper_insert(python_oracle), insertions
         )
 
         fast_oracle = DynamicHCL.build(
             graph.copy(), landmarks=landmarks, construction="csr",
-            fast_updates=True, workers=workers,
+            workers=workers,
         )
         with Stopwatch() as attach:
             fast_oracle._resolve_fast_engine()
         t_fast, lat_fast, phases_fast = _replay_single(
-            fast_oracle, insertions, fast=True
+            fast_oracle.insert_edge, insertions
         )
         identical_fast = fast_oracle.labelling == python_oracle.labelling
 
         batch_oracle = DynamicHCL.build(
             graph.copy(), landmarks=landmarks, construction="csr",
-            fast_updates=True, workers=workers,
+            workers=workers,
         )
         t_batch, chunks, phases_batch = _replay_batched(
             batch_oracle, insertions, prof.figure4_batch, workers

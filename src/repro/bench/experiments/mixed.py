@@ -6,16 +6,18 @@ Each dataset replays one interleaved insert/delete stream (deletions may
 disconnect the graph — intended) through three maintenance routes over
 identical graph copies:
 
-* **sequential** — the reference kernels, one event at a time (IncHL+
-  insertions, DecHL deletions);
+* **sequential** — the paper's kernels, one event at a time (IncHL+
+  insertions, DecHL deletions) through
+  :func:`repro.core.batch.replay_events`;
 * **fallback** — the *pre-mixed-engine* fast path: insert runs use the
-  vectorized batch engine but every deletion drops to DecHL and
-  invalidates the engine, so the next insert run pays a full re-attach
-  (one CSR BFS per landmark).  This is what serving deployments did
-  before the engine kept its dense rows valid across deletions;
+  vectorized batch engine but every deletion drops to the DecHL kernel
+  and invalidates the engine, so the next insert run pays a full
+  re-attach (one CSR BFS per landmark).  This is what serving
+  deployments did before the engine kept its dense rows valid across
+  deletions;
 * **mixed-fast** — the BatchHL-style mixed batch engine: each chunk is
   collapsed to its net edge sets and applied as one find/repair sweep
-  per landmark through ``apply_events_batch(fast=True)``.
+  per landmark through ``DynamicHCL.apply_events_batch``.
 
 Every route's final labelling must equal the sequential reference
 (byte-identity contract), and the mixed-fast oracle's answers are
@@ -30,6 +32,9 @@ import zlib
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_table
+from repro.core.batch import replay_events
+from repro.core.construction_fast import build_hcl_fast
+from repro.core.dechl import apply_edge_deletion_partial
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import BenchmarkError
 from repro.graph.traversal import bfs_distances
@@ -53,22 +58,10 @@ def _chunks(events, size):
         yield events[start : start + size]
 
 
-def _replay_sequential(oracle: DynamicHCL, events) -> float:
-    total = 0.0
-    for event in events:
-        u, v = event.edge
-        with Stopwatch() as sw:
-            if event.is_insert:
-                oracle.insert_edge(u, v, fast=False)
-            else:
-                oracle.remove_edge(u, v, fast=False)
-        total += sw.elapsed
-    return total
-
-
 def _replay_fallback(oracle: DynamicHCL, events, batch: int, workers) -> float:
-    """Insert runs on the vectorized engine, deletions through DecHL with
-    engine invalidation — the pre-mixed-engine serving behaviour."""
+    """Insert runs on the vectorized engine, deletions through the DecHL
+    kernel with engine invalidation — the pre-mixed-engine serving
+    behaviour."""
     oracle._resolve_fast_engine()
     total = 0.0
     for chunk in _chunks(events, batch):
@@ -79,11 +72,14 @@ def _replay_fallback(oracle: DynamicHCL, events, batch: int, workers) -> float:
                     run.append(event.edge)
                     continue
                 if run:
-                    oracle.insert_edges_batch(run, workers=workers, fast=True)
+                    oracle.insert_edges_batch(run, workers=workers)
                     run = []
-                oracle.remove_edge(*event.edge, fast=False)
+                apply_edge_deletion_partial(
+                    oracle.graph, oracle.labelling, *event.edge
+                )
+                oracle._invalidate_fast()
             if run:
-                oracle.insert_edges_batch(run, workers=workers, fast=True)
+                oracle.insert_edges_batch(run, workers=workers)
         total += sw.elapsed
     return total
 
@@ -95,7 +91,7 @@ def _replay_mixed(oracle: DynamicHCL, events, batch: int, workers):
     affected: list[int] = []
     for chunk in _chunks(events, batch):
         with Stopwatch() as sw:
-            stats = oracle.apply_events_batch(chunk, workers=workers, fast=True)
+            stats = oracle.apply_events_batch(chunk, workers=workers)
         total += sw.elapsed
         for phase, seconds in stats.phases.items():
             phase_s[phase] = phase_s.get(phase, 0.0) + seconds
@@ -167,26 +163,27 @@ def run(
         deletes = sum(1 for e in events if not e.is_insert)
         landmarks = top_degree_landmarks(graph, spec.num_landmarks)
 
-        seq_oracle = DynamicHCL.build(
-            graph.copy(), landmarks=landmarks, construction="csr"
-        )
-        t_seq = _replay_sequential(seq_oracle, events)
+        seq_graph = graph.copy()
+        seq_labelling = build_hcl_fast(seq_graph, landmarks)
+        with Stopwatch() as seq:
+            replay_events(seq_graph, seq_labelling, events)
+        t_seq = seq.elapsed
 
         fb_oracle = DynamicHCL.build(
             graph.copy(), landmarks=landmarks, construction="csr",
-            fast_updates=True, workers=workers,
+            workers=workers,
         )
         t_fb = _replay_fallback(fb_oracle, events, prof.figure4_batch, workers)
-        identical_fb = fb_oracle.labelling == seq_oracle.labelling
+        identical_fb = fb_oracle.labelling == seq_labelling
 
         mx_oracle = DynamicHCL.build(
             graph.copy(), landmarks=landmarks, construction="csr",
-            fast_updates=True, workers=workers,
+            workers=workers,
         )
         t_mx, phases_mx = _replay_mixed(
             mx_oracle, events, prof.figure4_batch, workers
         )
-        identical_mx = mx_oracle.labelling == seq_oracle.labelling
+        identical_mx = mx_oracle.labelling == seq_labelling
         checked, incorrect = _bfs_spot_check(mx_oracle, rng, samples=30)
 
         count = len(events)

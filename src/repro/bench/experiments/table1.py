@@ -15,7 +15,13 @@ from __future__ import annotations
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_bytes, format_table
-from repro.bench.runner import build_oracles, default_factories, time_queries, time_updates
+from repro.bench.runner import (
+    build_oracles,
+    default_factories,
+    paper_insert,
+    time_queries,
+    time_updates,
+)
 from repro.exceptions import BenchmarkError
 from repro.utils.rng import ensure_rng
 from repro.workloads.datasets import DATASETS, build_dataset
@@ -73,7 +79,7 @@ def run(
                     "build_s": None, "failure": b.failure,
                 }
                 continue
-            update_stats = time_updates(b.oracle, insertions)
+            update_stats = time_updates(paper_insert(b.oracle), insertions)
             query_stats = time_queries(b.oracle, query_pairs)
             per_method[b.name] = {
                 "update_ms": update_stats.mean_ms(),

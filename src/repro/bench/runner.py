@@ -15,6 +15,7 @@ from typing import Callable
 from repro.baselines.fd import FullDynamicOracle
 from repro.baselines.incpll import IncPLL
 from repro.core.dynamic import DynamicHCL
+from repro.core.inchl import apply_edge_insertion
 from repro.exceptions import ConstructionBudgetExceeded
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.utils.timing import Stopwatch, TimingStats
@@ -24,6 +25,7 @@ __all__ = [
     "OracleFactory",
     "BuiltOracle",
     "build_oracles",
+    "paper_insert",
     "time_updates",
     "time_queries",
 ]
@@ -97,11 +99,35 @@ def build_oracles(
     return built
 
 
-def time_updates(oracle, insertions: list[tuple[int, int]]) -> TimingStats:
-    """Apply the edge-insertion stream, timing each update individually."""
+def paper_insert(oracle) -> Callable[[int, int], object]:
+    """The per-edge insertion the reproduction times for ``oracle``.
+
+    Baselines time their own ``insert_edge``.  ``DynamicHCL`` updates run
+    on the vectorized engine, so for IncHL+ this returns the paper's
+    Python kernel instead: add the edge, then
+    :func:`repro.core.inchl.apply_edge_insertion` on the oracle's graph
+    and labelling.  The oracle's epoch is left alone; it still answers
+    queries exactly.
+    """
+    if not isinstance(oracle, DynamicHCL):
+        return oracle.insert_edge
+    graph, labelling = oracle.graph, oracle.labelling
+
+    def insert(u: int, v: int):
+        graph.add_edge(u, v)
+        return apply_edge_insertion(graph, labelling, u, v)
+
+    return insert
+
+
+def time_updates(
+    insert: Callable[[int, int], object], insertions: list[tuple[int, int]]
+) -> TimingStats:
+    """Apply the edge-insertion stream through ``insert(u, v)``, timing
+    each update individually."""
     stats = TimingStats()
     for u, v in insertions:
-        stats.time(oracle.insert_edge, u, v)
+        stats.time(insert, u, v)
     return stats
 
 

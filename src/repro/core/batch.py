@@ -30,7 +30,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.inchl import AffectedSearch, UpdateStats, repair_affected
+from repro.core.dechl import apply_edge_deletion_partial
+from repro.core.inchl import (
+    AffectedSearch,
+    UpdateStats,
+    apply_edge_insertion,
+    repair_affected,
+)
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.query import landmark_distance
 from repro.exceptions import InvariantViolationError
@@ -41,6 +47,7 @@ from repro.parallel.sweeps import batch_find_task
 __all__ = [
     "BatchUpdateStats",
     "MixedUpdateStats",
+    "replay_events",
     "find_affected_batch",
     "apply_edge_insertions_batch",
 ]
@@ -86,6 +93,45 @@ class MixedUpdateStats(UpdateStats):
     def batch_size(self) -> int:
         """Number of net events in this batch."""
         return len(self.inserts) + len(self.deletes)
+
+
+def replay_events(graph, labelling: HighwayCoverLabelling, events) -> MixedUpdateStats:
+    """The paper's one-change-at-a-time replay of an insert/delete stream.
+
+    ``events`` are :class:`~repro.workloads.streams.UpdateEvent` objects
+    or plain ``(kind, (u, v))`` pairs; each one is repaired on its own,
+    insertions by IncHL+ (:func:`~repro.core.inchl.apply_edge_insertion`)
+    and deletions by DecHL
+    (:func:`~repro.core.dechl.apply_edge_deletion_partial`).  The two
+    kernels split the graph mutation differently: DecHL removes the edge
+    itself, IncHL+ expects it already present, so the edge is added here
+    first.  Nothing is validated — the events must be applicable in
+    order.  This is the reference the vectorized engine behind
+    :meth:`repro.core.dynamic.DynamicHCL.apply_events_batch` is checked
+    against; the per-event statistics are summed into one
+    :class:`MixedUpdateStats` listing every event.
+    """
+    pairs = [(e.kind, e.edge) if hasattr(e, "kind") else e for e in events]
+    stats = MixedUpdateStats(
+        [edge for kind, edge in pairs if kind == "insert"],
+        [edge for kind, edge in pairs if kind != "insert"],
+    )
+    for kind, (u, v) in pairs:
+        if kind == "insert":
+            graph.add_edge(u, v)
+            step = apply_edge_insertion(graph, labelling, u, v)
+        else:
+            step = apply_edge_deletion_partial(graph, labelling, u, v)
+        for r, count in step.affected_per_landmark.items():
+            stats.affected_per_landmark[r] = (
+                stats.affected_per_landmark.get(r, 0) + count
+            )
+        stats.affected_union += step.affected_union
+        stats.entries_added += step.entries_added
+        stats.entries_modified += step.entries_modified
+        stats.entries_removed += step.entries_removed
+        stats.highway_updates += step.highway_updates
+    return stats
 
 
 def find_affected_batch(

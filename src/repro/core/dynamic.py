@@ -9,14 +9,12 @@ extensions:
 * :meth:`DynamicHCL.insert_vertex` — vertex insertion, decomposed into edge
   insertions (Section 3);
 * :meth:`DynamicHCL.insert_edges_batch` — one find/repair sweep per
-  landmark for a whole burst of insertions (:mod:`repro.core.batch`);
+  landmark for a whole burst of insertions;
 * :meth:`DynamicHCL.remove_edge` / :meth:`DynamicHCL.remove_vertex` — the
-  decremental extension (paper's future work), either fine-grained DecHL
-  (:mod:`repro.core.dechl`) or the coarse per-landmark rebuild
-  (:mod:`repro.core.decremental`);
+  decremental extension (paper's future work);
 * :meth:`DynamicHCL.remove_edges_batch` / :meth:`DynamicHCL.apply_events_batch`
   — fully-dynamic mixed insert/delete batches, one BatchHL-style combined
-  sweep per landmark on the fast route (``docs/DESIGN.md`` §10);
+  sweep per landmark (``docs/DESIGN.md`` §10);
 * :meth:`DynamicHCL.add_landmark` / :meth:`DynamicHCL.remove_landmark` —
   online landmark-set resizing (:mod:`repro.landmarks.maintenance`);
 * :meth:`DynamicHCL.shortest_path` — path extraction on top of the
@@ -24,24 +22,19 @@ extensions:
 
 Queries are answered exactly at any point between updates.
 
-The ``workers`` knob routes every bulk operation — construction, batch
-insertion, coarse decremental rebuild — through the parallel per-landmark
-engine (:mod:`repro.parallel`); results are identical for any worker
-count.
+The ``workers`` knob routes every bulk operation — construction and
+batch updates — through the parallel per-landmark engine
+(:mod:`repro.parallel`); results are identical for any worker count.
 
-The ``fast`` knob (per call, or ``fast_updates=`` as the oracle default —
-mirroring the ``construction`` knob) routes :meth:`insert_edge` /
-:meth:`insert_edges_batch` / :meth:`remove_edge` /
-:meth:`remove_edges_batch` / :meth:`apply_events_batch` through one
-private helper into
+Every edge update goes through one private helper into
 :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`, the
-vectorized CSR engine's single entry point; the labelling it produces is
-byte-identical to the sequential implementation's for every event kind.
-``fast=False`` keeps the paper-faithful reference kernels (IncHL+,
-batch IncHL+, DecHL) — the test oracle and the reproduction path.  The
-engine is cached across fast updates and transparently rebuilt after any
-other mutation (reference-route updates, landmark maintenance, vertex
-removal, rebuild-strategy deletions).
+vectorized CSR engine.  The labelling it produces is byte-identical to
+the paper's Python kernels (IncHL+ in :mod:`repro.core.inchl`, batch
+IncHL+ in :mod:`repro.core.batch`, DecHL in :mod:`repro.core.dechl`),
+which stay plain functions: the test oracle and the timed reproduction
+call them directly (:func:`repro.core.batch.replay_events` replays a
+mixed stream through them).  The engine is cached across updates and
+rebuilt after landmark maintenance or vertex removal.
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ import random
 from collections.abc import Iterable, Sequence
 
 from repro.core.construction import build_hcl
-from repro.core.inchl import UpdateStats, apply_edge_insertion
+from repro.core.inchl import UpdateStats
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.query import (
     landmark_distance,
@@ -90,7 +83,6 @@ class DynamicHCL:
         graph: DynamicGraph,
         labelling: HighwayCoverLabelling,
         workers: int | None = None,
-        fast_updates: bool = False,
         owned_landmarks: Sequence[int] | None = None,
     ) -> None:
         self._graph = graph
@@ -98,10 +90,6 @@ class DynamicHCL:
         #: Default worker count for bulk operations (``None``/``1`` serial,
         #: ``0`` all CPUs); per-call ``workers=`` arguments override it.
         self.workers = workers
-        #: Default route for :meth:`insert_edge`/:meth:`insert_edges_batch`
-        #: (the vectorized CSR engine vs the reference dict kernels);
-        #: per-call ``fast=`` arguments override it.
-        self.fast_updates = fast_updates
         #: Landmark-sharded mode (``repro.core.sharding``): this oracle
         #: owns only these landmarks' label rows; ``labelling`` must be
         #: the matching restricted labelling.  Queries become
@@ -109,8 +97,6 @@ class DynamicHCL:
         #: min over all shards is globally exact) and every update runs
         #: on the vectorized engine restricted to the owned rows.
         self._owned = list(owned_landmarks) if owned_landmarks is not None else None
-        if self._owned is not None:
-            self.fast_updates = True
         self._version = 0
         self._snapshot_cache = None
         self._shard_rows_cache = None
@@ -129,7 +115,6 @@ class DynamicHCL:
         rng: int | random.Random | None = None,
         construction: str = "python",
         workers: int | None = None,
-        fast_updates: bool = False,
     ) -> "DynamicHCL":
         """Build the labelling for ``graph`` and wrap both in an oracle.
 
@@ -147,11 +132,6 @@ class DynamicHCL:
         process pool and becomes the oracle's default for later bulk
         operations (``None``/``1`` serial, ``0`` all CPUs); the labelling
         is identical for any worker count.
-
-        ``fast_updates`` becomes the oracle's default update route: when
-        true, :meth:`insert_edge` / :meth:`insert_edges_batch` run on the
-        vectorized CSR engine (:mod:`repro.core.inchl_fast`) — identical
-        labelling, much faster on large update streams.
         """
         if landmarks is None:
             landmarks = select_landmarks(graph, num_landmarks, strategy, rng=rng)
@@ -165,7 +145,7 @@ class DynamicHCL:
             raise ValueError(
                 f"unknown construction {construction!r}; use 'python' or 'csr'"
             )
-        return cls(graph, labelling, workers=workers, fast_updates=fast_updates)
+        return cls(graph, labelling, workers=workers)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -351,7 +331,7 @@ class DynamicHCL:
         self._fast_engine = None
 
     def _apply_fast(self, inserts, deletes, events: int, workers: int | None):
-        """The one vectorized update route every fast mutator takes.
+        """The one update route every edge mutator takes.
 
         Resolves the engine (before the graph changes: a fresh engine
         seeds its rows from the pre-batch graph), applies the net edge
@@ -370,17 +350,6 @@ class DynamicHCL:
             inserts, deletes, workers=self.workers if workers is None else workers
         )
 
-    def _route_fast(self, fast: bool | None) -> bool:
-        """Resolve a per-call ``fast`` argument against the oracle default.
-
-        Landmark shards have no reference route — the dict kernels
-        iterate the full landmark list — so sharded oracles always take
-        the restricted vectorized engine.
-        """
-        if self._owned is not None:
-            return True
-        return self.fast_updates if fast is None else fast
-
     def _require_unsharded(self, operation: str) -> None:
         if self._owned is not None:
             raise GraphError(
@@ -388,41 +357,23 @@ class DynamicHCL:
                 f"to the unsharded oracle and re-shard"
             )
 
-    def insert_edge(self, u: int, v: int, fast: bool | None = None) -> UpdateStats:
+    def insert_edge(self, u: int, v: int) -> UpdateStats:
         """Insert edge ``(u, v)`` and repair the labelling (IncHL+).
 
-        ``fast`` selects the update route (default: the oracle's
-        ``fast_updates``): the reference dict kernels of
-        :mod:`repro.core.inchl`, or the vectorized CSR engine of
-        :mod:`repro.core.inchl_fast` — byte-identical labellings either
-        way.  Returns the update statistics (affected counts per
-        landmark).
+        Returns the update statistics (affected counts per landmark).
         """
-        if self._route_fast(fast):
-            return self._apply_fast([(u, v)], [], 1, None)
-        self._invalidate_fast()
-        self._graph.add_edge(u, v)
-        self._version += 1
-        return apply_edge_insertion(self._graph, self._labelling, u, v)
+        return self._apply_fast([(u, v)], [], 1, None)
 
     def insert_vertex(self, v: int, neighbors: Iterable[int]) -> list[UpdateStats]:
         """The paper's vertex insertion: new vertex ``v`` plus edges to
         existing vertices, processed as a sequence of edge insertions."""
         self._require_unsharded("insert_vertex")
         neighbor_list = list(neighbors)
-        self._invalidate_fast()
         self._graph.insert_vertex(v, [])
         self._version += 1
-        stats = []
-        for w in neighbor_list:
-            self._graph.add_edge(v, w)
-            self._version += 1
-            stats.append(apply_edge_insertion(self._graph, self._labelling, v, w))
-        return stats
+        return [self._apply_fast([(v, w)], [], 1, None) for w in neighbor_list]
 
-    def insert_edges(
-        self, edges: Iterable[tuple[int, int]], fast: bool | None = None
-    ) -> list[UpdateStats]:
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> list[UpdateStats]:
         """Batch convenience: apply a stream of edge insertions in order.
 
         The paper's model is strictly online (one repair per change), so
@@ -430,119 +381,53 @@ class DynamicHCL:
         replayed in one call.  For one *combined* sweep per landmark use
         :meth:`insert_edges_batch` instead.
         """
-        return [self.insert_edge(u, v, fast=fast) for u, v in edges]
+        return [self.insert_edge(u, v) for u, v in edges]
 
     def insert_edges_batch(
         self,
         edges: Iterable[tuple[int, int]],
         workers: int | None = None,
-        fast: bool | None = None,
     ) -> UpdateStats:
         """Insert a burst of edges with one find/repair sweep per landmark.
 
         Semantically identical to :meth:`insert_edges` (both end on the
         canonical minimal labelling of the final graph) but the affected
-        regions of the whole batch are discovered and repaired together —
-        see :mod:`repro.core.batch` for the algorithm and the ablation
-        benchmark for the crossover.  ``workers`` overrides the oracle's
-        default worker count for the per-landmark find phase; ``fast``
-        selects the dict kernels or the vectorized CSR engine (default:
-        the oracle's ``fast_updates``).
+        regions of the whole batch are discovered and repaired together.
+        The batch is validated as a whole before anything is mutated —
+        see :meth:`apply_events_batch`, which it delegates to.
+        ``workers`` overrides the oracle's default worker count.  Returns
+        a :class:`~repro.core.batch.MixedUpdateStats`.
         """
-        edge_list = list(edges)
-        if self._route_fast(fast):
-            return self._apply_fast(edge_list, [], len(edge_list), workers)
-        from repro.core.batch import apply_edge_insertions_batch
-
-        self._invalidate_fast()
-        for u, v in edge_list:
-            self._graph.add_edge(u, v)
-        self._version += len(edge_list)
-        return apply_edge_insertions_batch(
-            self._graph,
-            self._labelling,
-            edge_list,
-            workers=self.workers if workers is None else workers,
+        return self.apply_events_batch(
+            [("insert", (u, v)) for u, v in edges], workers=workers
         )
 
-    def remove_edge(
-        self,
-        u: int,
-        v: int,
-        strategy: str = "partial",
-        workers: int | None = None,
-        fast: bool | None = None,
-    ):
+    def remove_edge(self, u: int, v: int, workers: int | None = None):
         """Decremental update (the paper's stated future work).
 
-        ``fast`` selects the update route (default: the oracle's
-        ``fast_updates``): when true (and ``strategy`` is the default
-        ``"partial"``) the deletion runs on the vectorized update engine
-        (:meth:`repro.core.inchl_fast.FastUpdateEngine.apply_mixed`)
-        — byte-identical labelling, dense rows kept valid, no engine
-        invalidation.  Otherwise ``strategy="partial"`` runs the
-        fine-grained DecHL of :mod:`repro.core.dechl`, confining work to
-        the affected region, and ``strategy="rebuild"`` runs the coarse
-        per-relevant-landmark rebuild of :mod:`repro.core.decremental`,
-        whose rebuild sweeps ``workers`` (default: the oracle's worker
-        count) fan out across a process pool.  All routes preserve exact
-        minimality; they differ only in cost profile.
+        Deletes edge ``(u, v)`` and repairs the labelling to the exact
+        minimal labelling of the new graph — the same result as the
+        fine-grained DecHL of :mod:`repro.core.dechl`.  ``workers``
+        overrides the oracle's default worker count.
         """
-        fast = self._route_fast(fast)
-        if self._owned is not None:
-            strategy = "partial"  # shards have no rebuild route
-        if strategy == "partial":
-            if fast:
-                return self._apply_fast([], [(u, v)], 1, workers)
-            from repro.core.dechl import apply_edge_deletion_partial
-
-            self._invalidate_fast()
-
-            self._version += 1
-            return apply_edge_deletion_partial(self._graph, self._labelling, u, v)
-        if strategy == "rebuild":
-            from repro.core.decremental import apply_edge_deletion
-
-            self._invalidate_fast()
-
-            self._version += 1
-            return apply_edge_deletion(
-                self._graph,
-                self._labelling,
-                u,
-                v,
-                workers=self.workers if workers is None else workers,
-            )
-        raise GraphError(
-            f"unknown deletion strategy {strategy!r}; use 'partial' or 'rebuild'"
-        )
+        return self._apply_fast([], [(u, v)], 1, workers)
 
     def remove_edges_batch(
         self,
         edges: Iterable[tuple[int, int]],
         workers: int | None = None,
-        fast: bool | None = None,
     ):
         """Delete a burst of edges with one combined sweep per landmark.
 
-        The decremental counterpart of :meth:`insert_edges_batch`: on the
-        fast route the whole burst is absorbed by one BatchHL-style
-        find/repair pass per landmark
-        (:meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`);
-        on the reference route the edges are deleted one at a time through
-        DecHL.  Both end on the canonical minimal labelling of the final
-        graph.  Returns a :class:`~repro.core.batch.MixedUpdateStats`.
+        The decremental counterpart of :meth:`insert_edges_batch`, also
+        validated as a whole before anything is mutated.  Returns a
+        :class:`~repro.core.batch.MixedUpdateStats`.
         """
         return self.apply_events_batch(
-            [("delete", (u, v)) for u, v in edges], workers=workers, fast=fast
+            [("delete", (u, v)) for u, v in edges], workers=workers
         )
 
-    def apply_events_batch(
-        self,
-        events,
-        workers: int | None = None,
-        fast: bool | None = None,
-    ):
+    def apply_events_batch(self, events, workers: int | None = None):
         """Apply a mixed insert/delete event batch in one combined repair.
 
         ``events`` is a sequence of
@@ -555,19 +440,17 @@ class DynamicHCL:
         self-loops, unknown endpoints) raise :class:`GraphError` before
         anything is mutated.
 
-        On the fast route the batch is first collapsed to its *net* edge
-        sets — an insert-then-delete (or delete-then-reinsert) pair
-        cancels outright — and handed to the mixed-batch engine as one
-        BatchHL-style sweep per landmark.  The reference route replays
-        the events one at a time (IncHL+ / DecHL).  Both end on the
-        canonical minimal labelling of the final graph, byte for byte.
+        The batch is then collapsed to its *net* edge sets — an
+        insert-then-delete (or delete-then-reinsert) pair cancels outright
+        — and handed to the engine as one BatchHL-style sweep per
+        landmark.  The result equals the one-at-a-time IncHL+/DecHL
+        replay (:func:`repro.core.batch.replay_events`) byte for byte.
         Returns a :class:`~repro.core.batch.MixedUpdateStats`.
         """
         from repro.core.batch import MixedUpdateStats
 
-        fast = self._route_fast(fast)
         graph = self._graph
-        normalized: list[tuple[str, int, int]] = []
+        count = 0
         state: dict[tuple[int, int], bool] = {}
         for event in events:
             kind, edge = (
@@ -594,44 +477,16 @@ class DynamicHCL:
                 state[key] = False
             else:
                 raise GraphError(f"unknown event kind {kind!r}")
-            normalized.append((kind, u, v))
-        if fast:
-            net_inserts: list[tuple[int, int]] = []
-            net_deletes: list[tuple[int, int]] = []
-            for key, final in state.items():
-                if final != graph.has_edge(*key):
-                    (net_inserts if final else net_deletes).append(key)
-            if net_inserts or net_deletes:
-                return self._apply_fast(
-                    net_inserts, net_deletes, len(normalized), workers
-                )
-            self._version += len(normalized)
-            return MixedUpdateStats([], [])
-        from repro.core.dechl import apply_edge_deletion_partial
-
-        self._invalidate_fast()
-        inserts = [(u, v) for kind, u, v in normalized if kind == "insert"]
-        deletes = [(u, v) for kind, u, v in normalized if kind == "delete"]
-        stats = MixedUpdateStats(inserts, deletes)
-        union_total = 0
-        for kind, u, v in normalized:
-            if kind == "insert":
-                graph.add_edge(u, v)
-                step = apply_edge_insertion(graph, self._labelling, u, v)
-            else:
-                step = apply_edge_deletion_partial(graph, self._labelling, u, v)
-            for r, count in step.affected_per_landmark.items():
-                stats.affected_per_landmark[r] = (
-                    stats.affected_per_landmark.get(r, 0) + count
-                )
-            union_total += step.affected_union
-            stats.entries_added += step.entries_added
-            stats.entries_modified += step.entries_modified
-            stats.entries_removed += step.entries_removed
-            stats.highway_updates += step.highway_updates
-        stats.affected_union = union_total
-        self._version += len(normalized)
-        return stats
+            count += 1
+        net_inserts: list[tuple[int, int]] = []
+        net_deletes: list[tuple[int, int]] = []
+        for key, final in state.items():
+            if final != graph.has_edge(*key):
+                (net_inserts if final else net_deletes).append(key)
+        if net_inserts or net_deletes:
+            return self._apply_fast(net_inserts, net_deletes, count, workers)
+        self._version += count
+        return MixedUpdateStats([], [])
 
     def remove_vertex(self, v: int) -> None:
         """Remove a vertex and all incident edges (decremental extension).

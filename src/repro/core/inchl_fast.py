@@ -29,9 +29,9 @@ canonical function of the graph and landmark set, the result equals the
 sequential IncHL+/DecHL replay byte for byte — same affected sets, same
 new distances, same covered verdicts, same entry/highway mutations
 (``docs/DESIGN.md`` §8; asserted exhaustively by ``tests/proptest``).
-Only landmark maintenance, vertex removal and reference-route updates
-invalidate the engine; the owning :class:`~repro.core.dynamic.DynamicHCL`
-drops it and rebuilds on the next fast update.
+Every edge update of the owning :class:`~repro.core.dynamic.DynamicHCL`
+runs here; only landmark maintenance and vertex removal invalidate the
+engine, and the oracle drops it and rebuilds on the next update.
 """
 
 from __future__ import annotations
@@ -183,9 +183,10 @@ class FastUpdateEngine:
         """Whether this engine still mirrors ``graph``/``labelling``.
 
         Cheap counters-only check: every mutation routed around the
-        engine (reference-route updates, landmark maintenance, direct
-        graph edits) changes the edge count, shrinks the vertex count, or
-        changes the landmark list, so the owning oracle consults this
+        engine (a reference kernel run on the same graph, landmark
+        maintenance, direct graph edits) changes the edge count, shrinks
+        the vertex count, or changes the landmark list, so the owning
+        oracle consults this
         before reusing a cached engine.  The graph may have *more*
         vertices than the overlay: vertices registered directly (the
         serving writer pre-registers endpoints with ``add_vertex``) are

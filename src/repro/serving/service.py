@@ -400,9 +400,7 @@ class OracleService:
             return True
         start = perf_counter()
         try:
-            batch_stats = oracle.apply_events_batch(
-                accepted, workers=self._workers, fast=True
-            )
+            batch_stats = oracle.apply_events_batch(accepted, workers=self._workers)
         except Exception as exc:
             self._degraded = f"{type(exc).__name__}: {exc}"
             self.metrics.count_rejected(len(accepted))

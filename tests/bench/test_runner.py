@@ -3,6 +3,7 @@
 from repro.bench.runner import (
     build_oracles,
     default_factories,
+    paper_insert,
     time_queries,
     time_updates,
 )
@@ -50,9 +51,24 @@ class TestTiming:
         built = build_oracles(spec, graph, default_factories()[:1])
         oracle = built[0].oracle
         insertions = sample_edge_insertions(graph, 5, rng=1)
-        update_stats = time_updates(oracle, insertions)
+        update_stats = time_updates(paper_insert(oracle), insertions)
         assert update_stats.count == 5
         pairs = sample_query_pairs(graph, 10, rng=1)
         query_stats = time_queries(oracle, pairs)
         assert query_stats.count == 10
         assert query_stats.mean_ms() >= 0.0
+
+    def test_paper_insert_times_the_python_kernel(self):
+        from repro.core.validation import check_matches_rebuild
+
+        spec, graph = build_dataset("flickr-s", profile="smoke")
+        built = build_oracles(spec, graph, default_factories()[:2])
+        hl, fd = built[0].oracle, built[1].oracle
+        assert paper_insert(fd) == fd.insert_edge  # baselines: their own
+        insert = paper_insert(hl)
+        for u, v in sample_edge_insertions(graph, 3, rng=2):
+            stats = insert(u, v)
+            assert stats.phases == {}  # only the engine reports phases
+            assert hl.graph.has_edge(u, v)
+        assert hl._fast_engine is None  # the engine never attached
+        check_matches_rebuild(hl.graph, hl.labelling)

@@ -4,10 +4,14 @@ landmark maintenance, paths, fast construction)."""
 import pytest
 
 from repro.core.construction import build_hcl
+from repro.core.dechl import apply_edge_deletion_partial
+from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
+from repro.core.inchl import apply_edge_insertion
 from repro.core.validation import check_matches_rebuild
 from repro.exceptions import GraphError, LabellingError
 from repro.graph.generators import grid_graph
+from repro.graph.traversal import bfs_distances
 
 from tests.conftest import non_edges, random_connected_graph
 
@@ -47,10 +51,38 @@ class TestBatchInsert:
             batch_oracle.graph.copy(),
             build_hcl(batch_oracle.graph, batch_oracle.landmarks),
         )
+        g_ref = batch_oracle.graph.copy()
+        reference = build_hcl(g_ref, batch_oracle.landmarks)
         edges = non_edges(batch_oracle.graph)[:3]
         batch_oracle.insert_edges_batch(edges)
         seq_oracle.insert_edges(edges)
+        for u, v in edges:  # the paper's IncHL+, one edge at a time
+            g_ref.add_edge(u, v)
+            apply_edge_insertion(g_ref, reference, u, v)
         assert batch_oracle.labelling == seq_oracle.labelling
+        assert batch_oracle.labelling == reference
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [(0, 15), (3, 12), (0, 15)],  # duplicate inside the batch
+            [(0, 15), (3, 12), (12, 3)],  # duplicate, other orientation
+            [(0, 15), (0, 1)],  # (0, 1) already present
+        ],
+    )
+    def test_invalid_batch_leaves_oracle_untouched(self, batch):
+        oracle = DynamicHCL.build(grid_graph(4, 4), landmarks=[5, 10])
+        edges_before = sorted(oracle.graph.edges())
+        labelling_before = oracle.labelling.copy()
+        with pytest.raises(GraphError):
+            oracle.insert_edges_batch(batch)
+        assert sorted(oracle.graph.edges()) == edges_before
+        assert oracle.version == 0
+        assert oracle.labelling == labelling_before
+        for u in oracle.graph.vertices():
+            table = bfs_distances(oracle.graph, u)
+            for v in oracle.graph.vertices():
+                assert oracle.query(u, v) == table[v], (u, v)
 
 
 class TestRemoveEdge:
@@ -63,27 +95,27 @@ class TestRemoveEdge:
         check_matches_rebuild(oracle.graph, oracle.labelling)
 
     def test_rebuild_strategy(self):
+        """The coarse per-landmark rebuild kernel on the oracle's state."""
         oracle = make_oracle(seed=72)
         edge = next(iter(oracle.graph.edges()))
-        oracle.remove_edge(*edge, strategy="rebuild")
+        apply_edge_deletion(oracle.graph, oracle.labelling, *edge)
         check_matches_rebuild(oracle.graph, oracle.labelling)
 
     def test_strategies_agree(self):
+        """The oracle's deletion, DecHL and the coarse rebuild all land
+        on the same labelling."""
         seed = 73
-        partial = make_oracle(seed)
-        rebuild = DynamicHCL(
-            partial.graph.copy(), build_hcl(partial.graph, partial.landmarks)
-        )
-        edge = sorted(partial.graph.edges())[0]
-        partial.remove_edge(*edge, strategy="partial")
-        rebuild.remove_edge(*edge, strategy="rebuild")
-        assert partial.labelling == rebuild.labelling
-
-    def test_unknown_strategy_rejected(self):
-        oracle = make_oracle(seed=74)
-        edge = next(iter(oracle.graph.edges()))
-        with pytest.raises(GraphError):
-            oracle.remove_edge(*edge, strategy="magic")
+        oracle = make_oracle(seed)
+        g_partial = oracle.graph.copy()
+        partial = build_hcl(g_partial, oracle.landmarks)
+        g_rebuild = oracle.graph.copy()
+        rebuild = build_hcl(g_rebuild, oracle.landmarks)
+        edge = sorted(oracle.graph.edges())[0]
+        oracle.remove_edge(*edge)
+        apply_edge_deletion_partial(g_partial, partial, *edge)
+        apply_edge_deletion(g_rebuild, rebuild, *edge)
+        assert partial == rebuild
+        assert oracle.labelling == partial
 
 
 class TestRemoveVertex:

@@ -1,8 +1,8 @@
 """Tests for the vectorized update engine on insertions (fast path).
 
 The contract under test is byte-identity: every insertion applied
-through ``FastUpdateEngine.apply_mixed`` (directly, or through the
-``DynamicHCL`` fast route) must leave the labelling exactly equal to
+through ``FastUpdateEngine.apply_mixed`` (directly, or through
+``DynamicHCL``) must leave the labelling exactly equal to
 what the sequential Phase A/B/C implementation produces, including the
 update statistics.
 """
@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core.batch import apply_edge_insertions_batch
 from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.core.inchl import apply_edge_insertion
@@ -18,6 +19,7 @@ from repro.core.inchl_fast import FastUpdateEngine
 from repro.core.validation import check_matches_rebuild, check_query_exactness
 from repro.exceptions import InvariantViolationError
 from repro.graph.generators import grid_graph, ring_of_cliques
+from repro.landmarks.maintenance import add_landmark
 from repro.landmarks.selection import top_degree_landmarks
 
 from tests.conftest import non_edges, random_connected_graph
@@ -130,28 +132,9 @@ class TestEngineDirect:
 
 
 class TestOracleKnob:
-    def test_fast_flag_per_call_and_default(self):
-        g_fast = random_connected_graph(3, n_min=12, n_max=16)
-        g_ref = g_fast.copy()
-        landmarks = top_degree_landmarks(g_fast, 3)
-        fast = DynamicHCL.build(g_fast, landmarks=landmarks, fast_updates=True)
-        ref = DynamicHCL.build(g_ref, landmarks=landmarks)
-        edges = non_edges(g_fast)[:6]
-        fast.insert_edge(*edges[0])
-        ref.insert_edge(*edges[0])
-        assert fast.labelling == ref.labelling
-        # per-call override in both directions
-        fast.insert_edge(*edges[1], fast=False)
-        ref.insert_edge(*edges[1], fast=True)
-        assert fast.labelling == ref.labelling
-        fast.insert_edges_batch(edges[2:4])
-        ref.insert_edges_batch(edges[2:4], fast=True)
-        assert fast.labelling == ref.labelling
-        check_matches_rebuild(g_fast, fast.labelling)
-
     def test_engine_cached_and_rebuilt_after_invalidation(self):
         graph = random_connected_graph(7, n_min=10, n_max=14)
-        oracle = DynamicHCL.build(graph, num_landmarks=3, fast_updates=True)
+        oracle = DynamicHCL.build(graph, num_landmarks=3)
         edges = non_edges(graph)[:4]
         oracle.insert_edge(*edges[0])
         first = oracle._fast_engine
@@ -161,9 +144,18 @@ class TestOracleKnob:
         u, v = edges[0]
         oracle.remove_edge(u, v)
         assert oracle._fast_engine is first  # deletions stay on the engine
-        oracle.insert_edge(u, v, fast=False)  # slow-path mutation it can't see
-        assert oracle._fast_engine is None  # invalidated
+        new_vertex = max(graph.vertices()) + 1
+        oracle.insert_vertex(new_vertex, [u, v])
+        assert oracle._fast_engine is first  # vertex insertion too
+        promoted = sorted(set(graph.vertices()) - set(oracle.landmarks))[0]
+        oracle.add_landmark(promoted)
+        assert oracle._fast_engine is None  # landmark maintenance invalidates
         oracle.insert_edge(*edges[2])
+        second = oracle._fast_engine
+        assert second is not None and second is not first
+        oracle.remove_vertex(new_vertex)
+        assert oracle._fast_engine is None  # vertex removal invalidates
+        oracle.insert_edge(*edges[3])
         assert oracle._fast_engine is not None
         check_matches_rebuild(graph, oracle.labelling)
 
@@ -171,42 +163,52 @@ class TestOracleKnob:
         graph = random_connected_graph(4, n_min=12, n_max=16)
         g_ref = graph.copy()
         landmarks = top_degree_landmarks(graph, 3)
-        fast = DynamicHCL.build(graph, landmarks=landmarks, fast_updates=True)
-        ref = DynamicHCL.build(g_ref, landmarks=landmarks)
+        fast = DynamicHCL.build(graph, landmarks=landmarks)
+        hcl_ref = build_hcl(g_ref, landmarks)
         edges = non_edges(graph)[:4]
         fast.insert_edge(*edges[0])
-        ref.insert_edge(*edges[0])
+        g_ref.add_edge(*edges[0])
+        apply_edge_insertion(g_ref, hcl_ref, *edges[0])
         promoted = sorted(set(graph.vertices()) - set(fast.landmarks))[0]
         fast.add_landmark(promoted)
-        ref.add_landmark(promoted)
+        add_landmark(g_ref, hcl_ref, promoted)
         fast.insert_edge(*edges[1])
-        ref.insert_edge(*edges[1])
-        assert fast.labelling == ref.labelling
+        g_ref.add_edge(*edges[1])
+        apply_edge_insertion(g_ref, hcl_ref, *edges[1])
+        assert fast.labelling == hcl_ref
         check_query_exactness(graph, fast.labelling)
 
     def test_insert_vertex_then_fast_insert(self):
         graph = random_connected_graph(8, n_min=9, n_max=12)
         g_ref = graph.copy()
         landmarks = top_degree_landmarks(graph, 3)
-        fast = DynamicHCL.build(graph, landmarks=landmarks, fast_updates=True)
-        ref = DynamicHCL.build(g_ref, landmarks=landmarks)
+        fast = DynamicHCL.build(graph, landmarks=landmarks)
+        hcl_ref = build_hcl(g_ref, landmarks)
         edges = non_edges(graph)[:2]
         fast.insert_edge(*edges[0])
-        ref.insert_edge(*edges[0])
+        g_ref.add_edge(*edges[0])
+        apply_edge_insertion(g_ref, hcl_ref, *edges[0])
         new_vertex = max(graph.vertices()) + 1
-        fast.insert_vertex(new_vertex, [0, 1])
-        ref.insert_vertex(new_vertex, [0, 1])
+        version = fast.version
+        stats = fast.insert_vertex(new_vertex, [0, 1])
+        assert fast.version == version + 3  # the vertex, then one per edge
+        g_ref.insert_vertex(new_vertex, [])
+        for w, step in zip([0, 1], stats):
+            g_ref.add_edge(new_vertex, w)
+            ref_step = apply_edge_insertion(g_ref, hcl_ref, new_vertex, w)
+            assert stats_tuple(step) == stats_tuple(ref_step)
         fast.insert_edge(*edges[1])
-        ref.insert_edge(*edges[1])
-        assert fast.labelling == ref.labelling
+        g_ref.add_edge(*edges[1])
+        apply_edge_insertion(g_ref, hcl_ref, *edges[1])
+        assert fast.labelling == hcl_ref
 
     def test_long_random_stream_byte_identical(self):
         rng = random.Random(123)
         g_fast = random_connected_graph(21, n_min=18, n_max=26)
         g_ref = g_fast.copy()
         landmarks = top_degree_landmarks(g_fast, 5)
-        fast = DynamicHCL.build(g_fast, landmarks=landmarks, fast_updates=True)
-        ref = DynamicHCL.build(g_ref, landmarks=landmarks)
+        fast = DynamicHCL.build(g_fast, landmarks=landmarks)
+        hcl_ref = build_hcl(g_ref, landmarks)
         for _ in range(40):
             candidates = non_edges(g_fast)
             if not candidates:
@@ -214,11 +216,14 @@ class TestOracleKnob:
             if rng.random() < 0.3:
                 batch = rng.sample(candidates, min(4, len(candidates)))
                 fast.insert_edges_batch(batch)
-                ref.insert_edges_batch(batch)
+                for edge in batch:
+                    g_ref.add_edge(*edge)
+                apply_edge_insertions_batch(g_ref, hcl_ref, batch)
             else:
                 edge = rng.choice(candidates)
                 fast.insert_edge(*edge)
-                ref.insert_edge(*edge)
-            assert fast.labelling == ref.labelling
+                g_ref.add_edge(*edge)
+                apply_edge_insertion(g_ref, hcl_ref, *edge)
+            assert fast.labelling == hcl_ref
         check_matches_rebuild(g_fast, fast.labelling)
         check_query_exactness(g_fast, fast.labelling)

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.batch import replay_events
 from repro.core.construction import build_hcl
 from repro.core.dechl import apply_edge_deletion_partial
 from repro.core.dynamic import DynamicHCL
@@ -119,7 +120,7 @@ class TestEngineMixed:
         oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
         version = oracle.version
         stats = oracle.apply_events_batch(
-            [("delete", (0, 1)), ("insert", (0, 1))], fast=True
+            [("delete", (0, 1)), ("insert", (0, 1))]
         )
         # Net no-op: nothing repaired, but the epochs still advanced.
         assert stats.batch_size == 0
@@ -131,7 +132,8 @@ class TestEngineMixed:
         for seed in (11, 12):
             graph = random_connected_graph(seed, n_min=15, n_max=22, density=2.2)
             fast = DynamicHCL.build(graph.copy(), num_landmarks=3)
-            slow = DynamicHCL.build(graph.copy(), landmarks=list(fast.landmarks))
+            g_slow = graph.copy()
+            slow = build_hcl(g_slow, fast.landmarks)
             rng = random.Random(seed)
             events = []
             sim = graph.copy()
@@ -147,11 +149,11 @@ class TestEngineMixed:
                     u, v = rng.choice(candidates)
                     sim.add_edge(u, v)
                     events.append(("insert", (u, v)))
-            fast.apply_events_batch(events, fast=True)
-            slow.apply_events_batch(events, fast=False)
-            assert fast.labelling == slow.labelling
-            assert fast.version == slow.version
-            assert sorted(fast.graph.edges()) == sorted(slow.graph.edges())
+            fast.apply_events_batch(events)
+            replay_events(g_slow, slow, events)
+            assert fast.labelling == slow
+            assert fast.version == len(events)
+            assert sorted(fast.graph.edges()) == sorted(g_slow.edges())
 
     def test_parallel_mixed_batch_is_byte_identical(self):
         """The serial engine path (find then repair per landmark on the
@@ -172,8 +174,8 @@ class TestEngineMixed:
             [("delete", inserts[0])],  # single delete
         ]
         for events in batches:
-            s_stats = serial.apply_events_batch(events, workers=1, fast=True)
-            p_stats = parallel.apply_events_batch(events, workers=2, fast=True)
+            s_stats = serial.apply_events_batch(events, workers=1)
+            p_stats = parallel.apply_events_batch(events, workers=2)
             assert serial.labelling == parallel.labelling, events
             assert s_stats.affected_union == p_stats.affected_union
         assert_rows_exact(serial._fast_engine, serial.graph, serial.landmarks)
@@ -190,23 +192,22 @@ class TestEngineMixed:
         edges_before = sorted(oracle.graph.edges())
         version = oracle.version
         with pytest.raises(GraphError):
-            oracle.apply_events_batch([("delete", (0, 7))], fast=True)  # absent
+            oracle.apply_events_batch([("delete", (0, 7))])  # absent
         with pytest.raises(GraphError):
-            oracle.apply_events_batch([("insert", (0, 1))], fast=True)  # present
+            oracle.apply_events_batch([("insert", (0, 1))])  # present
         with pytest.raises(GraphError):
-            oracle.apply_events_batch([("insert", (3, 3))], fast=True)  # loop
+            oracle.apply_events_batch([("insert", (3, 3))])  # loop
         with pytest.raises(GraphError):
-            oracle.apply_events_batch([("frob", (0, 1))], fast=True)  # kind
+            oracle.apply_events_batch([("frob", (0, 1))])  # kind
         assert sorted(oracle.graph.edges()) == edges_before
         assert oracle.version == version
         check_matches_rebuild(oracle.graph, oracle.labelling)
 
     def test_long_churn_stream_stays_exact(self):
         graph = random_connected_graph(99, n_min=18, n_max=26, density=2.0)
+        g_ref = graph.copy()
         oracle = DynamicHCL.build(graph, num_landmarks=3)
-        reference = DynamicHCL.build(
-            graph.copy(), landmarks=list(oracle.landmarks)
-        )
+        reference = build_hcl(g_ref, oracle.landmarks)
         rng = random.Random(99)
         for step in range(8):
             events = []
@@ -225,9 +226,9 @@ class TestEngineMixed:
                     events.append(("insert", (u, v)))
             if not events:
                 continue
-            oracle.apply_events_batch(events, fast=True)
-            reference.apply_events_batch(events, fast=False)
-            assert oracle.labelling == reference.labelling
+            oracle.apply_events_batch(events)
+            replay_events(g_ref, reference, events)
+            assert oracle.labelling == reference
         engine = oracle._fast_engine
         assert engine is not None
         assert_rows_exact(engine, oracle.graph, list(oracle.landmarks))

@@ -186,15 +186,18 @@ class TestOracleWorkersKnob:
         oracle = DynamicHCL.build(
             graph.copy(), landmarks=[0, 15], workers=workers
         )
-        reference = DynamicHCL.build(graph.copy(), landmarks=[0, 15])
-        assert oracle.labelling == reference.labelling
+        g_ref = graph.copy()
+        reference = build_hcl(g_ref, [0, 15])
+        assert oracle.labelling == reference
         assert oracle.workers == workers
 
         oracle.insert_edges_batch([(0, 15), (3, 12)])
-        reference.insert_edges_batch([(0, 15), (3, 12)])
-        assert oracle.labelling == reference.labelling
+        g_ref.add_edge(0, 15)
+        g_ref.add_edge(3, 12)
+        apply_edge_insertions_batch(g_ref, reference, [(0, 15), (3, 12)])
+        assert oracle.labelling == reference
 
-        oracle.remove_edge(0, 15, strategy="rebuild")
-        reference.remove_edge(0, 15, strategy="rebuild")
-        assert oracle.labelling == reference.labelling
+        oracle.remove_edge(0, 15)
+        apply_edge_deletion(g_ref, reference, 0, 15)
+        assert oracle.labelling == reference
         check_query_exactness(oracle.graph, oracle.labelling, num_pairs=40)

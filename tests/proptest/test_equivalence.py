@@ -1,12 +1,17 @@
 """Property (a)+(b)+(c): fast == slow == ground truth, per graph family.
 
 A deterministic seed matrix (family × seed) drives random insertion
-streams through four independently maintained oracles:
+streams through four independently maintained labellings:
 
-* ``seq``   — sequential dict kernels, one edge at a time (the reference);
-* ``fast``  — vectorized CSR engine, one edge at a time;
-* ``batch`` — sequential batch kernel, random batch splits;
-* ``fastb`` — vectorized CSR engine, the same batch splits.
+* ``seq``   — the paper's dict kernels, one edge at a time (the reference);
+* ``fast``  — a ``DynamicHCL`` (vectorized CSR engine), one edge at a time;
+* ``batch`` — the dict batch kernel, random batch splits;
+* ``fastb`` — a ``DynamicHCL``, the same batch splits.
+
+``seq`` and ``batch`` are plain ``(graph, labelling)`` pairs driven
+through :mod:`repro.core.inchl`, :mod:`repro.core.batch` and
+:func:`repro.core.batch.replay_events` — never through the oracle, so
+the comparison is always engine versus paper kernel.
 
 After every step all labellings must be *equal* (same highway cells, same
 label entries — byte-identity in the stores' canonical dict form), and at
@@ -17,6 +22,8 @@ import random
 
 import pytest
 
+from repro.core.batch import apply_edge_insertions_batch, replay_events
+from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.graph.traversal import bfs_distances
 from repro.landmarks.selection import top_degree_landmarks
@@ -34,15 +41,29 @@ SEEDS = [101, 202]
 STRESS_SEEDS = [303, 404, 505]
 
 
+def reference(graph, landmarks):
+    """A ``(graph, labelling)`` pair over a private copy of ``graph``."""
+    working = graph.copy()
+    return working, build_hcl(working, landmarks)
+
+
 def build_oracles(graph, rng):
-    """Four oracles over independent copies of ``graph``, same landmarks."""
+    """Two references and two oracles over independent copies of
+    ``graph``, same landmarks."""
     num_landmarks = rng.randint(1, 6)
     landmarks = top_degree_landmarks(graph, num_landmarks)
-    seq = DynamicHCL.build(graph.copy(), landmarks=landmarks)
-    fast = DynamicHCL.build(graph.copy(), landmarks=landmarks, fast_updates=True)
-    batch = DynamicHCL.build(graph.copy(), landmarks=landmarks)
-    fastb = DynamicHCL.build(graph.copy(), landmarks=landmarks, fast_updates=True)
+    seq = reference(graph, landmarks)
+    fast = DynamicHCL.build(graph.copy(), landmarks=landmarks)
+    batch = reference(graph, landmarks)
+    fastb = DynamicHCL.build(graph.copy(), landmarks=landmarks)
     return seq, fast, batch, fastb
+
+
+def insert_batch_ref(ref, edges):
+    graph, labelling = ref
+    for u, v in edges:
+        graph.add_edge(u, v)
+    apply_edge_insertions_batch(graph, labelling, edges)
 
 
 def assert_queries_match_bfs(oracle, rng, samples=25):
@@ -63,17 +84,17 @@ def run_stream(family: str, seed: int, stream_length: int):
 
     # (a) fast vs slow, per single update.
     for i, (u, v) in enumerate(stream):
-        seq.insert_edge(u, v)
+        replay_events(*seq, [("insert", (u, v))])
         fast.insert_edge(u, v)
-        assert fast.labelling == seq.labelling, (family, seed, i)
+        assert fast.labelling == seq[1], (family, seed, i)
 
     # (c) batch-apply equals one-at-a-time apply, in both engines.
     for j, chunk in enumerate(batches):
-        batch.insert_edges_batch(chunk)
+        insert_batch_ref(batch, chunk)
         fastb.insert_edges_batch(chunk)
-        assert batch.labelling == fastb.labelling, (family, seed, "batch", j)
-    assert batch.labelling == seq.labelling, (family, seed, "batch-vs-seq")
-    assert fastb.labelling == seq.labelling, (family, seed, "fastb-vs-seq")
+        assert batch[1] == fastb.labelling, (family, seed, "batch", j)
+    assert batch[1] == seq[1], (family, seed, "batch-vs-seq")
+    assert fastb.labelling == seq[1], (family, seed, "fastb-vs-seq")
 
     # (b) queries match BFS ground truth on the final graph.
     assert_queries_match_bfs(fast, rng)
@@ -102,14 +123,14 @@ def test_fast_slow_batch_equivalence_stress(family, seed):
     if not stream:
         pytest.skip("graph saturated; no insertable edges")
     for i, (u, v) in enumerate(stream):
-        seq.insert_edge(u, v)
+        replay_events(*seq, [("insert", (u, v))])
         fast.insert_edge(u, v)
-    assert fast.labelling == seq.labelling
+    assert fast.labelling == seq[1]
     for chunk in random_batches(stream, rng, max_batch=12):
-        batch.insert_edges_batch(chunk)
+        insert_batch_ref(batch, chunk)
         fastb.insert_edges_batch(chunk)
-    assert batch.labelling == seq.labelling
-    assert fastb.labelling == seq.labelling
+    assert batch[1] == seq[1]
+    assert fastb.labelling == seq[1]
     assert_queries_match_bfs(fast, rng, samples=60)
 
 
@@ -118,11 +139,11 @@ def run_mixed_stream(family: str, seed: int, stream_length: int,
     """Mixed insert/delete matrix: four maintenance routes over the same
     event stream must stay byte-identical at every step.
 
-    * ``seq``   — one event at a time on the reference kernels (IncHL+
+    * ``seq``   — one event at a time on the paper's kernels (IncHL+
       insertions, DecHL deletions);
     * ``fast``  — one event at a time on the vectorized mixed engine;
-    * ``batch`` — random event batches through ``apply_events_batch`` on
-      the reference route;
+    * ``batch`` — random event batches replayed through the paper's
+      kernels (:func:`~repro.core.batch.replay_events`);
     * ``fastb`` — the same batches through the BatchHL-style mixed batch
       engine (optionally with ``workers`` fanned out).
     """
@@ -134,21 +155,20 @@ def run_mixed_stream(family: str, seed: int, stream_length: int,
     batches = random_batches(events, rng, max_batch=max_batch)
 
     for i, (kind, (u, v)) in enumerate(events):
+        replay_events(*seq, [(kind, (u, v))])
         if kind == "insert":
-            seq.insert_edge(u, v)
             fast.insert_edge(u, v)
         else:
-            seq.remove_edge(u, v)
             fast.remove_edge(u, v)
-        assert fast.labelling == seq.labelling, (family, seed, i, kind)
+        assert fast.labelling == seq[1], (family, seed, i, kind)
 
     for j, chunk in enumerate(batches):
-        batch.apply_events_batch(chunk, fast=False)
-        fastb.apply_events_batch(chunk, workers=workers, fast=True)
-        assert batch.labelling == fastb.labelling, (family, seed, "batch", j)
-    assert batch.labelling == seq.labelling, (family, seed, "batch-vs-seq")
-    assert fastb.labelling == seq.labelling, (family, seed, "fastb-vs-seq")
-    assert fast.version == seq.version == batch.version == fastb.version
+        replay_events(*batch, chunk)
+        fastb.apply_events_batch(chunk, workers=workers)
+        assert batch[1] == fastb.labelling, (family, seed, "batch", j)
+    assert batch[1] == seq[1], (family, seed, "batch-vs-seq")
+    assert fastb.labelling == seq[1], (family, seed, "fastb-vs-seq")
+    assert fast.version == fastb.version == len(events)
 
     assert_queries_match_bfs(fast, rng)
     assert_queries_match_bfs(fastb, rng)
@@ -183,18 +203,17 @@ def test_mixed_stream_equivalence_stress(family, seed):
     if not events:
         pytest.skip("graph saturated; no applicable events")
     for kind, (u, v) in events:
+        replay_events(*seq, [(kind, (u, v))])
         if kind == "insert":
-            seq.insert_edge(u, v)
             fast.insert_edge(u, v)
         else:
-            seq.remove_edge(u, v)
             fast.remove_edge(u, v)
-    assert fast.labelling == seq.labelling
+    assert fast.labelling == seq[1]
     for chunk in random_batches(events, rng, max_batch=10):
-        batch.apply_events_batch(chunk, fast=False)
-        fastb.apply_events_batch(chunk, fast=True)
-    assert batch.labelling == seq.labelling
-    assert fastb.labelling == seq.labelling
+        replay_events(*batch, chunk)
+        fastb.apply_events_batch(chunk)
+    assert batch[1] == seq[1]
+    assert fastb.labelling == seq[1]
     assert_queries_match_bfs(fastb, rng, samples=60)
 
 
@@ -204,8 +223,8 @@ def test_mixed_ops_keep_engines_equal():
     graph, _ = random_graph(77, family="erdos-renyi", n_min=20, n_max=30,
                             connected=True)
     landmarks = top_degree_landmarks(graph, 3)
-    fast = DynamicHCL.build(graph.copy(), landmarks=landmarks, fast_updates=True)
-    ref = DynamicHCL.build(graph.copy(), landmarks=landmarks)
+    fast = DynamicHCL.build(graph.copy(), landmarks=landmarks)
+    ref = reference(graph, landmarks)
     for step in range(30):
         action = rng.random()
         if action < 0.55:
@@ -213,19 +232,19 @@ def test_mixed_ops_keep_engines_equal():
             if not stream:
                 continue
             fast.insert_edge(*stream[0])
-            ref.insert_edge(*stream[0])
+            replay_events(*ref, [("insert", stream[0])])
         elif action < 0.75:
             stream = insertion_stream(fast.graph, rng.randint(2, 5), rng)
             if not stream:
                 continue
             fast.insert_edges_batch(stream)
-            ref.insert_edges_batch(stream)
+            insert_batch_ref(ref, stream)
         else:
             edges = list(fast.graph.edges())
             if fast.graph.num_edges <= fast.graph.num_vertices:
                 continue
             u, v = edges[rng.randrange(len(edges))]
             fast.remove_edge(u, v)
-            ref.remove_edge(u, v)
-        assert fast.labelling == ref.labelling, step
+            replay_events(*ref, [("delete", (u, v))])
+        assert fast.labelling == ref[1], step
     assert_queries_match_bfs(fast, rng)

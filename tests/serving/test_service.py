@@ -15,6 +15,8 @@ import threading
 
 import pytest
 
+from repro.core.batch import replay_events
+from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import ServingError
 from repro.graph.generators import grid_graph
@@ -137,13 +139,9 @@ def test_mixed_chunk_coalesces_into_one_batch():
         UpdateEvent("delete", (9, 10)),
         UpdateEvent("insert", (2, 7)),
     ]
-    reference = DynamicHCL.build(grid_graph(4, 4), landmarks=[0, 15])
-    for event in events:
-        u, v = event.edge
-        if event.is_insert:
-            reference.insert_edge(u, v, fast=False)
-        else:
-            reference.remove_edge(u, v, fast=False)
+    g_ref = grid_graph(4, 4)
+    reference = build_hcl(g_ref, [0, 15])
+    replay_events(g_ref, reference, events)
 
     service = OracleService(oracle, max_batch=32)
     service.submit_many(events)  # queued before start → one drained chunk
@@ -153,7 +151,7 @@ def test_mixed_chunk_coalesces_into_one_batch():
     assert stats["events_applied"] == len(events)
     assert stats["events_rejected"] == 0
     assert stats["batches"] == 1
-    assert oracle.labelling == reference.labelling
+    assert oracle.labelling == reference
     table = bfs_distances(oracle.graph, 0)
     for v in oracle.graph.vertices():
         assert service.snapshot.query(0, v) == table.get(v, INF)
@@ -252,17 +250,18 @@ def test_service_labelling_matches_reference_replay():
     graph = random_connected_graph(17, n_min=14, n_max=22)
     events = mixed_stream(graph, 24, rng=5)
     oracle = DynamicHCL.build(graph.copy(), num_landmarks=3)
-    reference = DynamicHCL.build(graph.copy(), landmarks=list(oracle.landmarks))
+    g_ref = graph.copy()
+    reference = build_hcl(g_ref, oracle.landmarks)
     with OracleService(oracle, max_batch=8) as service:
         service.submit_many(events)
         service.flush()
         stats = service.stats()
-    reference.apply_events_batch(events, fast=False)
+    replay_events(g_ref, reference, events)
     assert stats["events_applied"] == len(events)
     assert stats["events_rejected"] == 0
-    assert oracle.labelling == reference.labelling
-    assert sorted(oracle.graph.edges()) == sorted(reference.graph.edges())
-    assert service.snapshot.epoch == reference.version
+    assert oracle.labelling == reference
+    assert sorted(oracle.graph.edges()) == sorted(g_ref.edges())
+    assert service.snapshot.epoch == len(events)
 
 
 def test_queries_served_while_stopped_writer():
@@ -350,9 +349,9 @@ def test_stop_without_drain_abandons_backlog():
     oracle = DynamicHCL.build(graph, landmarks=[0, 35])
     real_apply = oracle.apply_events_batch
 
-    def slow_apply(events, workers=None, fast=None):  # decide the race
+    def slow_apply(events, workers=None):  # decide the race
         time.sleep(0.05)
-        return real_apply(events, workers=workers, fast=fast)
+        return real_apply(events, workers=workers)
 
     oracle.apply_events_batch = slow_apply
     service = OracleService(oracle, max_batch=1)
@@ -434,12 +433,12 @@ def test_mid_apply_failure_degrades_instead_of_publishing_desync():
     real_apply = oracle.apply_events_batch
     calls = []
 
-    def exploding_apply(events, workers=None, fast=None):
+    def exploding_apply(events, workers=None):
         calls.append(list(events))
         if ("insert", (2, 6)) in events:
             oracle.graph.add_edge(2, 6)  # mutate like the real thing...
             raise RuntimeError("repair blew up")  # ...then fail mid-repair
-        return real_apply(events, workers=workers, fast=fast)
+        return real_apply(events, workers=workers)
 
     oracle.apply_events_batch = exploding_apply
     service = OracleService(oracle, max_batch=1)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.dechl import apply_edge_deletion_partial
+from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
 from repro.graph.generators import grid_graph
 from repro.serving.snapshot import OracleSnapshot
@@ -80,15 +82,30 @@ def test_snapshot_pinned_across_batch_insert():
     _assert_matches_reference(oracle.snapshot(), oracle.graph)
 
 
+_DELETION_KERNELS = {
+    "partial": apply_edge_deletion_partial,
+    "rebuild": apply_edge_deletion,
+}
+
+
 @pytest.mark.parametrize("strategy", ["partial", "rebuild"])
 def test_snapshot_pinned_across_deletion(strategy):
+    """The oracle's own deletion, then the named deletion kernel (DecHL
+    or the coarse rebuild) run directly on the oracle's labelling."""
     oracle = _build(seed=17)
     frozen_copy = oracle.graph.copy()
     snap = oracle.snapshot()
-    u, v = next(iter(oracle.graph.edges()))
-    oracle.remove_edge(u, v, strategy=strategy)
+    edges = iter(sorted(oracle.graph.edges()))
+    oracle.remove_edge(*next(edges))
     _assert_matches_reference(snap, frozen_copy)
-    _assert_matches_reference(oracle.snapshot(), oracle.graph)
+    mid_copy = oracle.graph.copy()
+    mid = oracle.snapshot()
+    _assert_matches_reference(mid, mid_copy)
+    _DELETION_KERNELS[strategy](oracle.graph, oracle.labelling, *next(edges))
+    _assert_matches_reference(snap, frozen_copy)
+    _assert_matches_reference(mid, mid_copy)
+    # The kernel bypassed the oracle's epoch, so capture afresh.
+    _assert_matches_reference(OracleSnapshot.capture(oracle), oracle.graph)
 
 
 def test_snapshot_pinned_across_vertex_insertion():

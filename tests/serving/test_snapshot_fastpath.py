@@ -14,6 +14,8 @@ import threading
 
 import pytest
 
+from repro.core.batch import replay_events
+from repro.core.construction import build_hcl
 from repro.core.dynamic import DynamicHCL
 from repro.graph.traversal import bfs_distances
 from repro.landmarks.selection import top_degree_landmarks
@@ -31,7 +33,7 @@ def frozen_answers(snap, pairs):
 class TestSnapshotVsFastWrites:
     def test_snapshot_pinned_across_fast_single_inserts(self):
         graph = random_connected_graph(41, n_min=12, n_max=18)
-        oracle = DynamicHCL.build(graph, num_landmarks=3, fast_updates=True)
+        oracle = DynamicHCL.build(graph, num_landmarks=3)
         expected = all_pairs_distances(graph)
         vertices = sorted(graph.vertices())
         pairs = [(u, v) for u in vertices[:6] for v in vertices[6:10]]
@@ -51,7 +53,7 @@ class TestSnapshotVsFastWrites:
 
     def test_snapshot_pinned_across_fast_batch(self):
         graph = random_connected_graph(42, n_min=14, n_max=20)
-        oracle = DynamicHCL.build(graph, num_landmarks=4, fast_updates=True)
+        oracle = DynamicHCL.build(graph, num_landmarks=4)
         vertices = sorted(graph.vertices())
         pairs = [(vertices[i], vertices[-1 - i]) for i in range(5)]
         snap = oracle.snapshot()
@@ -68,7 +70,7 @@ class TestSnapshotVsFastWrites:
         """Capturing *after* the engine exists but before a batch: the
         engine's bulk mutations must still copy shared rows first."""
         graph = random_connected_graph(43, n_min=12, n_max=18)
-        oracle = DynamicHCL.build(graph, num_landmarks=3, fast_updates=True)
+        oracle = DynamicHCL.build(graph, num_landmarks=3)
         oracle.insert_edge(*non_edges(graph)[0])  # engine attaches here
         vertices = sorted(graph.vertices())
         pairs = [(vertices[0], v) for v in vertices[1:8]]
@@ -79,7 +81,7 @@ class TestSnapshotVsFastWrites:
 
     def test_multiple_epochs_stay_independent(self):
         graph = random_connected_graph(44, n_min=10, n_max=14)
-        oracle = DynamicHCL.build(graph, num_landmarks=2, fast_updates=True)
+        oracle = DynamicHCL.build(graph, num_landmarks=2)
         vertices = sorted(graph.vertices())
         pairs = [(vertices[0], v) for v in vertices[1:6]]
         snapshots = [(oracle.snapshot(), frozen_answers(oracle.snapshot(), pairs))]
@@ -157,7 +159,7 @@ class TestWriterInterleaving:
         with OracleService(oracle_fast) as service:
             service.submit_many(events)
             service.flush()
-        oracle_slow = DynamicHCL.build(graph_slow, landmarks=landmarks)
-        oracle_slow.apply_events_batch(events, fast=False)
-        assert oracle_fast.labelling == oracle_slow.labelling
-        assert service.snapshot.epoch == oracle_slow.version
+        labelling_slow = build_hcl(graph_slow, landmarks)
+        replay_events(graph_slow, labelling_slow, events)
+        assert oracle_fast.labelling == labelling_slow
+        assert service.snapshot.epoch == len(events)

@@ -4,10 +4,12 @@
 Generates random op sequences (single insert, batch insert, delete,
 delete-of-absent-edge, re-insert-after-delete, mixed insert/delete
 batch, landmark promotion) from a seeded RNG, applies them to a
-``DynamicHCL`` on the **fast** path while mirroring them on the
-sequential reference, and cross-checks after every op:
+``DynamicHCL`` (the vectorized engine) while mirroring them on a
+reference labelling maintained by calling the paper's kernels directly
+(IncHL+, batch IncHL+, DecHL, landmark promotion), and cross-checks
+after every op:
 
-* fast labelling == sequential labelling (byte-identity);
+* oracle labelling == reference labelling (byte-identity);
 * sampled distance queries == BFS ground truth;
 * the labelling equals a from-scratch minimal rebuild at the end.
 
@@ -25,7 +27,9 @@ Usage::
     PYTHONPATH=src python tools/fuzz_updates.py --rounds 20 --seed 7
     PYTHONPATH=src python tools/fuzz_updates.py --replay '<json op list>' --seed 7
 
-CI runs this nightly (see .github/workflows/nightly-fuzz.yml).
+CI runs it on every pull request with ``--rounds 40 --seed 2021``
+(.github/workflows/ci.yml) and nightly with a fresh seed
+(.github/workflows/nightly-fuzz.yml).
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ import random
 import sys
 import time
 
-from repro.core.dynamic import DynamicHCL
+from repro.core.batch import apply_edge_insertions_batch, replay_events
 from repro.core.construction import build_hcl
+from repro.core.dechl import apply_edge_deletion_partial
+from repro.core.dynamic import DynamicHCL
 from repro.exceptions import ReproError
 from repro.graph.traversal import bfs_distances
+from repro.landmarks.maintenance import add_landmark
 from repro.landmarks.selection import top_degree_landmarks
 from repro.serving.service import OracleService
 from repro.workloads.streams import UpdateEvent
@@ -54,7 +61,7 @@ from tests.proptest.strategies import (  # noqa: E402
 # An op is a JSON-friendly list: ["insert", u, v] | ["batch", [[u, v], ...]]
 # | ["delete", u, v] | ["mixed", [["insert"|"delete", u, v], ...]]
 # | ["landmark", v].  A "delete" whose edge is absent when the op runs is
-# *intentional*: both engines must reject it cleanly (no state change),
+# *intentional*: both sides must reject it cleanly (no state change),
 # mirroring what a wire client can send the serving layer.
 
 
@@ -170,57 +177,64 @@ def _applicable(graph, landmarks: set, op) -> bool:
 
 
 def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int = 8):
-    """Apply ``ops`` on fast + reference oracles; raise FuzzFailure on any
-    divergence.  Inapplicable ops (possible after shrinking) are skipped."""
+    """Apply ``ops`` on the oracle and the reference; raise FuzzFailure on
+    any divergence.  Inapplicable ops (possible after shrinking) are
+    skipped."""
     rng = random.Random(rng_seed)
-    fast = DynamicHCL.build(base_graph.copy(), landmarks=list(landmarks),
-                            fast_updates=True)
-    ref = DynamicHCL.build(base_graph.copy(), landmarks=list(landmarks))
+    fast = DynamicHCL.build(base_graph.copy(), landmarks=list(landmarks))
+    ref_graph = base_graph.copy()
+    ref = build_hcl(ref_graph, list(landmarks))
     for step, op in enumerate(ops):
         if not _applicable(fast.graph, set(fast.landmarks), op):
             continue
         kind = op[0]
         if kind == "insert":
             fast.insert_edge(op[1], op[2])
-            ref.insert_edge(op[1], op[2])
+            replay_events(ref_graph, ref, [("insert", (op[1], op[2]))])
         elif kind == "batch":
             edges = [tuple(e) for e in op[1]]
             fast.insert_edges_batch(edges)
-            ref.insert_edges_batch(edges)
+            for u, v in edges:
+                ref_graph.add_edge(u, v)
+            apply_edge_insertions_batch(ref_graph, ref, edges)
         elif kind == "delete":
             if fast.graph.has_edge(op[1], op[2]):
                 fast.remove_edge(op[1], op[2])
-                ref.remove_edge(op[1], op[2])
+                replay_events(ref_graph, ref, [("delete", (op[1], op[2]))])
             else:
-                # Delete of a non-existent edge: both engines must raise a
+                # Delete of a non-existent edge: both sides must raise a
                 # clean library error, leaving graph + labelling untouched
-                # (the fast route raises GraphError from the graph, the
-                # reference route InvariantViolationError from DecHL).
-                for oracle in (fast, ref):
-                    edges_before = oracle.graph.num_edges
+                # (the oracle raises GraphError from the graph, DecHL
+                # InvariantViolationError).
+                for name, graph, delete in (
+                    ("oracle", fast.graph, fast.remove_edge),
+                    ("DecHL", ref_graph,
+                     lambda u, v: apply_edge_deletion_partial(ref_graph, ref, u, v)),
+                ):
+                    edges_before = graph.num_edges
                     try:
-                        oracle.remove_edge(op[1], op[2])
+                        delete(op[1], op[2])
                     except ReproError:
                         pass
                     else:
                         raise FuzzFailure(
-                            f"absent-edge delete did not raise at step "
-                            f"{step}: {op}"
+                            f"{name}: absent-edge delete did not raise at "
+                            f"step {step}: {op}"
                         )
-                    if oracle.graph.num_edges != edges_before:
+                    if graph.num_edges != edges_before:
                         raise FuzzFailure(
-                            f"absent-edge delete mutated the graph at step "
-                            f"{step}: {op}"
+                            f"{name}: absent-edge delete mutated the graph "
+                            f"at step {step}: {op}"
                         )
         elif kind == "mixed":
             events = [(evkind, (u, v)) for evkind, u, v in op[1]]
-            fast.apply_events_batch(events, fast=True)
-            ref.apply_events_batch(events, fast=False)
+            fast.apply_events_batch(events)
+            replay_events(ref_graph, ref, events)
         elif kind == "landmark":
             fast.add_landmark(op[1])
-            ref.add_landmark(op[1])
-        if fast.labelling != ref.labelling:
-            raise FuzzFailure(f"fast != sequential after step {step}: {op}")
+            add_landmark(ref_graph, ref, op[1])
+        if fast.labelling != ref:
+            raise FuzzFailure(f"oracle != paper kernels after step {step}: {op}")
         vertices = sorted(fast.graph.vertices())
         for _ in range(query_samples):
             u, v = rng.sample(vertices, 2)
