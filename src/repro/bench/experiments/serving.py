@@ -17,13 +17,14 @@ import threading
 import zlib
 from time import perf_counter, sleep
 
+import numpy as np
+
 from repro.bench.experiments import ExperimentResult
 from repro.bench.profile import bench_profile
 from repro.bench.report import format_table
 from repro.core.dynamic import DynamicHCL
 from repro.exceptions import BenchmarkError
 from repro.graph.traversal import INF, bfs_distances
-from repro.serving.metrics import percentile
 from repro.serving.service import OracleService
 from repro.utils.rng import ensure_rng
 from repro.workloads.datasets import DATASETS, build_dataset
@@ -92,9 +93,7 @@ def run(
             oracle = DynamicHCL.build(
                 graph.copy(), num_landmarks=spec.num_landmarks, workers=workers
             )
-            rows.append(
-                _run_one(name, oracle, events, readers, prof, seed, workers)
-            )
+            rows.append(_run_one(name, oracle, events, readers, prof, seed))
 
     text = format_table(
         ["dataset", "readers", "duration_s", "queries", "qps", "p50_ms",
@@ -107,10 +106,17 @@ def run(
     return ExperimentResult(name="serving", rows=rows, text=text)
 
 
-def _run_one(name, oracle, events, readers, prof, seed, workers) -> dict:
+def _percentile_ms(latencies: list[float], q: float) -> float | None:
+    """Raw-sample ``q``-th percentile of ``latencies`` (seconds) in ms."""
+    if not latencies:
+        return None
+    return round(float(np.percentile(latencies, q)) * 1000, 4)
+
+
+def _run_one(name, oracle, events, readers, prof, seed) -> dict:
     vertices = sorted(oracle.graph.vertices())
     duration = prof.serving_duration_s
-    service = OracleService(oracle, workers=workers)
+    service = OracleService(oracle)
     with service:
         deadline = perf_counter() + duration
         threads = [
@@ -135,7 +141,7 @@ def _run_one(name, oracle, events, readers, prof, seed, workers) -> dict:
         elapsed = perf_counter() - start
         stats = service.stats()
 
-    latencies = sorted(x for t in threads for x in t.latencies)
+    latencies = [x for t in threads for x in t.latencies]
     incorrect = sum(t.incorrect for t in threads)
     epochs = set().union(*(t.epochs_seen for t in threads))
     queries = len(latencies)
@@ -146,9 +152,9 @@ def _run_one(name, oracle, events, readers, prof, seed, workers) -> dict:
         "duration_s": round(elapsed, 3),
         "queries": queries,
         "qps": round(queries / elapsed, 1) if elapsed > 0 else None,
-        "p50_ms": round(percentile(latencies, 50) * 1000, 4) if latencies else None,
-        "p95_ms": round(percentile(latencies, 95) * 1000, 4) if latencies else None,
-        "p99_ms": round(percentile(latencies, 99) * 1000, 4) if latencies else None,
+        "p50_ms": _percentile_ms(latencies, 50),
+        "p95_ms": _percentile_ms(latencies, 95),
+        "p99_ms": _percentile_ms(latencies, 99),
         "updates_applied": stats["events_applied"],
         "update_qps": round(stats["events_applied"] / elapsed, 1)
         if elapsed > 0 else None,

@@ -15,11 +15,8 @@ tool rather than an API (the benchmark harness has its own entry point,
   behind a WAL-backed router speaking the same protocol
   (:mod:`repro.cluster`);
 * ``top``     — live stats of a running server or cluster, refreshed
-  like ``top(1)`` (reads the ``stats`` op; works against both;
-  ``--watch N`` clears and redraws in place every N seconds);
-* ``dash``    — live terminal dashboard: metric sparklines from the
-  server's history recorder (falling back to client-side sampling) plus
-  active SLO alerts;
+  like ``top(1)`` (reads the ``stats`` op; works against both), plus
+  metric sparklines and SLO state when the server records history;
 * ``profile`` — inspect/control the sampling profiler of a running
   server (``REPRO_PROFILE=1``): per-phase attribution table and
   flamegraph-compatible folded stacks;
@@ -31,8 +28,8 @@ tool rather than an API (the benchmark harness has its own entry point,
 
 Both serving commands take ``--metrics-port`` to additionally expose the
 Prometheus text metrics of :mod:`repro.obs` over HTTP, ``--history`` to
-record metrics history to an NDJSON file (the ``history`` op / ``dash``
-source), and ``--slo`` to enable multi-window burn-rate alerting
+record metrics history to an NDJSON file (the ``history`` op / ``top``
+sparkline source), and ``--slo`` to enable multi-window burn-rate alerting
 (``default`` for the built-in rules, or a JSON rules file — see
 :mod:`repro.obs.slo` for the format).
 
@@ -60,7 +57,7 @@ import sys
 
 from repro.exceptions import ReproError
 
-__all__ = ["main", "format_top", "format_dash", "sparkline"]
+__all__ = ["main", "format_top", "sparkline"]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -133,7 +130,7 @@ def _parser() -> argparse.ArgumentParser:
                             "on this port (0 = ephemeral)")
     serve.add_argument("--history", default=None, metavar="PATH",
                        help="record metrics history to this NDJSON file "
-                            "(enables the history op / `repro dash`)")
+                            "(enables the history op / `repro top` charts)")
     serve.add_argument("--history-interval", type=float, default=5.0,
                        metavar="S", help="seconds between history samples "
                                          "(default 5)")
@@ -179,7 +176,8 @@ def _parser() -> argparse.ArgumentParser:
                               "HTTP on this port (0 = ephemeral)")
     cluster.add_argument("--history", default=None, metavar="PATH",
                          help="record router metrics history to this NDJSON "
-                              "file (enables the history op / `repro dash`)")
+                              "file (enables the history op / `repro top` "
+                              "charts)")
     cluster.add_argument("--history-interval", type=float, default=5.0,
                          metavar="S", help="seconds between history samples "
                                            "(default 5)")
@@ -189,7 +187,8 @@ def _parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live stats of a running server or cluster (like top(1))",
+        help="live stats of a running server or cluster (like top(1)), with "
+             "metric sparklines + SLO alerts when it records history",
     )
     top.add_argument("--host", default="127.0.0.1", help="server address")
     top.add_argument("--port", type=int, default=8355, help="server port")
@@ -199,25 +198,8 @@ def _parser() -> argparse.ArgumentParser:
                      help="stop after N refreshes (default: until Ctrl-C)")
     top.add_argument("--once", action="store_true",
                      help="print one snapshot and exit (same as --count 1)")
-    top.add_argument("--watch", type=float, default=None, metavar="S",
-                     help="clear the screen and redraw in place every S "
-                          "seconds (instead of appending frames)")
-
-    dash = sub.add_parser(
-        "dash",
-        help="live dashboard: metric sparklines + SLO alerts of a running "
-             "server or cluster",
-    )
-    dash.add_argument("--host", default="127.0.0.1", help="server address")
-    dash.add_argument("--port", type=int, default=8355, help="server port")
-    dash.add_argument("--interval", type=float, default=2.0, metavar="S",
-                      help="seconds between refreshes (default 2)")
-    dash.add_argument("--count", type=int, default=None, metavar="N",
-                      help="stop after N refreshes (default: until Ctrl-C)")
-    dash.add_argument("--once", action="store_true",
-                      help="print one frame and exit (same as --count 1)")
-    dash.add_argument("--points", type=int, default=120, metavar="N",
-                      help="history points to chart (default 120)")
+    top.add_argument("--points", type=int, default=120, metavar="N",
+                     help="history points to chart (default 120)")
 
     profile = sub.add_parser(
         "profile",
@@ -477,8 +459,6 @@ def _fmt_summary(summary: dict | None) -> str:
     for key in ("p50_ms", "p95_ms", "p99_ms"):
         if summary.get(key) is not None:
             parts.append(f"{key[:-3]}={summary[key]:.3g}ms")
-    if summary.get("merge"):
-        parts.append(f"merge={summary['merge']}")
     return " ".join(parts)
 
 
@@ -493,10 +473,10 @@ def _fmt_brief(brief: dict | None, unit: str = "") -> str:
     return " ".join(parts)
 
 
-def format_top(stats: dict) -> str:
-    """Render one `repro top` frame from a ``stats`` response — pure
-    (testable) string building; works for both a single ``serve`` node and
-    a ``serve-cluster`` router."""
+def _format_stats(stats: dict) -> str:
+    """The stats block of a `repro top` frame, from a ``stats`` response;
+    works for both a single ``serve`` node and a ``serve-cluster``
+    router."""
     lines: list[str] = []
     if stats.get("role") == "router":
         wal = stats.get("wal", {})
@@ -583,7 +563,7 @@ def format_top(stats: dict) -> str:
     return "\n".join(lines)
 
 
-#: ANSI clear-screen + cursor-home, the ``--watch`` redraw prefix.
+#: ANSI clear-screen + cursor-home, the in-place redraw prefix.
 _CLEAR = "\x1b[2J\x1b[H"
 
 
@@ -593,37 +573,40 @@ def _cmd_top(args) -> int:
     from repro.serving.client import ServingClient
 
     count = 1 if args.once else args.count
-    watch = getattr(args, "watch", None)
-    interval = watch if watch is not None else args.interval
+    # Redraw in place only on a terminal watching several frames; piped
+    # output and single frames append.
+    redraw = count != 1 and sys.stdout.isatty()
     shown = 0
     while True:
         try:
             with ServingClient(args.host, args.port) as client:
                 stats = client.stats()
+                history = client.history(limit=args.points)
+                alerts = client.alerts() if history.get("recording") else None
         except OSError as exc:
             raise ReproError(
                 f"cannot reach {args.host}:{args.port}: {exc}"
             ) from exc
         except KeyboardInterrupt:  # pragma: no cover - interactive
             return 0
-        if watch is not None:
+        if redraw:
             print(_CLEAR, end="")
         print(f"--- {args.host}:{args.port} "
               f"at {time.strftime('%H:%M:%S')} ---")
-        print(format_top(stats))
+        print(format_top(stats, history, alerts))
         shown += 1
         if count is not None and shown >= count:
             return 0
         try:
-            time.sleep(interval)
+            time.sleep(args.interval)
         except KeyboardInterrupt:  # pragma: no cover - interactive
             return 0
 
 
 _SPARK_CHARS = "▁▂▃▄▅▆▇█"
-#: Dashboard row order; history keys not listed here chart after these,
+#: Chart row order; history keys not listed here chart after these,
 #: alphabetically.
-_DASH_PREFERRED = (
+_CHART_PREFERRED = (
     "qps",
     "query_p50_ms",
     "query_p99_ms",
@@ -672,17 +655,16 @@ def _fmt_value(value) -> str:
     return f"{value:,}"
 
 
-def format_dash(points: list[dict], alerts: dict | None = None,
-                width: int = 48) -> str:
-    """Render one ``repro dash`` frame from history points and an
-    ``alerts`` response — pure (testable) string building."""
+def _history_lines(points: list[dict], alerts: dict | None,
+                   width: int) -> list[str]:
+    """One sparkline per numeric history key, then the SLO evaluations."""
     lines: list[str] = []
     if not points:
         lines.append("history   (no points yet)")
     else:
         span_s = points[-1].get("ts", 0) - points[0].get("ts", 0)
         lines.append(f"history   n={len(points)} span={span_s:,.0f}s")
-        keys = [k for k in _DASH_PREFERRED if any(k in p for p in points)]
+        keys = [k for k in _CHART_PREFERRED if any(k in p for p in points)]
         keys += sorted(
             {
                 k
@@ -717,83 +699,30 @@ def format_dash(points: list[dict], alerts: dict | None = None,
             if slos
             else "slo       (none configured)"
         )
+    return lines
+
+
+#: The last line of a frame when the server keeps no metrics history.
+_NO_HISTORY = ("history   (not recorded; start the server with --history "
+               "to chart it)")
+
+
+def format_top(stats: dict, history: dict | None = None,
+               alerts: dict | None = None, width: int = 48) -> str:
+    """Render one `repro top` frame — pure (testable) string building.
+
+    The ``stats`` response comes first.  Given the server's ``history``
+    op response, the frame goes on with a sparkline per metrics-history
+    key and the ``alerts`` SLO evaluations when the server records
+    history, or with one line saying it does not.
+    """
+    lines = [_format_stats(stats)]
+    if history is not None:
+        if history.get("recording"):
+            lines += _history_lines(history.get("points") or [], alerts, width)
+        else:
+            lines.append(_NO_HISTORY)
     return "\n".join(lines)
-
-
-def _dash_sample(stats: dict) -> dict:
-    """Client-side fallback sample, synthesized from the ``stats`` op for
-    servers running without a history recorder."""
-    import time
-
-    point: dict = {"ts": round(time.time(), 3)}
-    if stats.get("role") == "router":
-        queries = (stats.get("router") or {}).get("queries") or {}
-        wal = stats.get("wal") or {}
-        replicas = (stats.get("replicas") or {}).values()
-        lags = [e.get("lag") for e in replicas if e.get("lag") is not None]
-        point.update(
-            qps=queries.get("qps"),
-            query_p99_ms=queries.get("p99_ms"),
-            max_lag=max(lags, default=0),
-            healthy_replicas=sum(1 for e in replicas if e.get("healthy")),
-            wal_bytes=wal.get("bytes"),
-            wal_growth_bytes_per_s=wal.get("wal_growth_bytes_per_s"),
-        )
-    else:
-        queries = stats.get("queries") or {}
-        point.update(
-            qps=queries.get("qps"),
-            query_p50_ms=queries.get("p50_ms"),
-            query_p99_ms=queries.get("p99_ms"),
-            pending=stats.get("pending"),
-            events_applied=stats.get("events_applied"),
-        )
-    return point
-
-
-def _cmd_dash(args) -> int:
-    import time
-
-    from repro.serving.client import ServingClient
-
-    count = 1 if args.once else args.count
-    #: Fallback buffer when the server records no history of its own.
-    local: list[dict] = []
-    shown = 0
-    while True:
-        try:
-            with ServingClient(args.host, args.port) as client:
-                alerts = None
-                try:
-                    response = client.history(limit=args.points)
-                    alerts = client.alerts()
-                except ReproError:
-                    # Pre-§13 server: no history/alerts ops at all.
-                    response = {"points": [], "recording": False}
-                points = response.get("points") or []
-                if not response.get("recording"):
-                    local.append(_dash_sample(client.stats()))
-                    del local[: -args.points]
-                    points = list(local)
-        except OSError as exc:
-            raise ReproError(
-                f"cannot reach {args.host}:{args.port}: {exc}"
-            ) from exc
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            return 0
-        frame = format_dash(points, alerts)
-        if count != 1:
-            print(_CLEAR, end="")
-        print(f"--- {args.host}:{args.port} "
-              f"at {time.strftime('%H:%M:%S')} ---")
-        print(frame)
-        shown += 1
-        if count is not None and shown >= count:
-            return 0
-        try:
-            time.sleep(args.interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            return 0
 
 
 def _cmd_profile(args) -> int:
@@ -888,7 +817,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "serve-cluster": _cmd_serve_cluster,
     "top": _cmd_top,
-    "dash": _cmd_dash,
     "profile": _cmd_profile,
     "lint": _cmd_lint,
     "knobs": _cmd_knobs,

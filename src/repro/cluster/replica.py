@@ -277,7 +277,7 @@ def build_replica(spec: ReplicaSpec) -> ReplicaServer:
         )
         shard_meta = {**plan.to_meta(), "shard_index": spec.shard_index}
     oracle.workers = spec.workers
-    service = OracleService(oracle, workers=spec.workers, max_batch=spec.max_batch)
+    service = OracleService(oracle, max_batch=spec.max_batch)
     if spec.wal_dir:
         records = scan_wal(spec.wal_dir, start_seq=applied + 1)
         if records:

@@ -21,9 +21,9 @@ single node), but:
   by ``read_timeout``) until a pump acks; a ``min_epoch`` beyond the log
   head is rejected outright — it names a write that never happened.
 * **stats** aggregates :class:`~repro.serving.metrics.ServiceMetrics`
-  across replicas (counts and qps add, tails take the max) next to the
-  router's own log/lag/routing counters; **snapshot** drains: it returns
-  once every registered replica has acked the current head.
+  across replicas (counts and qps add, latency histograms merge exactly)
+  next to the router's own log/lag/routing counters; **snapshot** drains:
+  it returns once every registered replica has acked the current head.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ class ClusterRouter(LineServer):
         retry_interval: float = 0.2,
         max_stale: int | None = 4096,
         shards: int = 1,
-        metrics: ServiceMetrics | None = None,
         metrics_port: int | None = None,
         history_path: str | None = None,
         history_interval: float = 5.0,
@@ -138,7 +137,7 @@ class ClusterRouter(LineServer):
         #: element-wise min, while writes still append once and fan out
         #: to every replica of every group.
         self._shards = max(1, int(shards))
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         #: Fair round-robin cursors, one per shard group: each names the
         #: next position to try in the stable sorted membership, so
         #: rotation stays uniform even when eligibility fluctuates.
@@ -447,10 +446,10 @@ class ClusterRouter(LineServer):
         return self._alerts_response(request)
 
     def _sample_metrics(self) -> dict:
-        """One router metrics-history point: routed-read latency/qps,
-        replica freshness, and WAL footprint/growth — the inputs to the
-        router's default SLOs and the ``repro dash`` cluster view."""
-        queries = self.metrics.queries.summary()
+        """One router metrics-history point: routed-read latency/qps over
+        the interval, replica freshness, and WAL footprint/growth — the
+        inputs to the router's default SLOs and the ``repro top`` cluster
+        view."""
         wal = self._log.stats()
         head = self._log.head
         lags = [
@@ -459,8 +458,7 @@ class ClusterRouter(LineServer):
             if link.acked_seq >= 0
         ]
         return {
-            "qps": queries["qps"],
-            "query_p99_ms": queries["p99_ms"],
+            **self._read_interval(self.metrics.queries.hist),
             "max_lag": max(lags, default=0),
             "healthy_replicas": sum(
                 1 for link in self._links.values() if link.healthy
@@ -760,7 +758,7 @@ class ClusterRouter(LineServer):
         # Exact cluster-wide percentiles: the per-replica summaries carry
         # mergeable histograms, and merging histograms is lossless (vector
         # addition), so the aggregate tails are those of the pooled sample
-        # population — not the old conservative max.
+        # population.
         aggregate = {
             "queries": merge_summaries(
                 [s["queries"] for s in service_stats if "queries" in s]

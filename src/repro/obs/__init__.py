@@ -17,7 +17,7 @@ And the continuous half (docs/DESIGN.md §13):
 * :mod:`repro.obs.profile` — opt-in sampling wall-clock profiler
   (``REPRO_PROFILE=1``): folded stacks + per-engine-phase attribution;
 * :mod:`repro.obs.timeseries` — bounded NDJSON metrics history with
-  downsampling (the ``history`` op / ``repro dash`` trajectory source);
+  downsampling (the ``history`` op / ``repro top`` trajectory source);
 * :mod:`repro.obs.slo` — declarative SLOs with multi-window burn-rate
   alerting (``alerts`` op, ``repro_slo_burn``/``repro_slo_breach``).
 """

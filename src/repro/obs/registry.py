@@ -1,15 +1,18 @@
 """Process-wide metrics registry: counters, gauges, mergeable histograms.
 
-The serving and cluster layers need three things the ring-buffer
-percentiles of :mod:`repro.serving.metrics` cannot give them:
+The serving and cluster layers store every latency here and read every
+percentile from here (:mod:`repro.serving.metrics` keeps no samples of
+its own), because the store gives them three things:
 
 * **Mergeable tails.**  A cluster-wide p99 computed as ``max`` over
-  replica windows is only an upper bound.  Fixed-bucket histograms make
-  the merge *exact*: two histograms over the same bucket scheme combine
-  by vector-adding their counts, so the merged histogram is identical to
-  the histogram of the pooled samples — no information is lost by
-  distributing the recording (:meth:`Histogram.merge`, proven in
-  ``tests/obs/test_histogram_merge.py``).
+  replica percentiles is only an upper bound.  Fixed-bucket histograms
+  make the merge *exact*: two histograms over the same bucket scheme
+  combine by vector-adding their counts, so the merged histogram is
+  identical to the histogram of the pooled samples — no information is
+  lost by distributing the recording (:meth:`Histogram.merge`, proven in
+  ``tests/obs/test_histogram_merge.py``).  :meth:`Histogram.since` is the
+  inverse: the samples recorded after an earlier copy, which is how a
+  metrics-history point reports one interval's tail.
 * **Scrapeable state.**  :meth:`MetricsRegistry.render` emits the
   Prometheus text exposition format (v0.0.4), served by
   :mod:`repro.obs.exporter` on ``--metrics-port`` and by the ``metrics``
@@ -157,6 +160,20 @@ class Histogram:
             self._sum += total
         return self
 
+    def since(self, earlier: "Histogram") -> "Histogram":
+        """A fresh histogram of the samples recorded after ``earlier``, an
+        earlier copy of this one: the inverse of :meth:`merge`, so
+        ``earlier.merge(self.since(earlier)) == self``."""
+        if earlier._bounds != self._bounds:
+            raise ReproError("cannot subtract histograms with different bounds")
+        before, count_before, sum_before = earlier.snapshot()
+        counts, count, total = self.snapshot()
+        delta = Histogram(bounds=self._bounds)
+        delta._counts = [a - b for a, b in zip(counts, before)]
+        delta._count = count - count_before
+        delta._sum = total - sum_before
+        return delta
+
     def to_dict(self) -> dict:
         """Wire form: named scheme (or inline bounds), counts, count, sum."""
         counts, count, total = self.snapshot()
@@ -211,11 +228,10 @@ class Histogram:
     def quantile(self, q: float) -> float | None:
         """The ``q``-th percentile (0..100) by within-bucket interpolation.
 
-        Uses the same rank convention as
-        :func:`repro.serving.metrics.percentile` (linear between order
-        statistics at rank ``(n-1) * q/100``), so the returned value always
-        lies inside :meth:`quantile_bounds` of the raw-sample percentile.
-        ``None`` on an empty histogram.
+        Uses the linear rank rule of ``numpy.percentile`` (interpolation
+        between the order statistics at rank ``(n-1) * q/100``), so the
+        returned value always lies inside :meth:`quantile_bounds` of the
+        raw-sample percentile.  ``None`` on an empty histogram.
         """
         if not 0 <= q <= 100:
             raise ReproError(f"quantile must be in [0, 100], got {q}")

@@ -29,7 +29,7 @@ ignored — absence of data never burns budget.
 State surfaces three ways: ``repro_slo_burn{slo=...}`` /
 ``repro_slo_breach{slo=...}`` gauges on the server registry, structured
 ``alert_firing`` / ``alert_resolved`` log events on transitions, and the
-``alerts`` protocol op (which ``repro dash`` renders).
+``alerts`` protocol op (which ``repro top`` renders).
 """
 
 from __future__ import annotations

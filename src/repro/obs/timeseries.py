@@ -17,7 +17,7 @@ Retention is bounded on both axes:
 * a sampler exception skips that tick (recorded in ``errors``) rather
   than killing the thread.
 
-``repro dash`` draws its sparklines from these points (over the wire
+``repro top`` draws its sparklines from these points (over the wire
 via the ``history`` protocol op), and the SLO evaluator
 (:mod:`repro.obs.slo`) consumes the same trajectory — one sampling loop
 feeds both.

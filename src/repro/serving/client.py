@@ -164,7 +164,7 @@ class ServingClient:
         return self._checked(payload)["spans"]
 
     def history(self, limit: int = 120) -> dict:
-        """The server's metrics-history points (``repro dash`` source);
+        """The server's metrics-history points (``repro top`` source);
         ``points`` is empty when the server records no history."""
         return self._checked({"op": "history", "limit": limit})
 

@@ -62,7 +62,7 @@ from repro.graph.traversal import INF
 from repro.obs.exporter import CONTENT_TYPE, MetricsExporter
 from repro.obs.log import get_logger, slow_threshold_ms
 from repro.obs.profile import dump_if_enabled, get_profiler, start_if_enabled
-from repro.obs.registry import COUNT_BOUNDS, MetricsRegistry
+from repro.obs.registry import COUNT_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import TimeSeriesRecorder, peak_rss_kb
 from repro.obs.trace import get_recorder, obs_enabled, span
@@ -257,6 +257,10 @@ class LineServer:
         self._slo_eval: SLOEvaluator | None = (
             SLOEvaluator(slos, registry=self._registry) if slos else None
         )
+        #: Read histogram at the previous metrics-history point, and when
+        #: it was taken, so each point reports the interval since then.
+        self._reads_before: Histogram | None = None
+        self._reads_before_at = perf_counter()
 
     @property
     def address(self) -> tuple[str, int]:
@@ -312,8 +316,26 @@ class LineServer:
 
     def _sample_metrics(self) -> dict:
         """One metrics-history point (subclass hook; keys feed the
-        ``history`` op, ``repro dash`` sparklines and SLO metrics)."""
+        ``history`` op, the ``repro top`` sparklines and SLO metrics)."""
         return {"rss_kb": peak_rss_kb()}
+
+    def _read_interval(self, reads: Histogram) -> dict:
+        """``qps`` and ``query_p50_ms``/``query_p99_ms`` of the reads
+        recorded since the previous history point (the first point: since
+        the server started).  An interval without reads has no
+        percentiles, which the SLO evaluator skips."""
+        now = perf_counter()
+        current = Histogram(reads.bounds).merge(reads)
+        before, self._reads_before = self._reads_before, current
+        elapsed, self._reads_before_at = now - self._reads_before_at, now
+        delta = current.since(before) if before is not None else current
+        point: dict = {
+            "qps": round(delta.count / elapsed, 3) if elapsed > 0 else 0.0
+        }
+        for key, q in (("query_p50_ms", 50), ("query_p99_ms", 99)):
+            value = delta.quantile(q)
+            point[key] = round(value * 1000.0, 6) if value is not None else None
+        return point
 
     def _profile_response(self, request: dict) -> dict:
         """The ``profile`` op: control/dump the process-wide sampling
@@ -387,6 +409,7 @@ class LineServer:
         # and an Event awaited on the old loop would raise at stop time.
         self._drained = asyncio.Event()
         self._drained.set()
+        self._reads_before, self._reads_before_at = None, perf_counter()
         await self._on_start()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port, limit=_MAX_LINE
@@ -680,7 +703,7 @@ class OracleServer(LineServer):
 
         oracle = load_oracle(path)
         oracle.workers = workers
-        service = OracleService(oracle, workers=workers, max_batch=max_batch)
+        service = OracleService(oracle, max_batch=max_batch)
         return cls(
             service,
             host=host,
@@ -698,7 +721,6 @@ class OracleServer(LineServer):
 
     def _sample_metrics(self) -> dict:
         service = self._service
-        queries = service.metrics.queries.summary()
         counters = service.metrics.counters()
         prev = self._prev_counters or {}
         applied = counters["events_applied"] - prev.get("events_applied", 0)
@@ -706,9 +728,7 @@ class OracleServer(LineServer):
         self._prev_counters = counters
         total = applied + rejected
         return {
-            "qps": queries["qps"],
-            "query_p50_ms": queries["p50_ms"],
-            "query_p99_ms": queries["p99_ms"],
+            **self._read_interval(service.metrics.queries.hist),
             "pending": service.pending,
             "epoch": service.snapshot.epoch,
             "events_applied": counters["events_applied"],

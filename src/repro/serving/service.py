@@ -8,7 +8,7 @@ Concurrency model (docs/DESIGN.md §7):
   accepted events — inserts, deletes or any mix — as **one** batch
   through :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch` on
   the vectorized update engine (:mod:`repro.core.inchl_fast`; one
-  find/repair sweep per landmark, honouring the ``workers=`` knob)
+  find/repair sweep per landmark, with the oracle's own ``workers``)
   before publishing a fresh
   :class:`~repro.serving.snapshot.OracleSnapshot`.  The labelling is
   byte-identical to a one-at-a-time replay on the reference kernels.
@@ -77,20 +77,12 @@ class OracleService:
     1
     """
 
-    def __init__(
-        self,
-        oracle,
-        *,
-        max_batch: int = 128,
-        workers: int | None = None,
-        metrics: ServiceMetrics | None = None,
-    ) -> None:
+    def __init__(self, oracle, *, max_batch: int = 128) -> None:
         if max_batch < 1:
             raise ServingError(f"max_batch must be >= 1, got {max_batch}")
         self._oracle = oracle
         self._max_batch = max_batch
-        self._workers = workers if workers is not None else oracle.workers
-        self.metrics = metrics or ServiceMetrics()
+        self.metrics = ServiceMetrics()
         self._queue: queue.Queue = queue.Queue()
         self._snapshot: OracleSnapshot = oracle.snapshot()
         self._thread: threading.Thread | None = None
@@ -400,7 +392,7 @@ class OracleService:
             return True
         start = perf_counter()
         try:
-            batch_stats = oracle.apply_events_batch(accepted, workers=self._workers)
+            batch_stats = oracle.apply_events_batch(accepted)
         except Exception as exc:
             self._degraded = f"{type(exc).__name__}: {exc}"
             self.metrics.count_rejected(len(accepted))

@@ -78,7 +78,6 @@ def test_aggregate_percentiles_are_exact_merges(cluster):
         client.query(0, 15)
     stats = client.stats()
     merged = stats["aggregate"]["queries"]
-    assert merged["merge"] == "exact"
     # Lossless merge: the aggregate count is the pooled population, i.e.
     # exactly the sum of what each replica's own recorder saw.
     per_replica = [

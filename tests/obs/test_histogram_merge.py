@@ -1,7 +1,8 @@
 """Merge exactness: distributed histograms lose nothing to sharding.
 
 The cluster's exact-percentile claim rests on two properties, both
-checked here over randomized partitions:
+checked here over randomized partitions (the raw-sample reference is
+``numpy.percentile``'s linear rank rule):
 
 1. **Losslessness** — merging per-shard histograms equals one histogram
    of the pooled samples (vector addition of counts commutes with
@@ -11,6 +12,9 @@ checked here over randomized partitions:
    the raw-sample percentile, and :meth:`Histogram.quantile` lands inside
    the bracket, so the merged tail estimate is anchored to the truth of
    the pooled population (factor-2 buckets → bounded relative error).
+
+The metrics history leans on a third: :meth:`Histogram.since` inverts
+the merge, so a history point's interval tail is exact too.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import COUNT_BOUNDS, Histogram, merge_histograms
-from repro.serving.metrics import percentile
 
 QUANTILES = (0, 10, 50, 90, 95, 99, 100)
 
@@ -74,7 +80,7 @@ def test_quantile_bounds_bracket_raw_percentiles(seed):
         hist.observe(sample)
 
     for q in QUANTILES:
-        raw = percentile(sorted(samples), q)
+        raw = float(np.percentile(samples, q))
         lo, hi = hist.quantile_bounds(q)
         assert lo <= raw <= hi, (q, lo, raw, hi)
         estimate = hist.quantile(q)
@@ -98,7 +104,7 @@ def test_merged_quantiles_match_pooled_population(seed):
     merged = merge_histograms(shard_hists)
 
     for q in QUANTILES:
-        raw = percentile(sorted(samples), q)
+        raw = float(np.percentile(samples, q))
         lo, hi = merged.quantile_bounds(q)
         assert lo <= raw <= hi
         if hi is not math.inf and lo > 0:
@@ -113,6 +119,8 @@ def test_merge_rejects_mismatched_bounds():
 
     with pytest.raises(ReproError):
         Histogram().merge(Histogram(bounds=COUNT_BOUNDS))
+    with pytest.raises(ReproError):
+        Histogram().since(Histogram(bounds=COUNT_BOUNDS))
 
 
 def test_empty_and_singleton_edge_cases():
@@ -134,3 +142,29 @@ def test_overflow_bucket_is_unbounded_above():
     lo, hi = hist.quantile_bounds(99)
     assert lo == 2.0 and hi == math.inf
     assert hist.quantile(99) == 2.0  # saturates at the top bound
+
+
+_latencies = st.lists(
+    st.floats(min_value=0.0, max_value=200.0, allow_nan=False), max_size=60
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(before=_latencies, after=_latencies)
+def test_since_inverts_merge(before, after):
+    """``a.merge(b.since(a)) == b`` for any earlier copy ``a`` of ``b``,
+    and ``b.since(a)`` is the histogram of the later samples alone."""
+    later = Histogram()
+    for sample in before:
+        later.observe(sample)
+    earlier = Histogram().merge(later)
+    alone = Histogram()
+    for sample in after:
+        later.observe(sample)
+        alone.observe(sample)
+
+    delta = later.since(earlier)
+    assert delta == alone
+    assert delta.sum == pytest.approx(alone.sum, rel=1e-9, abs=1e-9)
+    assert earlier.merge(delta) == later
+

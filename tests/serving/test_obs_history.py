@@ -99,6 +99,64 @@ class TestHistoryOp:
         third = server.history.record_once()
         assert third["error_rate"] == 0.0
 
+    def test_read_tail_is_a_per_tick_interval(self, monkeypatch):
+        """A burst of slow reads fires the p99 SLO, and the next tick —
+        fast reads only — resolves it: each point's percentiles and qps
+        cover the reads since the previous point, not all time."""
+        import repro.serving.service as service_module
+        from repro.serving.snapshot import OracleSnapshot
+
+        slo = SLO(
+            name="query-p99",
+            metric="query_p99_ms",
+            objective=100.0,
+            budget=0.5,
+            windows=((3600.0, 1.5),),  # fires on 1 bad of 1, not 1 of 2
+        )
+        server = _make_server(history_interval=3600.0, slos=[slo])
+        host, port = server.start_in_thread()
+        try:
+            # Slow reads without waiting: the service's clock jumps 0.5 s
+            # inside every query_many.
+            skew = [0.0]
+            real_clock = service_module.perf_counter
+            real_query_many = OracleSnapshot.query_many
+
+            def slow_query_many(self, pairs):
+                skew[0] += 0.5
+                return real_query_many(self, pairs)
+
+            monkeypatch.setattr(
+                service_module, "perf_counter", lambda: real_clock() + skew[0]
+            )
+            monkeypatch.setattr(OracleSnapshot, "query_many", slow_query_many)
+            with ServingClient(host, port) as client:
+                for _ in range(100):
+                    client.query_many([(0, 15)])
+                first = server.history.record_once()
+                assert first["query_p99_ms"] > 100.0
+                assert client.alerts()["evaluations"][0]["firing"] is True
+
+                monkeypatch.setattr(OracleSnapshot, "query_many", real_query_many)
+                for _ in range(200):
+                    client.query_many([(0, 15)])
+                second = server.history.record_once()
+                assert second["query_p99_ms"] < 100.0
+                assert second["qps"] > 0
+                alerts = client.alerts()
+                assert alerts["evaluations"][0]["firing"] is False
+                assert alerts["alerts"] == []
+
+                # An interval without reads: no percentiles, zero qps.
+                third = server.history.record_once()
+                assert third["qps"] == 0.0
+                assert third["query_p50_ms"] is None
+                assert third["query_p99_ms"] is None
+                # The lifetime summary still holds every read.
+                assert client.stats()["queries"]["count"] == 300
+        finally:
+            server.stop_thread()
+
 
 class TestAlertsOp:
     def test_alerts_fire_through_the_wire(self, served):

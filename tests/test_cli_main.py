@@ -155,7 +155,7 @@ class TestTop:
         args = _parser().parse_args(["top"])
         assert args.command == "top"
         assert (args.host, args.port) == ("127.0.0.1", 8355)
-        assert args.interval == 2.0
+        assert args.interval == 2.0 and args.points == 120
         assert not args.once and args.count is None
 
     def test_format_top_single_node(self):
@@ -202,8 +202,8 @@ class TestTop:
                 "events_applied": 14, "events_rejected": 0,
                 "snapshots_published": 2,
                 "queries": {"count": 20, "qps": 9.0, "p50_ms": 1.5,
-                            "p95_ms": 2.0, "p99_ms": 2.5, "merge": "exact"},
-                "updates": {"count": 0, "merge": "exact"},
+                            "p95_ms": 2.0, "p99_ms": 2.5},
+                "updates": {"count": 0},
             },
             "replicas": {
                 "r0": {"healthy": True, "acked_seq": 7, "lag": 0,
@@ -214,7 +214,7 @@ class TestTop:
         }
         frame = format_top(stats)
         assert "cluster   log head=7 base=2 wal=1 segs/2,048B fsync=batch" in frame
-        assert "merge=exact" in frame
+        assert "queries n=20 qps=9.0 p50=1.5ms p95=2ms p99=2.5ms" in frame
         assert "replica r0  healthy acked=7 lag=0" in frame
         assert "replica r1  UNHEALTHY acked=5 lag=2" in frame
         assert frame.index("replica r0") < frame.index("replica r1")
@@ -263,6 +263,11 @@ class TestTop:
         assert f"--- {host}:{port} at " in frame
         assert "oracle    epoch=0" in frame
         assert "writer    pending=0 running=True" in frame
+        # No metrics history on this server: one hint line, no charts.
+        assert frame.rstrip().endswith(
+            "history   (not recorded; start the server with --history "
+            "to chart it)"
+        )
 
     def test_top_unreachable_server_reports_error(self, capsys):
         assert main(["top", "--port", "1", "--once"]) == 1
@@ -270,12 +275,41 @@ class TestTop:
 
 
 class TestWatchAndGrowth:
-    def test_top_watch_parser(self):
-        from repro.cli import _parser
+    @pytest.mark.parametrize(
+        ("argv", "tty", "cleared"),
+        [
+            (["--count", "2"], True, True),
+            (["--count", "2"], False, False),  # piped: frames append
+            (["--once"], True, False),
+        ],
+    )
+    def test_top_redraws_in_place_only_on_a_terminal(
+        self, monkeypatch, capsys, argv, tty, cleared
+    ):
+        import repro.cli as cli
+        import repro.serving.client as client_module
 
-        args = _parser().parse_args(["top", "--watch", "0.5"])
-        assert args.watch == 0.5
-        assert _parser().parse_args(["top"]).watch is None
+        class _Client:
+            def __init__(self, host, port):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def stats(self):
+                return {"running": True}
+
+            def history(self, limit):
+                return {"recording": False, "points": []}
+
+        monkeypatch.setattr(client_module, "ServingClient", _Client)
+        monkeypatch.setattr(cli.sys.stdout, "isatty", lambda: tty)
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        assert main(["top", *argv]) == 0
+        assert ("\x1b[2J" in capsys.readouterr().out) is cleared
 
     def test_format_top_appends_wal_growth_when_present(self):
         from repro.cli import format_top
@@ -340,14 +374,15 @@ class TestSloResolution:
 
 
 class TestDash:
+    """The charts `repro top` draws from the server's metrics history."""
+
     def test_dash_parser_defaults(self):
         from repro.cli import _parser
 
-        args = _parser().parse_args(["dash"])
-        assert args.command == "dash"
-        assert (args.host, args.port) == ("127.0.0.1", 8355)
-        assert args.interval == 2.0 and args.points == 120
-        assert not args.once and args.count is None
+        args = _parser().parse_args(["top"])
+        assert args.points == 120
+        with pytest.raises(SystemExit):  # folded into `top`
+            _parser().parse_args(["dash"])
 
     def test_sparkline_shapes(self):
         from repro.cli import sparkline
@@ -358,27 +393,29 @@ class TestDash:
         assert sparkline([]) == ""
         assert len(sparkline(range(100), width=10)) == 10
 
-    def test_format_dash_empty(self):
-        from repro.cli import format_dash
+    def test_format_top_history_empty(self):
+        from repro.cli import format_top
 
-        assert "no points yet" in format_dash([])
+        frame = format_top({}, {"recording": True, "points": []})
+        assert frame.startswith("oracle    epoch=0")
+        assert frame.endswith("history   (no points yet)")
 
-    def test_format_dash_orders_preferred_keys_first(self):
-        from repro.cli import format_dash
+    def test_format_top_orders_preferred_keys_first(self):
+        from repro.cli import format_top
 
         points = [
             {"ts": 100.0, "qps": 10.0, "zz_custom": 1, "rss_kb": 9000},
             {"ts": 105.0, "qps": 20.0, "zz_custom": 2, "rss_kb": 9100},
         ]
-        frame = format_dash(points)
-        assert "history   n=2 span=5s" in frame
+        frame = format_top({}, {"recording": True, "points": points})
         lines = frame.splitlines()
-        order = [line.split()[0] for line in lines[1:]]
+        start = lines.index("history   n=2 span=5s")
+        order = [line.split()[0] for line in lines[start + 1:]]
         assert order == ["qps", "rss_kb", "zz_custom"]
-        assert "20" in lines[1]  # last value annotated after the sparkline
+        assert "20" in lines[start + 1]  # last value after the sparkline
 
-    def test_format_dash_renders_slo_lines(self):
-        from repro.cli import format_dash
+    def test_format_top_renders_slo_lines(self):
+        from repro.cli import format_top
 
         alerts = {
             "evaluations": [
@@ -391,38 +428,55 @@ class TestDash:
             ],
             "slos": [],
         }
-        frame = format_dash([{"ts": 1.0, "qps": 1.0}], alerts)
+        history = {"recording": True, "points": [{"ts": 1.0, "qps": 1.0}]}
+        frame = format_top({}, history, alerts)
         assert "slo FIRING query-p99" in frame
         assert "slo ok     error-rate" in frame
 
-    def test_format_dash_notes_rules_without_evaluations(self):
-        from repro.cli import format_dash
+    def test_format_top_notes_rules_without_evaluations(self):
+        from repro.cli import format_top
 
-        frame = format_dash([], {"evaluations": [], "slos": [{"name": "x"}]})
+        history = {"recording": True, "points": []}
+        frame = format_top(
+            {}, history, {"evaluations": [], "slos": [{"name": "x"}]}
+        )
         assert "1 rule(s), no evaluations yet" in frame
-        assert "(none configured)" in format_dash(
-            [], {"evaluations": [], "slos": []}
+        assert "(none configured)" in format_top(
+            {}, history, {"evaluations": [], "slos": []}
         )
 
-    def test_dash_once_against_live_server(self, oracle_file, capsys):
+    def test_dash_once_against_live_server(self, oracle_file, tmp_path,
+                                           capsys):
+        """`repro top --once` against a server started with a history
+        file charts its points."""
+        from repro.serving.client import ServingClient
         from repro.serving.server import OracleServer
 
         out, _ = oracle_file
-        server = OracleServer.from_file(out, port=0)
+        server = OracleServer.from_file(
+            out, port=0, history_path=str(tmp_path / "history.ndjson"),
+            history_interval=3600.0,
+        )
         host, port = server.start_in_thread()
         try:
-            code = main(["dash", "--host", host, "--port", str(port),
+            with ServingClient(host, port) as client:
+                client.query(0, 1)
+                server.history.record_once()
+                client.query(0, 1)
+                client.query(1, 2)
+                server.history.record_once()
+            code = main(["top", "--host", host, "--port", str(port),
                          "--once"])
         finally:
             server.stop_thread()
         assert code == 0
         frame = capsys.readouterr().out
-        # No recorder on the server: the dash synthesizes a local point.
-        assert "history   n=1" in frame
-
-    def test_dash_unreachable_server_reports_error(self, capsys):
-        assert main(["dash", "--port", "1", "--once"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "oracle    epoch=0" in frame
+        assert "history   n=2" in frame
+        (qps_row,) = [ln for ln in frame.splitlines() if ln.startswith("qps ")]
+        assert any(ch in qps_row for ch in "▁▂▃▄▅▆▇█")
+        assert "slo       (none configured)" in frame
+        assert "not recorded" not in frame
 
 
 class TestProfileCommand:

@@ -15,11 +15,15 @@ replica processes — then:
    drain and asserts every per-replica lag gauge reads **zero** (the
    cluster converged), and that one traced request produced spans
    (``--span-log FILE`` mirrors spans to an NDJSON artifact);
-4. stops the supervisor and asserts a **clean shutdown**: every replica
+4. checks the router's ``aggregate.queries.count`` equals the sum of its
+   replicas' ``queries.count`` (both read from the replicas' one latency
+   histogram each);
+5. stops the supervisor and asserts a **clean shutdown**: every replica
    process exited 0 after its SIGTERM drain.
 
 Exit code 0 requires **nonzero qps, zero incorrect answers, zero-lag
-convergence in the exposition, and a clean shutdown**.
+convergence in the exposition, an exact read-count aggregate, and a
+clean shutdown**.
 
 With ``--shards N`` the supervisor runs N landmark shard groups of
 ``--replicas`` each; reads scatter-gather across groups, so the BFS
@@ -234,6 +238,18 @@ def main(argv=None) -> int:
             print(f"FAIL: nonzero shard lag after drain: {shard_lag_lines}",
                   file=sys.stderr)
             return 1
+    replica_reads = sum(
+        entry["service"]["queries"]["count"]
+        for entry in stats["replicas"].values()
+        if "service" in entry
+    )
+    aggregate_reads = stats["aggregate"]["queries"]["count"]
+    print(f"metrics path: aggregate reads {aggregate_reads}, "
+          f"replica sum {replica_reads}")
+    if aggregate_reads != replica_reads:
+        print("FAIL: router aggregate disagrees with its replicas' reads",
+              file=sys.stderr)
+        return 1
     if args.span_log and not Path(args.span_log).stat().st_size:
         print("FAIL: span log is empty", file=sys.stderr)
         return 1

@@ -13,10 +13,13 @@ server, wire protocol — then:
    from the ``spans`` op, and the ``--metrics-port`` HTTP endpoint must
    serve a Prometheus exposition containing the serving histograms
    (``--span-log FILE`` additionally mirrors spans to an NDJSON file the
-   CI job uploads as an artifact).
+   CI job uploads as an artifact);
+4. checks that ``stats`` and the exposition read one latency store: after
+   the last read, ``stats.queries.count`` must equal
+   ``repro_query_latency_seconds_count`` and ``p99_ms`` must be set.
 
-Exit code 0 requires **nonzero qps, zero incorrect answers, and a live
-metrics exposition**.
+Exit code 0 requires **nonzero qps, zero incorrect answers, a live
+metrics exposition, and one metrics path**.
 
 Usage:  PYTHONPATH=src python tools/serving_smoke.py [--seconds 3]
 """
@@ -49,6 +52,15 @@ _REQUIRED_METRICS = (
     "repro_update_latency_seconds_bucket",
     "repro_requests_total",
 )
+
+
+def _sample_value(exposition: str, name: str) -> int | None:
+    """The value of the unlabelled sample ``name`` in Prometheus text."""
+    for line in exposition.splitlines():
+        key, _, value = line.partition(" ")
+        if key == name:
+            return int(float(value))
+    return None
 
 
 def main(argv=None) -> int:
@@ -130,6 +142,8 @@ def main(argv=None) -> int:
                 trace = new_trace_id()
                 feeder.query(*pairs[0], trace=trace)
                 trace_spans = feeder.spans(of=trace)
+                # After the last read: the scrape below must agree.
+                read_summary = feeder.stats()["queries"]
             mhost, mport = server.metrics_address
             with urllib.request.urlopen(
                 f"http://{mhost}:{mport}/", timeout=10
@@ -162,6 +176,13 @@ def main(argv=None) -> int:
     missing = [m for m in _REQUIRED_METRICS if m not in exposition]
     if missing:
         print(f"FAIL: metrics exposition lacks {missing}", file=sys.stderr)
+        return 1
+    scraped = _sample_value(exposition, "repro_query_latency_seconds_count")
+    print(f"metrics path: stats count {read_summary['count']}, scraped "
+          f"count {scraped}, p99 {read_summary['p99_ms']} ms")
+    if read_summary["count"] != scraped or read_summary["p99_ms"] is None:
+        print("FAIL: stats and /metrics disagree on the read latencies",
+              file=sys.stderr)
         return 1
     if args.span_log and not Path(args.span_log).stat().st_size:
         print("FAIL: span log is empty", file=sys.stderr)
