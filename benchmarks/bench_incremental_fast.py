@@ -54,7 +54,7 @@ def _make_setup(graph, base_labelling):
 
     def _setup():
         oracle = DynamicHCL(graph.copy(), base_labelling.copy())
-        oracle._resolve_fast_engine()
+        oracle._resolve_engine()
         return (oracle,), {}
 
     return _setup

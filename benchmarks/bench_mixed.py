@@ -60,7 +60,7 @@ def _make_setup(graph, base_labelling):
 
     def _setup():
         oracle = DynamicHCL(graph.copy(), base_labelling.copy())
-        oracle._resolve_fast_engine()
+        oracle._resolve_engine()
         return (oracle,), {}
 
     return _setup
@@ -100,7 +100,7 @@ def test_fallback_replay(benchmark, setup, profile):
                 apply_edge_deletion_partial(
                     oracle.graph, oracle.labelling, *event.edge
                 )
-                oracle._invalidate_fast()
+                oracle._invalidate_engine()
             if run:
                 oracle.insert_edges_batch(run)
         result.append(oracle)

@@ -10,8 +10,8 @@ Incremental Updates in Large Dynamic Graphs"* (Farhan & Wang, EDBT 2021):
 * :mod:`repro.graph` — the dynamic graph substrate and synthetic network
   generators standing in for the paper's 12 datasets;
 * :mod:`repro.workloads` — update/query workloads and the dataset registry;
-* :mod:`repro.parallel` — the per-landmark process-pool engine behind the
-  ``workers=`` knob (parallel construction / batch finds / rebuilds);
+* :mod:`repro.parallel` — the per-landmark sweep kernels behind
+  construction, batch updates and rebuilds;
 * :mod:`repro.serving` — the snapshot-isolated concurrent query service
   (single-writer update loop, epoch-versioned read snapshots, TCP
   front-end via ``python -m repro serve``);
@@ -43,14 +43,12 @@ from repro.graph.csr import CSRGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.weighted import WeightedGraph
-from repro.parallel import LandmarkEngine
 from repro.serving import OracleService, OracleSnapshot
 
 __version__ = "1.2.0"
 
 __all__ = [
     "DynamicHCL",
-    "LandmarkEngine",
     "OracleService",
     "OracleSnapshot",
     "DirectedHCL",

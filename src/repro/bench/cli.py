@@ -4,14 +4,12 @@ Examples::
 
     python -m repro.bench table1
     python -m repro.bench figure3 --profile smoke --datasets flickr-s uk-s
-    python -m repro.bench parallel --workers 4
     python -m repro.bench all --out results.txt
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 from repro.bench.experiments import ExperimentResult
@@ -25,7 +23,6 @@ from repro.bench.experiments import (
     figure4,
     incremental_fast,
     mixed,
-    parallel,
     serving,
     table1,
     table2,
@@ -46,7 +43,6 @@ EXPERIMENTS = {
     "extensions": extensions.run,
     "incremental_fast": incremental_fast.run,
     "mixed": mixed.run,
-    "parallel": parallel.run,
     "serving": serving.run,
 }
 
@@ -80,11 +76,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=2021, help="workload seed")
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for the parallel engine (0 = all CPUs; "
-             "honoured by experiments that take a workers argument)",
-    )
-    parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the report to this file",
     )
@@ -110,10 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     rows_by_experiment: dict[str, list[dict]] = {}
     for name in names:
         fn = EXPERIMENTS[name]
-        kwargs = dict(profile=args.profile, datasets=args.datasets, seed=args.seed)
-        if "workers" in inspect.signature(fn).parameters:
-            kwargs["workers"] = args.workers
-        result: ExperimentResult = fn(**kwargs)
+        result: ExperimentResult = fn(
+            profile=args.profile, datasets=args.datasets, seed=args.seed
+        )
         reports.append(result.text)
         rows_by_experiment[result.name] = result.rows
         print(result.text)

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: Fields that *identify* a row (configuration, not measurement).
-ID_FIELDS = ("experiment", "dataset", "mode", "replicas", "shards", "workers")
+ID_FIELDS = ("experiment", "dataset", "mode", "replicas", "shards")
 
 #: Fields that set the workload scale: rows only compare when these match.
 SCALE_FIELDS = ("updates", "events", "deletes", "duration_s", "clients")

@@ -225,7 +225,6 @@ def run(
     profile: str | None = None,
     datasets: list[str] | None = None,
     seed: int = 2021,
-    workers: int | None = None,
 ) -> ExperimentResult:
     """Aggregate read qps at 1..N replicas vs. single-process serving."""
     prof = bench_profile(profile)
@@ -238,9 +237,7 @@ def run(
     rows: list[dict] = []
     for name in names:
         spec, graph = build_dataset(name, profile=prof.name, seed=seed)
-        oracle = DynamicHCL.build(
-            graph, num_landmarks=spec.num_landmarks, workers=workers
-        )
+        oracle = DynamicHCL.build(graph, num_landmarks=spec.num_landmarks)
         vertices = sorted(graph.vertices())
         rng = ensure_rng(seed * 31 + 7)
         frames = _make_frames(vertices, rng, 64, prof.cluster_query_batch)

@@ -101,9 +101,9 @@ def _replay_single(insert, insertions):
     return sum(latencies), latencies, _phases_block(phase_s, affected)
 
 
-def _replay_batched(oracle: DynamicHCL, insertions, batch_size: int, workers):
+def _replay_batched(oracle: DynamicHCL, insertions, batch_size: int):
     """Figure-4-style chunked replay on the fast path."""
-    oracle._resolve_fast_engine()  # attach cost reported separately
+    oracle._resolve_engine()  # attach cost reported separately
     total = 0.0
     chunks = 0
     phase_s: dict[str, float] = {}
@@ -111,7 +111,7 @@ def _replay_batched(oracle: DynamicHCL, insertions, batch_size: int, workers):
     for start in range(0, len(insertions), batch_size):
         chunk = insertions[start : start + batch_size]
         with Stopwatch() as sw:
-            stats = oracle.insert_edges_batch(chunk, workers=workers)
+            stats = oracle.insert_edges_batch(chunk)
         total += sw.elapsed
         chunks += 1
         _accumulate_phases(phase_s, affected, stats)
@@ -138,7 +138,7 @@ def _row(dataset, mode, updates, total_s, latencies, attach_ms, speedup,
     }
 
 
-def _profiler_overhead_row(graph, landmarks, insertions, workers, dataset):
+def _profiler_overhead_row(graph, landmarks, insertions, dataset):
     """Measure the sampling profiler's drag on the fast single-update
     replay: min-of-2 timings with and without an active profiler, same
     stream, fresh oracles.  Ships in the bench JSON so the acceptance
@@ -149,10 +149,9 @@ def _profiler_overhead_row(graph, landmarks, insertions, workers, dataset):
         best = None
         for _ in range(2):
             oracle = DynamicHCL.build(
-                graph.copy(), landmarks=landmarks, construction="csr",
-                workers=workers,
+                graph.copy(), landmarks=landmarks, construction="csr"
             )
-            oracle._resolve_fast_engine()
+            oracle._resolve_engine()
             profiler = SamplingProfiler() if profiled else None
             if profiler is not None:
                 profiler.start()
@@ -177,7 +176,6 @@ def run(
     profile: str | None = None,
     datasets: list[str] | None = None,
     seed: int = 2021,
-    workers: int | None = None,
 ) -> ExperimentResult:
     """Per-update latency and speedup of the vectorized update engine."""
     prof = bench_profile(profile)
@@ -206,22 +204,20 @@ def run(
         )
 
         fast_oracle = DynamicHCL.build(
-            graph.copy(), landmarks=landmarks, construction="csr",
-            workers=workers,
+            graph.copy(), landmarks=landmarks, construction="csr"
         )
         with Stopwatch() as attach:
-            fast_oracle._resolve_fast_engine()
+            fast_oracle._resolve_engine()
         t_fast, lat_fast, phases_fast = _replay_single(
             fast_oracle.insert_edge, insertions
         )
         identical_fast = fast_oracle.labelling == python_oracle.labelling
 
         batch_oracle = DynamicHCL.build(
-            graph.copy(), landmarks=landmarks, construction="csr",
-            workers=workers,
+            graph.copy(), landmarks=landmarks, construction="csr"
         )
         t_batch, chunks, phases_batch = _replay_batched(
-            batch_oracle, insertions, prof.figure4_batch, workers
+            batch_oracle, insertions, prof.figure4_batch
         )
         identical_batch = batch_oracle.labelling == python_oracle.labelling
 
@@ -250,9 +246,7 @@ def run(
 
     if overhead_inputs is not None:
         graph, landmarks, insertions, name = overhead_inputs
-        rows.append(_profiler_overhead_row(
-            graph, landmarks, insertions, workers, name
-        ))
+        rows.append(_profiler_overhead_row(graph, landmarks, insertions, name))
 
     text = format_table(
         ["dataset", "mode", "updates", "total_ms", "per_update_us",

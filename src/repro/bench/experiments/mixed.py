@@ -58,11 +58,11 @@ def _chunks(events, size):
         yield events[start : start + size]
 
 
-def _replay_fallback(oracle: DynamicHCL, events, batch: int, workers) -> float:
+def _replay_fallback(oracle: DynamicHCL, events, batch: int) -> float:
     """Insert runs on the vectorized engine, deletions through the DecHL
     kernel with engine invalidation — the pre-mixed-engine serving
     behaviour."""
-    oracle._resolve_fast_engine()
+    oracle._resolve_engine()
     total = 0.0
     for chunk in _chunks(events, batch):
         with Stopwatch() as sw:
@@ -72,26 +72,26 @@ def _replay_fallback(oracle: DynamicHCL, events, batch: int, workers) -> float:
                     run.append(event.edge)
                     continue
                 if run:
-                    oracle.insert_edges_batch(run, workers=workers)
+                    oracle.insert_edges_batch(run)
                     run = []
                 apply_edge_deletion_partial(
                     oracle.graph, oracle.labelling, *event.edge
                 )
-                oracle._invalidate_fast()
+                oracle._invalidate_engine()
             if run:
-                oracle.insert_edges_batch(run, workers=workers)
+                oracle.insert_edges_batch(run)
         total += sw.elapsed
     return total
 
 
-def _replay_mixed(oracle: DynamicHCL, events, batch: int, workers):
-    oracle._resolve_fast_engine()  # attach once, like a serving deployment
+def _replay_mixed(oracle: DynamicHCL, events, batch: int):
+    oracle._resolve_engine()  # attach once, like a serving deployment
     total = 0.0
     phase_s: dict[str, float] = {}
     affected: list[int] = []
     for chunk in _chunks(events, batch):
         with Stopwatch() as sw:
-            stats = oracle.apply_events_batch(chunk, workers=workers)
+            stats = oracle.apply_events_batch(chunk)
         total += sw.elapsed
         for phase, seconds in stats.phases.items():
             phase_s[phase] = phase_s.get(phase, 0.0) + seconds
@@ -144,7 +144,6 @@ def run(
     profile: str | None = None,
     datasets: list[str] | None = None,
     seed: int = 2021,
-    workers: int | None = None,
 ) -> ExperimentResult:
     """Mixed insert/delete batch engine vs the decremental fallback."""
     prof = bench_profile(profile)
@@ -170,19 +169,15 @@ def run(
         t_seq = seq.elapsed
 
         fb_oracle = DynamicHCL.build(
-            graph.copy(), landmarks=landmarks, construction="csr",
-            workers=workers,
+            graph.copy(), landmarks=landmarks, construction="csr"
         )
-        t_fb = _replay_fallback(fb_oracle, events, prof.figure4_batch, workers)
+        t_fb = _replay_fallback(fb_oracle, events, prof.figure4_batch)
         identical_fb = fb_oracle.labelling == seq_labelling
 
         mx_oracle = DynamicHCL.build(
-            graph.copy(), landmarks=landmarks, construction="csr",
-            workers=workers,
+            graph.copy(), landmarks=landmarks, construction="csr"
         )
-        t_mx, phases_mx = _replay_mixed(
-            mx_oracle, events, prof.figure4_batch, workers
-        )
+        t_mx, phases_mx = _replay_mixed(mx_oracle, events, prof.figure4_batch)
         identical_mx = mx_oracle.labelling == seq_labelling
         checked, incorrect = _bfs_spot_check(mx_oracle, rng, samples=30)
 

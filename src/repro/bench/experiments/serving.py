@@ -72,7 +72,6 @@ def run(
     profile: str | None = None,
     datasets: list[str] | None = None,
     seed: int = 2021,
-    workers: int | None = None,
 ) -> ExperimentResult:
     """Closed-loop read throughput/latency per reader count, writer active."""
     prof = bench_profile(profile)
@@ -91,7 +90,7 @@ def run(
         )
         for readers in prof.serving_reader_counts:
             oracle = DynamicHCL.build(
-                graph.copy(), num_landmarks=spec.num_landmarks, workers=workers
+                graph.copy(), num_landmarks=spec.num_landmarks
             )
             rows.append(_run_one(name, oracle, events, readers, prof, seed))
 

@@ -46,7 +46,7 @@ Examples::
     python -m repro path oracle.json.gz 17 4242
     python -m repro insert oracle.json.gz 17 4242
     python -m repro stats oracle.json.gz
-    python -m repro serve oracle.json.gz --port 8355 --workers 0
+    python -m repro serve oracle.json.gz --port 8355
     python -m repro serve-cluster oracle.json.gz --replicas 2 --port 8360
 """
 
@@ -120,9 +120,6 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8355,
                        help="bind port (0 = ephemeral)")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="parallel-engine workers for batched inserts "
-                            "(0 = all CPUs)")
     serve.add_argument("--max-batch", type=int, default=128, metavar="K",
                        help="max update events coalesced per writer sweep")
     serve.add_argument("--metrics-port", type=int, default=None, metavar="P",
@@ -160,9 +157,6 @@ def _parser() -> argparse.ArgumentParser:
     cluster.add_argument("--fsync", default="batch",
                          choices=("always", "batch", "never"),
                          help="WAL durability policy (default: batch)")
-    cluster.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="parallel-engine workers inside each replica "
-                              "(0 = all CPUs)")
     cluster.add_argument("--max-batch", type=int, default=128, metavar="K",
                          help="max update events coalesced per replica sweep")
     cluster.add_argument("--compact-every", type=int, default=50_000,
@@ -363,7 +357,6 @@ def _cmd_serve(args) -> int:
         args.oracle,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_batch=args.max_batch,
         metrics_port=args.metrics_port,
         history_path=args.history,
@@ -417,7 +410,6 @@ def _cmd_serve_cluster(args) -> int:
         shards=args.shards,
         host=args.host,
         port=args.port,
-        workers=args.workers,
         max_batch=args.max_batch,
         fsync=args.fsync,
         restart=not args.no_restart,

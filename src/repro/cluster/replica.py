@@ -69,7 +69,6 @@ class ReplicaSpec:
     wal_dir: str | None = None
     host: str = "127.0.0.1"
     port: int = 0
-    workers: int | None = None
     max_batch: int = 128
     #: Landmark sharding: with ``num_shards > 1`` the replica restricts
     #: the restored oracle to shard ``shard_index``'s owned landmarks
@@ -276,7 +275,6 @@ def build_replica(spec: ReplicaSpec) -> ReplicaServer:
             oracle, plan, spec.shard_index, copy_graph=False
         )
         shard_meta = {**plan.to_meta(), "shard_index": spec.shard_index}
-    oracle.workers = spec.workers
     service = OracleService(oracle, max_batch=spec.max_batch)
     if spec.wal_dir:
         records = scan_wal(spec.wal_dir, start_seq=applied + 1)

@@ -136,6 +136,5 @@ def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool =
     return DynamicHCL(
         graph,
         restrict_labelling(oracle.labelling, owned),
-        workers=oracle.workers,
         owned_landmarks=owned,
     )

@@ -90,9 +90,9 @@ class ReplicaWorker:
         Called in an executor by the supervisor (pipe recv blocks).
         """
         parent_conn, child_conn = self._ctx.Pipe()
-        # NOT daemonic: a daemonic process cannot have children, and the
-        # parallel engine inside a replica (`workers=`) forks a process
-        # pool.  Replicas exit on SIGTERM (supervisor.stop / terminate).
+        # NOT daemonic: replica shutdown is explicit — replicas exit on
+        # SIGTERM (supervisor.stop / terminate) — rather than left to the
+        # interpreter-exit hook that terminates daemonic children.
         self.process = self._ctx.Process(
             target=replica_process_entry,
             args=(self.spec, child_conn),
@@ -155,7 +155,6 @@ class ClusterSupervisor:
         shards: int = 1,
         host: str = "127.0.0.1",
         port: int = 8360,
-        workers: int | None = None,
         max_batch: int = 128,
         fsync: str = "batch",
         health_interval: float = 0.5,
@@ -178,7 +177,6 @@ class ClusterSupervisor:
         self._shard_of_worker: dict[str, int | None] = {}
         self._host = host
         self._port = port
-        self._workers = workers
         self._max_batch = max_batch
         self._fsync = fsync
         self._health_interval = health_interval
@@ -362,7 +360,6 @@ class ClusterSupervisor:
             checkpoint_path=str(self._boot_path(shard)),
             wal_dir=str(self._wal_dir),
             port=0,
-            workers=self._workers,
             max_batch=self._max_batch,
             shard_index=shard,
             num_shards=self._shards,

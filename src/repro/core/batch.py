@@ -41,8 +41,6 @@ from repro.core.labelling import HighwayCoverLabelling
 from repro.core.query import landmark_distance
 from repro.exceptions import InvariantViolationError
 from repro.graph.traversal import INF
-from repro.parallel.engine import LandmarkEngine
-from repro.parallel.sweeps import batch_find_task
 
 __all__ = [
     "BatchUpdateStats",
@@ -232,7 +230,6 @@ def apply_edge_insertions_batch(
     graph,
     labelling: HighwayCoverLabelling,
     edges: Iterable[tuple[int, int]],
-    workers: int | None = None,
 ) -> BatchUpdateStats:
     """IncHL+ for a batch of edge insertions, one sweep per landmark.
 
@@ -242,11 +239,9 @@ def apply_edge_insertions_batch(
     as ``k`` sequential :func:`~repro.core.inchl.apply_edge_insertion`
     calls, at one find/repair sweep per landmark instead of ``k``.
 
-    ``workers`` fans the per-landmark Phase B finds out across a process
-    pool (``None``/``1`` serial, ``0`` all CPUs): every find reads only
-    the post-insertion graph and the pristine labelling, so they are
-    independent; the commuting Phase C repairs are applied on merge, in
-    landmark order, making the parallel result identical to the serial one.
+    Every Phase B find reads only the post-insertion graph and the
+    pristine labelling, so all finds run before any Phase C repair; the
+    repairs commute and are applied in landmark order.
     """
     edge_list = [(int(a), int(b)) for a, b in edges]
     if not edge_list:
@@ -279,12 +274,10 @@ def apply_edge_insertions_batch(
         if seeds:
             plans[r] = seeds
 
-    # Phase B: all finds on the pristine labelling — independent per
-    # landmark, so the engine may fan them out across worker processes
-    # (the graph/labelling state is shared by fork, each AffectedSearch
-    # is pickled back).
-    engine = LandmarkEngine(workers)
-    searches = engine.map(batch_find_task, (graph, labelling), list(plans.items()))
+    # Phase B: all finds on the pristine labelling, before any repair.
+    searches = [
+        find_affected_batch(graph, labelling, r, seeds) for r, seeds in plans.items()
+    ]
 
     # Phase C: repairs touch only r-entries, so order is irrelevant.
     union: set[int] = set()

@@ -16,10 +16,8 @@ depends only on the DAG, not on processing order) — matching the labelling's
 order-independence property.
 
 The per-landmark BFS kernel itself lives in
-:func:`repro.parallel.sweeps.landmark_sweep`; landmark independence means
-the sweeps can fan out across processes, which ``workers=`` enables via
-the :class:`~repro.parallel.engine.LandmarkEngine` (serial and parallel
-executions produce byte-identical labellings).
+:func:`repro.parallel.sweeps.landmark_sweep`; each sweep is merged into the
+shared stores in landmark order.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ from repro.core.highway import Highway
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.labels import LabelStore
 from repro.exceptions import GraphError, VertexNotFoundError
-from repro.parallel.engine import LandmarkEngine
-from repro.parallel.sweeps import construction_task, landmark_sweep, merge_sweep
+from repro.parallel.sweeps import landmark_sweep, merge_sweep
 
 __all__ = ["build_hcl"]
 
@@ -39,21 +36,14 @@ __all__ = ["build_hcl"]
 def build_hcl(
     graph,
     landmarks: Sequence[int] | Iterable[int],
-    workers: int | None = None,
 ) -> HighwayCoverLabelling:
     """Build the minimal highway cover labelling of ``graph`` for ``landmarks``.
-
-    ``workers`` fans the per-landmark BFS sweeps out across a process pool
-    (``None``/``1`` serial, ``0`` all CPUs, ``n`` exactly ``n``); the
-    result is identical regardless of worker count.
 
     >>> from repro.graph.generators import ring_of_cliques
     >>> g = ring_of_cliques(3, 4)
     >>> gamma = build_hcl(g, [0, 4])
     >>> gamma.highway.distance(0, 4)
     2
-    >>> build_hcl(g, [0, 4], workers=2) == gamma
-    True
     """
     landmark_list = list(landmarks)
     if not landmark_list:
@@ -67,13 +57,8 @@ def build_hcl(
     landmark_set = highway.landmark_set
     adj = graph.adjacency()
 
-    engine = LandmarkEngine(workers)
-    engine.map_unordered_merge(
-        construction_task,
-        (adj, landmark_set),
-        landmark_list,
-        lambda sweep: merge_sweep(highway, labels, sweep),
-    )
+    for r in landmark_list:
+        _labelling_bfs(adj, r, landmark_set, highway, labels)
     return HighwayCoverLabelling(highway, labels)
 
 
@@ -86,8 +71,8 @@ def _labelling_bfs(
 ) -> None:
     """One in-place labelling BFS from landmark ``r`` (single-landmark form).
 
-    Thin wrapper over the pure kernel for callers that rebuild one
-    landmark at a time into live stores (decremental rebuilds, landmark
+    Thin wrapper over the pure kernel that merges one landmark's sweep
+    into live stores (construction, decremental rebuilds, landmark
     maintenance).  Precondition: ``r`` currently has no label entries —
     a fresh landmark, or one whose row/entries were just cleared.
     """

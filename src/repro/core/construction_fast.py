@@ -10,12 +10,8 @@ what lets the Python reproduction build its scaled stand-ins (tens of
 thousands of vertices, |R| up to 60) in seconds rather than minutes.
 
 The numpy kernel lives in :func:`repro.parallel.sweeps.csr_landmark_sweep`
-(cover flags propagate as a scatter over the frontier adjacency); because
-the CSR snapshot is immutable, the per-landmark sweeps are embarrassingly
-parallel, and ``workers=`` fans them out across a process pool through the
-:class:`~repro.parallel.engine.LandmarkEngine` — numpy releases the GIL
-but pure-Python level bookkeeping does not, so processes (not threads) are
-what buys wall-clock here.
+(cover flags propagate as a scatter over the frontier adjacency); each
+sweep is merged into the shared stores in landmark order.
 """
 
 from __future__ import annotations
@@ -29,8 +25,7 @@ from repro.core.labelling import HighwayCoverLabelling
 from repro.core.labels import LabelStore
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.csr import CSRGraph
-from repro.parallel.engine import LandmarkEngine
-from repro.parallel.sweeps import csr_construction_task, merge_sweep
+from repro.parallel.sweeps import csr_landmark_sweep, merge_sweep
 
 __all__ = ["build_hcl_fast"]
 
@@ -39,23 +34,18 @@ def build_hcl_fast(
     graph,
     landmarks: Sequence[int] | Iterable[int],
     csr: CSRGraph | None = None,
-    workers: int | None = None,
 ) -> HighwayCoverLabelling:
     """Build the minimal highway cover labelling on the CSR fast path.
 
     Produces a labelling equal (entry-for-entry and cell-for-cell) to
     :func:`repro.core.construction.build_hcl` on the same inputs.  Pass a
     pre-built ``csr`` snapshot to amortize snapshotting across calls; it
-    must describe the same graph.  ``workers`` fans the per-landmark numpy
-    sweeps out across a process pool (``None``/``1`` serial, ``0`` all
-    CPUs) without changing the result.
+    must describe the same graph.
 
     >>> from repro.graph.generators import grid_graph
     >>> from repro.core.construction import build_hcl
     >>> g = grid_graph(4, 4)
     >>> build_hcl_fast(g, [0, 15]) == build_hcl(g, [0, 15])
-    True
-    >>> build_hcl_fast(g, [0, 15], workers=2) == build_hcl(g, [0, 15])
     True
     """
     landmark_list = list(landmarks)
@@ -74,11 +64,9 @@ def build_hcl_fast(
     for r in landmark_list:
         is_landmark[csr.index(r)] = True
 
-    engine = LandmarkEngine(workers)
-    engine.map_unordered_merge(
-        csr_construction_task,
-        (csr.indptr, csr.indices, csr.ids, is_landmark),
-        [(csr.index(r), r) for r in landmark_list],
-        lambda sweep: merge_sweep(highway, labels, sweep),
-    )
+    for r in landmark_list:
+        sweep = csr_landmark_sweep(
+            csr.indptr, csr.indices, csr.ids, is_landmark, csr.index(r), r
+        )
+        merge_sweep(highway, labels, sweep)
     return HighwayCoverLabelling(highway, labels)

@@ -28,11 +28,10 @@ from-scratch rebuild after random deletion sequences.
 
 from __future__ import annotations
 
+from repro.core.construction import _labelling_bfs
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.query import landmark_distance
 from repro.exceptions import InvariantViolationError
-from repro.parallel.engine import LandmarkEngine
-from repro.parallel.sweeps import construction_task, merge_sweep
 
 __all__ = ["apply_edge_deletion", "relevant_landmarks_for_deletion"]
 
@@ -64,18 +63,14 @@ def apply_edge_deletion(
     labelling: HighwayCoverLabelling,
     a: int,
     b: int,
-    workers: int | None = None,
 ) -> list[int]:
     """Remove edge ``(a, b)`` from ``graph`` and repair the labelling.
 
     The edge must be present; returns the landmarks that were recomputed.
-    ``workers`` fans the per-landmark rebuild sweeps out across a process
-    pool (``None``/``1`` serial, ``0`` all CPUs).  Rebuild sweeps read
-    only the post-deletion adjacency, so they are independent; all
-    relevant rows are cleared up front, then the partial labellings merge
-    back in landmark order — any highway cell both rebuilds touch is
-    written with the same exact distance, so the merged result equals the
-    serial one.
+    Rebuild sweeps read only the post-deletion adjacency, so they are
+    independent; all relevant rows are cleared up front, then the sweeps
+    merge back in landmark order — any highway cell two rebuilds both
+    touch is written with the same exact distance.
     """
     if not graph.has_edge(a, b):
         raise InvariantViolationError(
@@ -92,11 +87,6 @@ def apply_edge_deletion(
     for r in relevant:
         labels.clear_landmark(r)
         highway.clear_row(r)
-    engine = LandmarkEngine(workers)
-    engine.map_unordered_merge(
-        construction_task,
-        (adj, landmark_set),
-        relevant,
-        lambda sweep: merge_sweep(highway, labels, sweep),
-    )
+    for r in relevant:
+        _labelling_bfs(adj, r, landmark_set, highway, labels)
     return relevant

@@ -20,11 +20,9 @@ extensions:
 * :meth:`DynamicHCL.shortest_path` — path extraction on top of the
   distance oracle (:mod:`repro.core.paths`).
 
-Queries are answered exactly at any point between updates.
-
-The ``workers`` knob routes every bulk operation — construction and
-batch updates — through the parallel per-landmark engine
-(:mod:`repro.parallel`); results are identical for any worker count.
+Queries are answered exactly at any point between updates.  Every
+per-landmark sweep (construction and updates alike) runs in the calling
+process, one landmark after another.
 
 Every edge update goes through one private helper into
 :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`, the
@@ -68,28 +66,16 @@ class DynamicHCL:
     >>> _ = oracle.insert_edge(0, 8)
     >>> oracle.query(0, 8)
     1
-
-    ``workers=N`` (``0`` = all CPUs) parallelizes bulk operations without
-    changing any result:
-
-    >>> fast = DynamicHCL.build(grid_graph(3, 3), landmarks=[0, 8], workers=2)
-    >>> ref = DynamicHCL.build(grid_graph(3, 3), landmarks=[0, 8])
-    >>> fast.labelling == ref.labelling
-    True
     """
 
     def __init__(
         self,
         graph: DynamicGraph,
         labelling: HighwayCoverLabelling,
-        workers: int | None = None,
         owned_landmarks: Sequence[int] | None = None,
     ) -> None:
         self._graph = graph
         self._labelling = labelling
-        #: Default worker count for bulk operations (``None``/``1`` serial,
-        #: ``0`` all CPUs); per-call ``workers=`` arguments override it.
-        self.workers = workers
         #: Landmark-sharded mode (``repro.core.sharding``): this oracle
         #: owns only these landmarks' label rows; ``labelling`` must be
         #: the matching restricted labelling.  Queries become
@@ -100,7 +86,7 @@ class DynamicHCL:
         self._version = 0
         self._snapshot_cache = None
         self._shard_rows_cache = None
-        self._fast_engine = None
+        self._engine = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -114,7 +100,6 @@ class DynamicHCL:
         landmarks: Sequence[int] | None = None,
         rng: int | random.Random | None = None,
         construction: str = "python",
-        workers: int | None = None,
     ) -> "DynamicHCL":
         """Build the labelling for ``graph`` and wrap both in an oracle.
 
@@ -127,25 +112,20 @@ class DynamicHCL:
         ``"csr"`` (the numpy fast path of
         :func:`repro.core.construction_fast.build_hcl_fast`; same labelling,
         much faster on large graphs).
-
-        ``workers`` fans the per-landmark construction sweeps out across a
-        process pool and becomes the oracle's default for later bulk
-        operations (``None``/``1`` serial, ``0`` all CPUs); the labelling
-        is identical for any worker count.
         """
         if landmarks is None:
             landmarks = select_landmarks(graph, num_landmarks, strategy, rng=rng)
         if construction == "python":
-            labelling = build_hcl(graph, landmarks, workers=workers)
+            labelling = build_hcl(graph, landmarks)
         elif construction == "csr":
             from repro.core.construction_fast import build_hcl_fast
 
-            labelling = build_hcl_fast(graph, landmarks, workers=workers)
+            labelling = build_hcl_fast(graph, landmarks)
         else:
             raise ValueError(
                 f"unknown construction {construction!r}; use 'python' or 'csr'"
             )
-        return cls(graph, labelling, workers=workers)
+        return cls(graph, labelling)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -287,7 +267,7 @@ class DynamicHCL:
         cached = self._shard_rows_cache
         if cached is not None and cached[0] == self._version:
             return cached[1], cached[2]
-        engine = self._resolve_fast_engine()
+        engine = self._resolve_engine()
         dist, index_of = engine.freeze_shard_rows()
         self._shard_rows_cache = (self._version, dist, index_of)
         return dist, index_of
@@ -307,7 +287,7 @@ class DynamicHCL:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _resolve_fast_engine(self):
+    def _resolve_engine(self):
         """The cached vectorized update engine, (re)built when stale.
 
         Must be called *before* the graph mutation: the engine snapshots
@@ -315,22 +295,17 @@ class DynamicHCL:
         """
         from repro.core.inchl_fast import FastUpdateEngine
 
-        engine = self._fast_engine
+        engine = self._engine
         if engine is None or not engine.matches(self._graph, self._labelling):
-            engine = FastUpdateEngine(
-                self._graph,
-                self._labelling,
-                workers=self.workers,
-                owned=self._owned,
-            )
-            self._fast_engine = engine
+            engine = FastUpdateEngine(self._graph, self._labelling, owned=self._owned)
+            self._engine = engine
         return engine
 
-    def _invalidate_fast(self) -> None:
-        """Drop the cached fast engine (its overlay/rows are now stale)."""
-        self._fast_engine = None
+    def _invalidate_engine(self) -> None:
+        """Drop the cached engine (its overlay/rows are now stale)."""
+        self._engine = None
 
-    def _apply_fast(self, inserts, deletes, events: int, workers: int | None):
+    def _apply(self, inserts, deletes, events: int):
         """The one update route every edge mutator takes.
 
         Resolves the engine (before the graph changes: a fresh engine
@@ -339,16 +314,14 @@ class DynamicHCL:
         epochs and repairs through
         :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.
         """
-        engine = self._resolve_fast_engine()
+        engine = self._resolve_engine()
         graph = self._graph
         for u, v in inserts:
             graph.add_edge(u, v)
         for u, v in deletes:
             graph.remove_edge(u, v)
         self._version += events
-        return engine.apply_mixed(
-            inserts, deletes, workers=self.workers if workers is None else workers
-        )
+        return engine.apply_mixed(inserts, deletes)
 
     def _require_unsharded(self, operation: str) -> None:
         if self._owned is not None:
@@ -362,16 +335,22 @@ class DynamicHCL:
 
         Returns the update statistics (affected counts per landmark).
         """
-        return self._apply_fast([(u, v)], [], 1, None)
+        return self._apply([(u, v)], [], 1)
 
     def insert_vertex(self, v: int, neighbors: Iterable[int]) -> list[UpdateStats]:
         """The paper's vertex insertion: new vertex ``v`` plus edges to
-        existing vertices, processed as a sequence of edge insertions."""
+        existing vertices, processed as a sequence of edge insertions.
+
+        The whole neighbour list is checked first: a bad list raises what
+        :meth:`DynamicGraph.insert_vertex` raises for it and leaves the
+        graph, the labelling and :attr:`version` unchanged.
+        """
         self._require_unsharded("insert_vertex")
         neighbor_list = list(neighbors)
-        self._graph.insert_vertex(v, [])
+        self._graph.check_vertex_insertion(v, neighbor_list)
+        self._graph.add_vertex(v)
         self._version += 1
-        return [self._apply_fast([(v, w)], [], 1, None) for w in neighbor_list]
+        return [self._apply([(v, w)], [], 1) for w in neighbor_list]
 
     def insert_edges(self, edges: Iterable[tuple[int, int]]) -> list[UpdateStats]:
         """Batch convenience: apply a stream of edge insertions in order.
@@ -386,7 +365,6 @@ class DynamicHCL:
     def insert_edges_batch(
         self,
         edges: Iterable[tuple[int, int]],
-        workers: int | None = None,
     ) -> UpdateStats:
         """Insert a burst of edges with one find/repair sweep per landmark.
 
@@ -394,40 +372,30 @@ class DynamicHCL:
         canonical minimal labelling of the final graph) but the affected
         regions of the whole batch are discovered and repaired together.
         The batch is validated as a whole before anything is mutated —
-        see :meth:`apply_events_batch`, which it delegates to.
-        ``workers`` overrides the oracle's default worker count.  Returns
-        a :class:`~repro.core.batch.MixedUpdateStats`.
+        see :meth:`apply_events_batch`, which it delegates to.  Returns a
+        :class:`~repro.core.batch.MixedUpdateStats`.
         """
-        return self.apply_events_batch(
-            [("insert", (u, v)) for u, v in edges], workers=workers
-        )
+        return self.apply_events_batch([("insert", (u, v)) for u, v in edges])
 
-    def remove_edge(self, u: int, v: int, workers: int | None = None):
+    def remove_edge(self, u: int, v: int):
         """Decremental update (the paper's stated future work).
 
         Deletes edge ``(u, v)`` and repairs the labelling to the exact
         minimal labelling of the new graph — the same result as the
-        fine-grained DecHL of :mod:`repro.core.dechl`.  ``workers``
-        overrides the oracle's default worker count.
+        fine-grained DecHL of :mod:`repro.core.dechl`.
         """
-        return self._apply_fast([], [(u, v)], 1, workers)
+        return self._apply([], [(u, v)], 1)
 
-    def remove_edges_batch(
-        self,
-        edges: Iterable[tuple[int, int]],
-        workers: int | None = None,
-    ):
+    def remove_edges_batch(self, edges: Iterable[tuple[int, int]]):
         """Delete a burst of edges with one combined sweep per landmark.
 
         The decremental counterpart of :meth:`insert_edges_batch`, also
         validated as a whole before anything is mutated.  Returns a
         :class:`~repro.core.batch.MixedUpdateStats`.
         """
-        return self.apply_events_batch(
-            [("delete", (u, v)) for u, v in edges], workers=workers
-        )
+        return self.apply_events_batch([("delete", (u, v)) for u, v in edges])
 
-    def apply_events_batch(self, events, workers: int | None = None):
+    def apply_events_batch(self, events):
         """Apply a mixed insert/delete event batch in one combined repair.
 
         ``events`` is a sequence of
@@ -484,7 +452,7 @@ class DynamicHCL:
             if final != graph.has_edge(*key):
                 (net_inserts if final else net_deletes).append(key)
         if net_inserts or net_deletes:
-            return self._apply_fast(net_inserts, net_deletes, count, workers)
+            return self._apply(net_inserts, net_deletes, count)
         self._version += count
         return MixedUpdateStats([], [])
 
@@ -496,7 +464,7 @@ class DynamicHCL:
         self._require_unsharded("remove_vertex")
         from repro.core.dechl import apply_vertex_deletion
 
-        self._invalidate_fast()
+        self._invalidate_engine()
         self._version += 1
         apply_vertex_deletion(self._graph, self._labelling, v)
 
@@ -512,7 +480,7 @@ class DynamicHCL:
         self._require_unsharded("add_landmark")
         from repro.landmarks.maintenance import add_landmark
 
-        self._invalidate_fast()
+        self._invalidate_engine()
         self._version += 1
         return add_landmark(self._graph, self._labelling, v)
 
@@ -524,7 +492,7 @@ class DynamicHCL:
         self._require_unsharded("remove_landmark")
         from repro.landmarks.maintenance import remove_landmark
 
-        self._invalidate_fast()
+        self._invalidate_engine()
         self._version += 1
         return remove_landmark(self._graph, self._labelling, v)
 

@@ -44,12 +44,7 @@ import numpy as np
 from repro.core.batch import MixedUpdateStats
 from repro.exceptions import InvariantViolationError
 from repro.graph.dyncsr import UNREACH, DynCSR
-from repro.parallel.engine import LandmarkEngine
-from repro.parallel.sweeps import (
-    csr_find_affected_mixed,
-    csr_mixed_sweep,
-    csr_repair_affected,
-)
+from repro.parallel.sweeps import csr_find_affected_mixed, csr_repair_affected
 
 __all__ = ["FastUpdateEngine"]
 
@@ -94,14 +89,12 @@ class FastUpdateEngine:
         "_del_mask",
         "_row_views",
         "_scratch_views",
-        "workers",
     )
 
     def __init__(
         self,
         graph,
         labelling,
-        workers: int | None = None,
         owned: Iterable[int] | None = None,
     ) -> None:
         self._labelling = labelling
@@ -125,8 +118,6 @@ class FastUpdateEngine:
                         f"owned landmark {r} not in the labelling's landmarks"
                     )
         self._dyn = DynCSR.from_graph(graph)
-        #: Default worker count for batch Phase B fan-out.
-        self.workers = workers
         dyn = self._dyn
         capacity = dyn.capacity
         self._dist = np.full(
@@ -262,7 +253,6 @@ class FastUpdateEngine:
         self,
         inserts: Iterable[tuple[int, int]],
         deletes: Iterable[tuple[int, int]],
-        workers: int | None = None,
     ) -> MixedUpdateStats:
         """BatchHL-style repair for an insert/delete batch of any shape.
 
@@ -277,11 +267,9 @@ class FastUpdateEngine:
         deletion-region-dependent and resolve inside the kernel) and
         skips landmarks the batch cannot affect.  Phase B/C then run
         find and repair one landmark at a time on the engine's own
-        scratch — or, when the :class:`LandmarkEngine` fans out, all
-        finds on the pool first and the repairs afterwards in landmark
-        order.  Repair folds the new distances — including
-        :data:`UNREACH` for disconnected vertices — back into the dense
-        rows.
+        scratch, in landmark order.  Repair folds the new distances —
+        including :data:`UNREACH` for disconnected vertices — back into
+        the dense rows.
         """
         ins_list = [(int(a), int(b)) for a, b in inserts]
         del_list = [(int(a), int(b)) for a, b in deletes]
@@ -326,45 +314,26 @@ class FastUpdateEngine:
                     break
 
         union: set[int] = set()
-        pool = LandmarkEngine(self.workers if workers is None else workers)
-        if pool.fans_out(len(plans)):
-            results = pool.map(csr_mixed_sweep, (dyn, self._dist), plans)
-            repair_start = perf_counter()
-            find_s = repair_start - find_start
-            new_dist = self._new_dist
-            new_mv = self._scratch_views[0]
-            for k, levels, removed in results:
-                # Pooled finds come back as bare levels; scatter them into
-                # the scratch the repair kernel reads.
-                for depth, verts in levels:
-                    if isinstance(verts, list):
-                        for v in verts:
-                            new_mv[v] = depth
-                    else:
-                        new_dist[verts] = depth
-                self._repair_landmark(k, levels, removed, stats, union)
-            repair_s = perf_counter() - repair_start
-        else:
-            find_s = perf_counter() - find_start
-            repair_s = 0.0
-            new_dist = self._new_dist
-            del_mask = self._del_mask
-            new_mv, _, _, del_mv = self._scratch_views
-            for k, ins_edges, del_seeds in plans:
-                t0 = perf_counter()
-                levels, removed = csr_find_affected_mixed(
-                    dyn,
-                    self._dist[k],
-                    ins_edges,
-                    del_seeds,
-                    new_dist,
-                    del_mask,
-                    views=(self._row_views[k][0], new_mv, del_mv),
-                )
-                t1 = perf_counter()
-                self._repair_landmark(k, levels, removed, stats, union)
-                find_s += t1 - t0
-                repair_s += perf_counter() - t1
+        find_s = perf_counter() - find_start
+        repair_s = 0.0
+        new_dist = self._new_dist
+        del_mask = self._del_mask
+        new_mv, _, _, del_mv = self._scratch_views
+        for k, ins_edges, del_seeds in plans:
+            t0 = perf_counter()
+            levels, removed = csr_find_affected_mixed(
+                dyn,
+                self._dist[k],
+                ins_edges,
+                del_seeds,
+                new_dist,
+                del_mask,
+                views=(self._row_views[k][0], new_mv, del_mv),
+            )
+            t1 = perf_counter()
+            self._repair_landmark(k, levels, removed, stats, union)
+            find_s += t1 - t0
+            repair_s += perf_counter() - t1
         stats.affected_union = len(union)
         stats.phases = {"find": find_s, "repair": repair_s}
         return stats

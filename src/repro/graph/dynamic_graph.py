@@ -206,6 +206,21 @@ class DynamicGraph:
         with a set of edge insertions that connect v to existing vertices".
         """
         neighbor_list = list(neighbors)
+        self.check_vertex_insertion(v, neighbor_list)
+        self.add_vertex(v)
+        inserted = []
+        for w in neighbor_list:
+            self.add_edge(v, w)
+            inserted.append((v, w))
+        return inserted
+
+    def check_vertex_insertion(self, v: int, neighbor_list: list[int]) -> None:
+        """Raise unless :meth:`insert_vertex` ``(v, neighbor_list)`` is valid.
+
+        Checks the whole neighbour list without mutating anything, so a
+        caller that applies the edges itself can reject a bad insertion
+        up front.
+        """
         if v in self._adj:
             raise ValueError(
                 f"vertex {v!r} already exists; vertex insertion requires a new vertex"
@@ -217,12 +232,6 @@ class DynamicGraph:
                 raise VertexNotFoundError(w)
         if len(set(neighbor_list)) != len(neighbor_list):
             raise ValueError("duplicate neighbours in vertex insertion")
-        self.add_vertex(v)
-        inserted = []
-        for w in neighbor_list:
-            self.add_edge(v, w)
-            inserted.append((v, w))
-        return inserted
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the undirected edge ``(u, v)`` (decremental extension)."""

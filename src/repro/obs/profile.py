@@ -73,9 +73,8 @@ _MAX_DEPTH = 64
 #: the call graph of :mod:`repro.serving.service` /
 #: :mod:`repro.core.inchl_fast`.
 PHASE_MARKERS: dict[str, str] = {
-    # find sweep (the kernel, and its process-pool task adapter)
+    # find sweep
     "csr_find_affected_mixed": "find",
-    "csr_mixed_sweep": "find",
     # repair sweep (the engine's per-landmark Phase C and its kernel)
     "_repair_landmark": "repair",
     "csr_repair_affected": "repair",

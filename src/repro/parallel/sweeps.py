@@ -1,13 +1,11 @@
-"""Per-landmark sweep kernels and their process-pool task adapters.
+"""Per-landmark sweep kernels: construction sweeps and update find/repair.
 
-A *sweep* is the unit of work the :class:`~repro.parallel.engine.LandmarkEngine`
-fans out: everything one landmark contributes to a highway cover labelling,
-computed from read-only inputs and returned as a compact
-:class:`LandmarkSweep` value.  Keeping sweeps **pure** (no mutation of the
-shared :class:`~repro.core.highway.Highway` / label store) is what makes
-them safe to run on worker processes; the caller folds the partial results
-back in with :func:`merge_sweep`, in landmark order, so serial and parallel
-executions produce byte-identical labellings (``docs/DESIGN.md`` §6).
+A *sweep* is everything one landmark contributes to a highway cover
+labelling, computed from read-only inputs and returned as a compact
+:class:`LandmarkSweep` value.  Sweeps are **pure** (no mutation of the
+shared :class:`~repro.core.highway.Highway` / label store); the caller
+folds them back in with :func:`merge_sweep`, in landmark order
+(``docs/DESIGN.md`` §6).
 
 Two interchangeable kernels produce identical sweeps:
 
@@ -33,12 +31,8 @@ __all__ = [
     "landmark_sweep",
     "csr_landmark_sweep",
     "merge_sweep",
-    "construction_task",
-    "csr_construction_task",
-    "batch_find_task",
     "csr_find_affected_mixed",
     "csr_repair_affected",
-    "csr_mixed_sweep",
 ]
 
 #: Frontier size below which the update kernels drop to scalar loops: a
@@ -52,9 +46,7 @@ class LandmarkSweep(NamedTuple):
 
     ``highway_cells`` are ``(other_landmark, distance)`` pairs for the
     highway row of ``root``; ``levels`` are ``(depth, vertices)`` groups of
-    the label entries ``(root, depth) ∈ L(v)``, in BFS level order.  Both
-    are plain ints/lists so a sweep pickles cheaply on its way back from a
-    worker process.
+    the label entries ``(root, depth) ∈ L(v)``, in BFS level order.
     """
 
     root: int
@@ -123,8 +115,7 @@ def csr_landmark_sweep(
     Identical output (cell for cell, level for level) to the reference
     kernel; per BFS level the cover flag propagates as one scatter over the
     frontier adjacency instead of a Python loop per edge.  Arguments are
-    the raw arrays of a :class:`~repro.graph.csr.CSRGraph` so the function
-    ships to worker processes without dragging the snapshot object along.
+    the raw arrays of a :class:`~repro.graph.csr.CSRGraph`.
     """
     import numpy as np
 
@@ -612,61 +603,3 @@ def csr_repair_affected(
             if stats is not None:
                 stats.entries_added += added
                 stats.entries_modified += modified
-
-
-# ---------------------------------------------------------------------------
-# Engine task adapters (module-level, hence picklable by reference)
-# ---------------------------------------------------------------------------
-def construction_task(state, root: int) -> LandmarkSweep:
-    """Engine task for construction / rebuild: one reference sweep.
-
-    ``state`` is ``(adj, landmark_set)``, shared with workers via fork
-    inheritance; the work item is the landmark id.
-    """
-    adj, landmark_set = state
-    return landmark_sweep(adj, root, landmark_set)
-
-
-def csr_construction_task(state, item: tuple[int, int]) -> LandmarkSweep:
-    """Engine task for the CSR fast path: one numpy sweep.
-
-    ``state`` is ``(indptr, indices, ids, is_landmark)``; the work item is
-    ``(root_index, root_id)`` in compact/original id space respectively.
-    """
-    indptr, indices, ids, is_landmark = state
-    root_index, root_id = item
-    return csr_landmark_sweep(indptr, indices, ids, is_landmark, root_index, root_id)
-
-
-def batch_find_task(state, item):
-    """Engine task for batch insertion Phase B: one multi-seed find.
-
-    ``state`` is ``(graph, labelling)`` — the post-insertion graph and the
-    pristine labelling; the work item is ``(r, seeds)`` as produced by the
-    batch Phase A.  Returns the :class:`~repro.core.inchl.AffectedSearch`
-    (small dicts, cheap to pickle back).
-    """
-    # Imported lazily to avoid a cycle (core.batch drives the engine).
-    from repro.core.batch import find_affected_batch
-
-    graph, labelling = state
-    r, seeds = item
-    return find_affected_batch(graph, labelling, r, seeds)
-
-
-def csr_mixed_sweep(state, item):
-    """Engine task for a fanned-out Phase B: one unified find.
-
-    ``state`` is ``(dyn, dist)`` — the post-batch
-    :class:`~repro.graph.dyncsr.DynCSR` and the dense per-landmark
-    distance matrix, shared with workers via fork inheritance; the work
-    item is ``(k, ins_edges, del_seeds)`` with ``k`` the landmark's row
-    index and the rest as taken by :func:`csr_find_affected_mixed`.
-    Returns ``(k, levels, removed)``; the levels arrays pickle compactly,
-    and the caller repairs in landmark order so serial and parallel runs
-    stay byte-identical.
-    """
-    dyn, dist = state
-    k, ins_edges, del_seeds = item
-    levels, removed = csr_find_affected_mixed(dyn, dist[k], ins_edges, del_seeds)
-    return k, levels, removed

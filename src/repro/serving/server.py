@@ -690,7 +690,6 @@ class OracleServer(LineServer):
         *,
         host: str = "127.0.0.1",
         port: int = 8355,
-        workers: int | None = None,
         max_batch: int = 128,
         metrics_port: int | None = None,
         history_path: str | None = None,
@@ -702,7 +701,6 @@ class OracleServer(LineServer):
         from repro.utils.serialization import load_oracle
 
         oracle = load_oracle(path)
-        oracle.workers = workers
         service = OracleService(oracle, max_batch=max_batch)
         return cls(
             service,

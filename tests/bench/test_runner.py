@@ -70,5 +70,5 @@ class TestTiming:
             stats = insert(u, v)
             assert stats.phases == {}  # only the engine reports phases
             assert hl.graph.has_edge(u, v)
-        assert hl._fast_engine is None  # the engine never attached
+        assert hl._engine is None  # the engine never attached
         check_matches_rebuild(hl.graph, hl.labelling)

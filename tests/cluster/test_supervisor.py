@@ -136,32 +136,6 @@ def test_compaction_writes_checkpoint_and_trims_wal(oracle_file, tmp_path):
     assert restored.query(0, 15) == 1
 
 
-def test_parallel_workers_inside_replicas(oracle_file, tmp_path):
-    """Replica processes must be able to fork the parallel engine's
-    worker pool (regression: daemonic children cannot have children)."""
-    supervisor = ClusterSupervisor(
-        oracle_file, cluster_dir=tmp_path / "cluster", replicas=1, port=0,
-        workers=2, compact_every=None,
-    )
-    host, port = supervisor.start_in_thread()
-    try:
-        with ServingClient(host, port) as client:
-            # A multi-insert burst coalesces into one batch sweep, which
-            # fans out across the pool inside the replica.
-            response = client.updates(
-                [("insert", 0, 15), ("insert", 1, 14),
-                 ("insert", 2, 13), ("insert", 3, 12)]
-            )
-            assert client.query(0, 15, min_epoch=response["epoch"]) == 1
-            entry = client.stats()["replicas"]["r0"]
-            assert entry["healthy"]
-            assert entry["service"]["events_applied"] == 4
-            assert entry["service"]["degraded"] is None
-    finally:
-        supervisor.stop_thread()
-    assert supervisor.worker("r0").exitcode == 0
-
-
 def test_boot_failure_exits_nonzero(tmp_path):
     """A replica that cannot boot must exit 1 (a Process discards its
     target's return value — the SystemExit wrapper carries the code)."""

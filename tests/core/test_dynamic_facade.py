@@ -79,6 +79,23 @@ class TestUpdates:
         assert oracle.query(50, 0) == INF
         check_matches_rebuild(oracle.graph, oracle.labelling)
 
+    @pytest.mark.parametrize("neighbors", [[1, 1], [1, 99], [100]])
+    def test_bad_vertex_insertion_is_atomic(self, neighbors):
+        """A bad neighbour list raises what the graph layer raises for it
+        and leaves the graph, the labelling and the version untouched."""
+        with pytest.raises(Exception) as graph_error:
+            grid_graph(4, 4).insert_vertex(100, neighbors)
+        oracle = DynamicHCL.build(grid_graph(4, 4), landmarks=[0, 15])
+        edges = sorted(oracle.graph.edges())
+        vertices = sorted(oracle.graph.vertices())
+        labelling = oracle.labelling.copy()
+        with pytest.raises(graph_error.type):
+            oracle.insert_vertex(100, neighbors)
+        assert sorted(oracle.graph.edges()) == edges
+        assert sorted(oracle.graph.vertices()) == vertices
+        assert oracle.labelling == labelling
+        assert oracle.version == 0
+
     def test_remove_edge_roundtrip(self):
         oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[0, 8])
         d_before = oracle.query(2, 6)

@@ -69,22 +69,6 @@ class TestEngineDirect:
         assert stats_tuple(fast_stats) == stats_tuple(ref_stats)
         assert fast_stats.batch_size == len(batch)
 
-    def test_batch_workers_identical_to_serial(self):
-        g_par = random_connected_graph(9, n_min=12, n_max=18)
-        g_ser = g_par.copy()
-        landmarks = top_degree_landmarks(g_par, 3)
-        hcl_par = build_hcl(g_par, landmarks)
-        hcl_ser = build_hcl(g_ser, landmarks)
-        batch = non_edges(g_par)[:6]
-        engine_par = FastUpdateEngine(g_par, hcl_par, workers=2)
-        engine_ser = FastUpdateEngine(g_ser, hcl_ser)
-        for g in (g_par, g_ser):
-            for edge in batch:
-                g.add_edge(*edge)
-        engine_par.apply_mixed(batch, [])
-        engine_ser.apply_mixed(batch, [])
-        assert hcl_par == hcl_ser
-
     def test_empty_batch_rejected(self):
         graph = grid_graph(3, 3)
         hcl = build_hcl(graph, [0, 8])
@@ -137,26 +121,26 @@ class TestOracleKnob:
         oracle = DynamicHCL.build(graph, num_landmarks=3)
         edges = non_edges(graph)[:4]
         oracle.insert_edge(*edges[0])
-        first = oracle._fast_engine
+        first = oracle._engine
         assert first is not None
         oracle.insert_edge(*edges[1])
-        assert oracle._fast_engine is first  # reused
+        assert oracle._engine is first  # reused
         u, v = edges[0]
         oracle.remove_edge(u, v)
-        assert oracle._fast_engine is first  # deletions stay on the engine
+        assert oracle._engine is first  # deletions stay on the engine
         new_vertex = max(graph.vertices()) + 1
         oracle.insert_vertex(new_vertex, [u, v])
-        assert oracle._fast_engine is first  # vertex insertion too
+        assert oracle._engine is first  # vertex insertion too
         promoted = sorted(set(graph.vertices()) - set(oracle.landmarks))[0]
         oracle.add_landmark(promoted)
-        assert oracle._fast_engine is None  # landmark maintenance invalidates
+        assert oracle._engine is None  # landmark maintenance invalidates
         oracle.insert_edge(*edges[2])
-        second = oracle._fast_engine
+        second = oracle._engine
         assert second is not None and second is not first
         oracle.remove_vertex(new_vertex)
-        assert oracle._fast_engine is None  # vertex removal invalidates
+        assert oracle._engine is None  # vertex removal invalidates
         oracle.insert_edge(*edges[3])
-        assert oracle._fast_engine is not None
+        assert oracle._engine is not None
         check_matches_rebuild(graph, oracle.labelling)
 
     def test_fast_after_landmark_maintenance(self):

@@ -38,8 +38,6 @@ class TestAttribution:
 
     def test_bare_function_names_match(self):
         assert attribute_stack(["csr_find_affected_mixed"]) == "find"
-        # The pool task adapter only runs the find.
-        assert attribute_stack(["csr_mixed_sweep"]) == "find"
         assert attribute_stack(["_repair_landmark"]) == "repair"
 
     def test_unmatched_stack_is_other(self):

@@ -349,9 +349,9 @@ def test_stop_without_drain_abandons_backlog():
     oracle = DynamicHCL.build(graph, landmarks=[0, 35])
     real_apply = oracle.apply_events_batch
 
-    def slow_apply(events, workers=None):  # decide the race
+    def slow_apply(events):  # decide the race
         time.sleep(0.05)
-        return real_apply(events, workers=workers)
+        return real_apply(events)
 
     oracle.apply_events_batch = slow_apply
     service = OracleService(oracle, max_batch=1)
@@ -433,12 +433,12 @@ def test_mid_apply_failure_degrades_instead_of_publishing_desync():
     real_apply = oracle.apply_events_batch
     calls = []
 
-    def exploding_apply(events, workers=None):
+    def exploding_apply(events):
         calls.append(list(events))
         if ("insert", (2, 6)) in events:
             oracle.graph.add_edge(2, 6)  # mutate like the real thing...
             raise RuntimeError("repair blew up")  # ...then fail mid-repair
-        return real_apply(events, workers=workers)
+        return real_apply(events)
 
     oracle.apply_events_batch = exploding_apply
     service = OracleService(oracle, max_batch=1)

@@ -124,7 +124,7 @@ class TestServe:
         args = _parser().parse_args(["serve", "oracle.json"])
         assert args.command == "serve"
         assert (args.host, args.port) == ("127.0.0.1", 8355)
-        assert args.workers is None and args.max_batch == 128
+        assert args.max_batch == 128
 
     def test_serve_stack_from_oracle_file(self, oracle_file):
         # The blocking serve loop is exercised end-to-end via the threaded

@@ -27,7 +27,6 @@ import repro.graph.digraph
 import repro.graph.generators
 import repro.graph.weighted
 import repro.parallel
-import repro.parallel.engine
 import repro.parallel.sweeps
 import repro.cluster.shards
 import repro.cluster.wal
@@ -55,7 +54,6 @@ _MODULES = [
     repro.core.directed,
     repro.core.weighted_hcl,
     repro.parallel,
-    repro.parallel.engine,
     repro.parallel.sweeps,
     repro.baselines.bfs,
     repro.baselines.pll,
