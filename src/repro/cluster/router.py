@@ -39,16 +39,13 @@ from repro.obs.timeseries import peak_rss_kb
 from repro.obs.trace import get_recorder, span
 from repro.serving.metrics import ServiceMetrics, merge_summaries
 from repro.serving.server import LineServer, decode_line
+from repro.serving.service import _valid_vertex_id
 
 __all__ = ["ClusterRouter"]
 
 _MAX_LINE = 1 << 20
 _DRAIN_TIMEOUT = 60.0  # seconds a `snapshot` op waits for replicas to catch up
 _VALID_KINDS = ("insert", "delete")
-
-
-def _valid_vertex_id(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def _min_distance(values):

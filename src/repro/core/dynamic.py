@@ -43,12 +43,7 @@ from collections.abc import Iterable, Sequence
 from repro.core.construction import build_hcl
 from repro.core.inchl import UpdateStats
 from repro.core.labelling import HighwayCoverLabelling
-from repro.core.query import (
-    landmark_distance,
-    query_distance,
-    query_distances_many,
-    upper_bound,
-)
+from repro.core.query import landmark_distance, upper_bound
 from repro.exceptions import GraphError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.landmarks.selection import select_landmarks
@@ -85,7 +80,6 @@ class DynamicHCL:
         self._owned = list(owned_landmarks) if owned_landmarks is not None else None
         self._version = 0
         self._snapshot_cache = None
-        self._shard_rows_cache = None
         self._engine = None
 
     # ------------------------------------------------------------------
@@ -221,56 +215,25 @@ class DynamicHCL:
     def query(self, u: int, v: int) -> float:
         """Exact distance ``d_G(u, v)``; ``inf`` when disconnected.
 
-        On a landmark shard the answer is *shard-local*: exact whenever
-        some shortest path meets an owned landmark or no landmark at
-        all, an overestimate otherwise — the element-wise min across all
-        shards of a partition is the exact global distance
-        (:mod:`repro.core.sharding`).
+        Answered on :meth:`snapshot` by the one query kernel
+        (:mod:`repro.core.sharding`).  On a landmark shard the answer is
+        *shard-local*: exact whenever some shortest path meets an owned
+        landmark or no landmark at all, an overestimate otherwise — the
+        element-wise min across all shards is the exact distance.
         """
-        if self._owned is not None:
-            from repro.core.sharding import shard_query_distance
-
-            dist, index_of = self.shard_rows()
-            return shard_query_distance(
-                self._graph, self._labelling.landmark_set, dist, index_of, u, v
-            )
-        return query_distance(self._graph, self._labelling, u, v)
+        return self.snapshot().query(u, v)
 
     def query_many(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
-        """Exact distances for a batch of ``(u, v)`` pairs.
-
-        Same answers as calling :meth:`query` per pair but with the
-        per-call attribute lookups hoisted once — the serving hot path
-        (:mod:`repro.serving`) answers its bulk requests through this.
-        """
-        if self._owned is not None:
-            from repro.core.sharding import shard_query_distances_many
-
-            dist, index_of = self.shard_rows()
-            return shard_query_distances_many(
-                self._graph, self._labelling.landmark_set, dist, index_of, pairs
-            )
-        return query_distances_many(self._graph, self._labelling, pairs)
+        """Exact distances for a batch of ``(u, v)`` pairs."""
+        return self.snapshot().query_many(pairs)
 
     def shard_rows(self):
-        """Frozen ``(dist, index_of)`` shard-query state at this version.
-
-        ``dist`` is the owned landmarks' dense distance matrix (one int32
-        row per owned landmark, :data:`~repro.graph.dyncsr.UNREACH` for
-        unreachable) and ``index_of`` maps vertex ids to its columns.
-        The copy is cached per :attr:`version`, so snapshots and repeated
-        queries between updates share one frozen state.  Only available
-        in landmark-sharded mode.
+        """Frozen ``(dist, csr)`` query state at this version, attaching
+        the engine if needed: the dense rows of the owned landmarks (all
+        of them when unsharded) and a frozen copy of the graph overlay
+        (:meth:`~repro.core.inchl_fast.FastUpdateEngine.freeze_shard_rows`).
         """
-        if self._owned is None:
-            raise GraphError("shard_rows() requires a landmark-sharded oracle")
-        cached = self._shard_rows_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1], cached[2]
-        engine = self._resolve_engine()
-        dist, index_of = engine.freeze_shard_rows()
-        self._shard_rows_cache = (self._version, dist, index_of)
-        return dist, index_of
+        return self._resolve_engine().freeze_shard_rows()
 
     def distance_bound(self, u: int, v: int) -> float:
         """The label-only upper bound ``d⊤`` (Eq. 2) — useful on its own as

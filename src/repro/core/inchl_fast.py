@@ -198,17 +198,17 @@ class FastUpdateEngine:
         outside sharded mode)."""
         return list(self._landmarks)
 
-    def freeze_shard_rows(self) -> tuple[np.ndarray, dict[int, int]]:
-        """Pinned copy of the dense rows for shard-local queries.
+    def freeze_shard_rows(self) -> tuple[np.ndarray, DynCSR]:
+        """Pinned copies of the dense rows and the overlay for queries.
 
-        Returns ``(dist, index_of)``: an ``(num_owned, num_vertices)``
-        int32 copy of the per-landmark distance rows and a copy of the
-        id -> column map.  Kernels mutate the live rows in place, so a
-        published snapshot must carry its own copy
-        (:meth:`repro.serving.snapshot.OracleSnapshot.capture`).
+        Returns ``(dist, csr)``: an ``(num_owned, num_vertices)`` int32
+        copy of the distance rows and a :meth:`DynCSR.freeze` copy of the
+        overlay.  Kernels mutate both in place, so a published snapshot
+        (:meth:`repro.serving.snapshot.OracleSnapshot.capture`) must carry
+        its own copies.
         """
         n = self._dyn.num_vertices
-        return self._dist[:, :n].copy(), self._dyn.index_map()
+        return self._dist[:, :n].copy(), self._dyn.freeze()
 
     @property
     def dyn(self) -> DynCSR:

@@ -11,11 +11,14 @@
 
 Queries where an endpoint *is* a landmark are answered from the labelling
 alone: Definition 3.2 makes ``min{δ_L(r_i, v) + δ_H(r, r_i)}`` exact.
+
+These dict kernels are reference oracles for tests, the fuzzer, the
+validators and the baselines, like :mod:`repro.core.inchl`; every read of
+an oracle or snapshot takes the one dense-row kernel,
+:func:`repro.core.sharding.shard_query_distance` (docs/DESIGN.md §4.2).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.labelling import HighwayCoverLabelling
 from repro.exceptions import VertexNotFoundError
@@ -26,8 +29,6 @@ __all__ = [
     "upper_bound",
     "query_distance",
     "query_distances_many",
-    "QueryProbe",
-    "query_distance_probed",
 ]
 
 
@@ -108,12 +109,6 @@ def query_distances_many(
 ) -> list[float]:
     """``Q(u, v, Γ)`` for a whole batch of pairs, answers in input order.
 
-    Identical results to mapping :func:`query_distance` over ``pairs``, but
-    the per-call lookups (landmark set, label store, adjacency check) are
-    hoisted out of the loop — this is the amortized entry point behind
-    :meth:`repro.core.dynamic.DynamicHCL.query_many` and the serving hot
-    path.
-
     >>> from repro.graph.generators import grid_graph
     >>> from repro.core.construction import build_hcl
     >>> g = grid_graph(3, 3)
@@ -121,87 +116,4 @@ def query_distances_many(
     >>> query_distances_many(g, gamma, [(0, 8), (0, 0), (3, 5)])
     [4, 0, 2]
     """
-    landmark_set = labelling.landmark_set
-    labels = labelling.labels
-    has_vertex = graph.has_vertex
-    out: list[float] = []
-    append = out.append
-    for u, v in pairs:
-        if not has_vertex(u):
-            raise VertexNotFoundError(u)
-        if not has_vertex(v):
-            raise VertexNotFoundError(v)
-        if u == v:
-            append(0)
-            continue
-        if u in landmark_set:
-            append(landmark_distance(labelling, u, v))
-            continue
-        if v in landmark_set:
-            append(landmark_distance(labelling, v, u))
-            continue
-        if not labels.label(u) or not labels.label(v):
-            bound = INF
-        else:
-            bound = upper_bound(labelling, u, v)
-        sparsified = bidirectional_bfs(graph, u, v, bound=bound, skip=landmark_set)
-        append(sparsified if sparsified <= bound else bound)
-    return out
-
-
-@dataclass(frozen=True)
-class QueryProbe:
-    """Cost decomposition of one ``Q(u, v, Γ)`` evaluation.
-
-    The paper attributes query time to labelling size (Section 6.1.3);
-    this probe splits one query into its two ingredients so that claim
-    can be measured: the label-join work behind ``d⊤`` and whether the
-    bounded sparsified search improved on the bound.
-    """
-
-    distance: float
-    bound: float
-    label_join_ops: int
-    landmark_endpoint: bool
-    search_won: bool
-
-    @property
-    def bound_was_exact(self) -> bool:
-        """Whether ``d⊤`` alone already equalled the answer — i.e. some
-        shortest path met a landmark (the highway-cover case)."""
-        return self.distance == self.bound
-
-
-def query_distance_probed(
-    graph, labelling: HighwayCoverLabelling, u: int, v: int
-) -> QueryProbe:
-    """``Q(u, v, Γ)`` with a cost decomposition (same answer as
-    :func:`query_distance`; used by the query-cost analysis)."""
-    if not graph.has_vertex(u):
-        raise VertexNotFoundError(u)
-    if not graph.has_vertex(v):
-        raise VertexNotFoundError(v)
-    landmark_set = labelling.landmark_set
-    if u == v:
-        return QueryProbe(0, 0, 0, False, False)
-    if u in landmark_set or v in landmark_set:
-        if u in landmark_set:
-            distance = landmark_distance(labelling, u, v)
-            join_ops = labelling.labels.label_size(v) or 1
-        else:
-            distance = landmark_distance(labelling, v, u)
-            join_ops = labelling.labels.label_size(u) or 1
-        return QueryProbe(distance, distance, join_ops, True, False)
-    join_ops = (
-        labelling.labels.label_size(u) * labelling.labels.label_size(v)
-    )
-    bound = upper_bound(labelling, u, v)
-    sparsified = bidirectional_bfs(graph, u, v, bound=bound, skip=landmark_set)
-    distance = sparsified if sparsified <= bound else bound
-    return QueryProbe(
-        distance=distance,
-        bound=bound,
-        label_join_ops=join_ops,
-        landmark_endpoint=False,
-        search_won=sparsified < bound,
-    )
+    return [query_distance(graph, labelling, u, v) for u, v in pairs]

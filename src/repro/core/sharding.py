@@ -138,18 +138,16 @@ def shard_min_distance(
 
     ``dist`` is the engine's ``(num_owned, num_vertices)`` int32 matrix
     (``UNREACH`` for unreachable); ``index_of`` maps vertex ids to its
-    columns.  Vertices the shard has never seen contribute ``INF``.
-    Sums are taken in int64: two ``UNREACH`` sentinels overflow int32.
+    columns and may also hold ids registered after the rows were frozen
+    (columns ``>= num_vertices``).  Vertices without a column contribute
+    ``INF``.  Sums are taken in int64, so any sum with an ``UNREACH``
+    term stays ``>= UNREACH``.
     """
     iu = index_of.get(u)
     iv = index_of.get(v)
-    if iu is None or iv is None or not len(dist):
+    if iu is None or iv is None or max(iu, iv) >= dist.shape[1] or not len(dist):
         return INF
-    du = dist[:, iu].astype(np.int64)
-    dv = dist[:, iv].astype(np.int64)
-    total = du + dv
-    total[(du >= UNREACH) | (dv >= UNREACH)] = np.iinfo(np.int64).max
-    best = int(total.min())
+    best = int((dist[:, iu].astype(np.int64) + dist[:, iv]).min())
     return INF if best >= UNREACH else best
 
 
@@ -161,13 +159,13 @@ def shard_query_distance(
     u: int,
     v: int,
 ) -> float:
-    """Shard-local distance: exact through owned landmarks, exact for
-    landmark-free paths, an overestimate otherwise.
-
-    The element-wise min over all shards of this value equals the
-    unsharded :func:`~repro.core.query.query_distance` (see module
-    docstring for the argument).  ``landmark_set`` must be the FULL
-    landmark set — every shard sparsifies identically.
+    """``Q(u, v, Γ)`` on dense rows: exact through the landmarks whose
+    rows ``dist`` holds, exact for landmark-free paths, an overestimate
+    otherwise — so exact with every landmark's row (unsharded), and the
+    min over a partition's shards is exact (module docstring).
+    ``landmark_set`` must be the FULL landmark set: every shard
+    sparsifies identically.  An endpoint whose own row is held makes the
+    bound exact, so no search runs.
     """
     if not graph.has_vertex(u):
         raise VertexNotFoundError(u)
@@ -176,6 +174,9 @@ def shard_query_distance(
     if u == v:
         return 0
     bound = shard_min_distance(dist, index_of, u, v)
+    for r in (u, v):
+        if r in landmark_set and not dist[:, index_of[r]].all():
+            return bound  # d(r, r) = 0: r's own row is held
     sparsified = bidirectional_bfs(graph, u, v, bound=bound, skip=landmark_set)
     return sparsified if sparsified <= bound else bound
 

@@ -77,6 +77,8 @@ class DynCSR:
         "_delta_total",
         "_num_edges",
         "_views",
+        "_frozen_delta",
+        "_base_shared",
     )
 
     def __init__(self) -> None:
@@ -100,6 +102,9 @@ class DynCSR:
         self._delta_total = 0  # directed delta entries
         self._num_edges = 0  # undirected edges overall
         self._views = None  # cached scalar_views tuple
+        # Copy-on-write state of :meth:`freeze` (see :meth:`_cow_delta`).
+        self._frozen_delta: dict[int, list[int]] = {}
+        self._base_shared = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -182,14 +187,17 @@ class DynCSR:
         except KeyError:
             raise VertexNotFoundError(v) from None
 
-    def index_map(self) -> dict[int, int]:
-        """Copy of the id -> compact-index mapping.
+    def indices(self, vertices) -> np.ndarray:
+        """Compact indices of the registered ids in sized ``vertices``."""
+        return np.fromiter(
+            map(self._index_of.__getitem__, vertices), np.int64, len(vertices)
+        )
 
-        Snapshot consumers (shard-scoped query paths) pair this with a
-        copy of per-vertex side arrays so later ``ensure_vertex`` calls
-        on the live structure cannot skew a pinned view.
-        """
-        return dict(self._index_of)
+    def index_of(self) -> dict[int, int]:
+        """The live id -> compact-index mapping (read-only use).  It is
+        append-only, so a :meth:`freeze` copy of ``n`` vertices reads it
+        by treating indices ``>= n`` as absent."""
+        return self._index_of
 
     def vertex(self, i: int) -> int:
         """Original id of compact index ``i``."""
@@ -200,6 +208,33 @@ class DynCSR:
 
     def __len__(self) -> int:
         return self._n
+
+    def freeze(self) -> "DynCSR":
+        """A read-only copy pinned at the current state, copy-on-write.
+
+        The copy shares the id map, the base arrays and the delta lists;
+        this overlay then copies the base arrays before a swap-removal
+        and a delta list before it changes, as
+        :meth:`DynamicGraph.snapshot_adjacency` does for its rows.  Only
+        the delta counts are copied eagerly.
+        """
+        frozen = DynCSR()
+        n = frozen._n = self._n
+        for name in ("_ids", "_index_of", "_indptr", "_base_indices",
+                     "_base_len", "_base_n", "_delta_total", "_num_edges"):
+            setattr(frozen, name, getattr(self, name))
+        frozen._delta = self._frozen_delta = dict(self._delta)
+        frozen._delta_count = self._delta_count[:n].copy()
+        self._base_shared = True
+        return frozen
+
+    def _cow_delta(self, vi: int) -> list[int]:
+        """``vi``'s delta list (created if absent), detached from any
+        :meth:`freeze` copy: lists older copies share are in the newest's."""
+        extra = self._delta.setdefault(vi, [])
+        if self._frozen_delta.get(vi) is extra:
+            extra = self._delta[vi] = list(extra)
+        return extra
 
     # ------------------------------------------------------------------
     # Growth
@@ -263,8 +298,8 @@ class DynCSR:
         for u, v in edges:
             ui = self.ensure_vertex(u)
             vi = self.ensure_vertex(v)
-            self._delta.setdefault(ui, []).append(vi)
-            self._delta.setdefault(vi, []).append(ui)
+            self._cow_delta(ui).append(vi)
+            self._cow_delta(vi).append(ui)
             self._delta_count[ui] += 1
             self._delta_count[vi] += 1
             self._delta_total += 2
@@ -281,12 +316,17 @@ class DynCSR:
         """
         extra = self._delta.get(ui)
         if extra is not None and vi in extra:
+            extra = self._cow_delta(ui)
             extra.remove(vi)
             if not extra:
                 del self._delta[ui]
             self._delta_count[ui] -= 1
             self._delta_total -= 1
             return
+        if self._base_shared:
+            self._base_indices = self._base_indices.copy()
+            self._base_len = self._base_len.copy()
+            self._base_shared = False
         start = int(self._indptr[ui])
         length = int(self._base_len[ui])
         base = self._base_indices
@@ -366,6 +406,7 @@ class DynCSR:
         self._delta = {}
         self._delta_count[:] = 0
         self._delta_total = 0
+        self._base_shared = False
 
     # ------------------------------------------------------------------
     # Reads
@@ -378,15 +419,6 @@ class DynCSR:
         if extra is None:
             return base
         return np.concatenate([base, np.array(extra, dtype=np.int64)])
-
-    def neighbors_list(self, i: int) -> list[int]:
-        """Neighbour indices of ``i`` as a plain list (scalar hot path)."""
-        start = self._indptr[i]
-        base = self._base_indices[start : start + self._base_len[i]].tolist()
-        extra = self._delta.get(i)
-        if extra is not None:
-            base.extend(extra)
-        return base
 
     def scalar_views(self):
         """Zero-copy buffers for the scalar kernel paths.
@@ -456,6 +488,10 @@ class DynCSR:
         )
         neighbours = self._base_indices[np.repeat(starts, counts) + offsets]
         return counts, np.repeat(np.arange(len(frontier)), counts), neighbours
+
+    def degree_sum(self, frontier: np.ndarray) -> int:
+        """Total degree (base + delta) of the vertices in ``frontier``."""
+        return int(self._base_len[frontier].sum() + self._delta_count[frontier].sum())
 
     def gather_neighbours(self, frontier: np.ndarray) -> np.ndarray:
         """Flattened neighbours of ``frontier`` (duplicates included).

@@ -13,7 +13,10 @@ from path interiors) under the labelling-derived upper bound ``d⊤`` (Eq. 2).
 from __future__ import annotations
 
 import heapq
+import threading
 from collections.abc import Collection
+
+import numpy as np
 
 from repro.exceptions import VertexNotFoundError
 
@@ -126,13 +129,15 @@ def bidirectional_bfs(
 
     Path *interiors* avoid every vertex in ``skip``; the endpoints themselves
     are always allowed (this realises the paper's search over ``G[V \\ R]``
-    when ``skip`` is the landmark set — queries with landmark endpoints are
-    answered from the labelling instead and never reach this function, but
-    permitting endpoints in ``skip`` keeps the primitive total).
+    when ``skip`` is the landmark set — permitting endpoints in ``skip``
+    keeps the primitive total).
 
     Levels are expanded smaller-frontier-first; the search stops as soon as
     the sum of the two search radii reaches ``min(best, bound)``, which is
-    exactly when no shorter path can remain undiscovered.
+    exactly when no shorter path can remain undiscovered.  On a snapshot
+    graph (which carries a frozen CSR and a ``skip`` mask), a frontier
+    larger than :data:`NUMPY_FRONTIER` switches the search for good to
+    level-synchronous numpy (:func:`_numpy_levels`).
     """
     adj = graph.adjacency()
     if source not in adj:
@@ -144,6 +149,7 @@ def bidirectional_bfs(
     if bound < 1:
         return INF
 
+    mask = graph.skip_mask(skip) if hasattr(graph, "skip_mask") else None
     dist_s: dict[int, int] = {source: 0}
     dist_t: dict[int, int] = {target: 0}
     frontier_s = [source]
@@ -159,6 +165,12 @@ def bidirectional_bfs(
         else:
             frontier, radius = frontier_t, radius_t + 1
             dist_own, dist_other = dist_t, dist_s
+        if mask is not None and len(frontier) > NUMPY_FRONTIER:
+            best = _numpy_levels(
+                graph.csr, mask, bound, best,
+                [dist_s, dist_t], [frontier_s, frontier_t], [radius_s, radius_t],
+            )
+            break
         next_frontier = []
         for v in frontier:
             base = dist_own[v] + 1
@@ -177,6 +189,61 @@ def bidirectional_bfs(
             frontier_t, radius_t = next_frontier, radius
 
     return best if best <= bound else INF
+
+
+#: Frontier size past which :func:`bidirectional_bfs` leaves its dict loop
+#: for numpy (64–128 measured safe on a web and a social graph).
+NUMPY_FRONTIER = 64
+
+_per_thread = threading.local()
+
+
+def _stamp_buffers(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's ``(stamp, seen, depth, position)`` buffers over at
+    least ``n`` columns.  ``seen[side][i] == stamp`` marks column ``i``
+    visited by that side in this search, at distance ``depth[side][i]``:
+    a fresh stamp replaces an O(n) clear, and per-thread buffers keep
+    readers that share a snapshot apart."""
+    buffers = _per_thread.__dict__
+    if len(buffers.get("position", ())) < n:
+        buffers.update(
+            seen=np.zeros((2, 2 * n), np.int64),
+            depth=np.zeros((2, 2 * n), np.int32),
+            position=np.zeros(2 * n, np.int64),
+        )
+    stamp = buffers["stamp"] = buffers.get("stamp", 0) + 1
+    return stamp, buffers["seen"], buffers["depth"], buffers["position"]
+
+
+def _numpy_levels(csr, mask, bound, best, dists, frontiers, radii) -> float:
+    """The numpy phase of :func:`bidirectional_bfs`; returns ``best``.
+
+    Takes over the dict loop's per-side state (source side first) and
+    expands the side with the smaller degree sum.  A side's frontier sits
+    at its radius, so a neighbour the other side has seen closes a path
+    of ``radius + 1 + depth``; a position scatter drops duplicates in O(k).
+    """
+    stamp, seen, depth, position = _stamp_buffers(csr.num_vertices)
+    for side in (0, 1):
+        visited = csr.indices(dists[side])
+        seen[side][visited] = stamp
+        depth[side][visited] = np.fromiter(dists[side].values(), np.int32)
+        frontiers[side] = csr.indices(frontiers[side])
+    while frontiers[0].size and frontiers[1].size and sum(radii) < min(best, bound):
+        own = int(csr.degree_sum(frontiers[1]) < csr.degree_sum(frontiers[0]))
+        neighbours = csr.gather_neighbours(frontiers[own])
+        met = neighbours[seen[1 - own][neighbours] == stamp]
+        if met.size:
+            best = min(best, radii[own] + 1 + int(depth[1 - own][met].min()))
+        fresh = neighbours[(seen[own][neighbours] != stamp) & ~mask[neighbours]]
+        order = np.arange(fresh.size)
+        position[fresh] = order
+        fresh = fresh[position[fresh] == order]
+        radii[own] += 1
+        seen[own][fresh] = stamp
+        depth[own][fresh] = radii[own]
+        frontiers[own] = fresh
+    return best
 
 
 def dijkstra_distances(

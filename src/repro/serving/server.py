@@ -66,7 +66,7 @@ from repro.obs.registry import COUNT_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import TimeSeriesRecorder, peak_rss_kb
 from repro.obs.trace import get_recorder, obs_enabled, span
-from repro.serving.service import OracleService
+from repro.serving.service import OracleService, _valid_vertex_id
 from repro.workloads.streams import UpdateEvent
 
 __all__ = ["LineServer", "OracleServer", "ThreadedLoopRunner"]
@@ -79,6 +79,15 @@ _DRAIN_TIMEOUT = 10.0  # seconds a graceful stop waits for in-flight requests
 def _finite(distance: float) -> float | int | None:
     """JSON-encodable distance: ``None`` stands for unreachable."""
     return None if distance == INF else distance
+
+
+def _vertex_ids(u, v) -> tuple[int, int]:
+    """``(u, v)`` when both are vertex ids, else ``ValueError`` (``int()``
+    would turn ``0.9``, ``True`` or ``"0"`` into the wrong vertex)."""
+    for x in (u, v):
+        if not _valid_vertex_id(x):
+            raise ValueError(f"vertex ids must be non-negative ints, got {x!r}")
+    return u, v
 
 
 def _encode(response: dict) -> bytes:
@@ -813,7 +822,7 @@ class OracleServer(LineServer):
         service = self._service
         op = request.get("op")
         if op == "query":
-            u, v = int(request["u"]), int(request["v"])
+            u, v = _vertex_ids(request["u"], request["v"])
             snap = service.snapshot  # pin: answer and epoch must agree
             return {
                 "ok": True,
@@ -821,7 +830,7 @@ class OracleServer(LineServer):
                 "epoch": snap.epoch,
             }
         if op == "query_many":
-            pairs = [(int(u), int(v)) for u, v in request["pairs"]]
+            pairs = [_vertex_ids(u, v) for u, v in request["pairs"]]
             snap = service.snapshot  # pin: answers and epoch must agree
             return {
                 "ok": True,
@@ -832,16 +841,17 @@ class OracleServer(LineServer):
                 "epoch": snap.epoch,
             }
         if op == "path":
-            u, v = int(request["u"]), int(request["v"])
+            u, v = _vertex_ids(request["u"], request["v"])
             return {"ok": True, "path": service.shortest_path(u, v)}
         if op == "update":
             kind = request["kind"]
-            u, v = int(request["u"]), int(request["v"])
-            service.submit(UpdateEvent(kind, (u, v)))
+            service.submit(
+                UpdateEvent(kind, _vertex_ids(request["u"], request["v"]))
+            )
             return {"ok": True, "queued": 1, "pending": service.pending}
         if op == "updates":
             events = [
-                UpdateEvent(kind, (int(u), int(v)))
+                UpdateEvent(kind, _vertex_ids(u, v))
                 for kind, u, v in request["events"]
             ]
             queued = service.submit_many(events)

@@ -16,18 +16,21 @@ snapshot references are physically immutable for its whole lifetime.
 Under CPython's GIL each published reference is observed atomically, so
 readers on other threads never block and never tear.
 
-The ``Frozen*`` views duck-type exactly the read surface the query layer
-uses (:mod:`repro.core.query`, :mod:`repro.core.paths`), so snapshots
-answer ``query`` / ``query_many`` / ``shortest_path`` through the same
-code paths as the live oracle.
+A snapshot also pins a copy of the engine's dense ``d(r, ·)`` rows and a
+frozen copy of its CSR overlay, and answers distances through the one
+kernel, :func:`repro.core.sharding.shard_query_distance`, sharded or not.
+The ``Frozen*`` views duck-type the read surface of the graph and
+labelling, so path extraction (:mod:`repro.core.paths`) and
+``save_oracle`` read a snapshot as they read the live oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+import numpy as np
+
 from repro.core.paths import shortest_path as _shortest_path
-from repro.core.query import query_distance, query_distances_many
 from repro.exceptions import NotALandmarkError, VertexNotFoundError
 from repro.graph.traversal import INF
 
@@ -44,14 +47,32 @@ class FrozenGraph:
     """Read-only point-in-time view of a :class:`DynamicGraph`.
 
     Duck-types the read surface of the graph (``adjacency``, ``neighbors``,
-    ``has_vertex``, …); offers no mutators.
+    ``has_vertex``, …); offers no mutators.  ``csr`` is the frozen
+    :class:`~repro.graph.dyncsr.DynCSR` of the same epoch, which the
+    bounded search reads in its numpy phase.
     """
 
-    __slots__ = ("_adj", "_num_edges")
+    __slots__ = ("_adj", "_num_edges", "csr", "_landmark_set", "_mask")
 
-    def __init__(self, adjacency: dict[int, list[int]], num_edges: int) -> None:
+    def __init__(
+        self,
+        adjacency: dict[int, list[int]],
+        num_edges: int,
+        csr,
+        landmark_set: frozenset[int],
+    ) -> None:
         self._adj = adjacency
         self._num_edges = num_edges
+        self.csr = csr
+        self._landmark_set = landmark_set
+        mask = np.zeros(csr.num_vertices, dtype=bool)
+        mask[csr.indices(landmark_set)] = True
+        self._mask = mask
+
+    def skip_mask(self, skip) -> np.ndarray | None:
+        """Bool mask of ``skip`` over the columns of :attr:`csr` if ``skip``
+        is the landmark set it was built for, else ``None``."""
+        return self._mask if skip is self._landmark_set else None
 
     @property
     def num_vertices(self) -> int:
@@ -252,14 +273,15 @@ class OracleSnapshot:
         epoch: int,
         graph: FrozenGraph,
         labelling: FrozenLabelling,
-        shard_rows=None,
+        shard_rows,
     ):
         self.epoch = epoch
         self.graph = graph
         self.labelling = labelling
-        #: ``(dist, index_of)`` for landmark-sharded oracles
-        #: (:meth:`repro.core.dynamic.DynamicHCL.shard_rows`), else
-        #: ``None``.  When set, queries answer shard-locally: exact
+        #: ``(dist, index_of)``: the dense rows of the landmarks the oracle
+        #: maintains (:meth:`repro.core.dynamic.DynamicHCL.shard_rows`)
+        #: and their column map — the kernel's bound ``d⊤``.  Fewer rows
+        #: than landmarks means a landmark shard: answers are exact
         #: through the owned landmarks, with the scatter-gather min over
         #: all shards globally exact (:mod:`repro.core.sharding`).
         self.shard_rows = shard_rows
@@ -273,20 +295,15 @@ class OracleSnapshot:
         landmarks, landmark_set, highway_rows, label_rows, entries = (
             oracle.labelling.freeze()
         )
-        shard_rows = None
-        if getattr(oracle, "owned_landmarks", None) is not None:
-            # The frozen copy of the dense rows is cached per oracle
-            # version, so consecutive snapshots without updates in
-            # between share one copy.
-            shard_rows = oracle.shard_rows()
+        dist, csr = oracle.shard_rows()
         return cls(
             oracle.version,
-            FrozenGraph(adjacency, num_edges),
+            FrozenGraph(adjacency, num_edges, csr, landmark_set),
             FrozenLabelling(
                 FrozenHighway(landmarks, landmark_set, highway_rows),
                 FrozenLabels(label_rows, entries),
             ),
-            shard_rows=shard_rows,
+            (dist, csr.index_of()),
         )
 
     # -- read API ------------------------------------------------------
@@ -305,25 +322,17 @@ class OracleSnapshot:
     def query(self, u: int, v: int) -> float:
         """Exact ``d(u, v)`` at this snapshot's epoch (``inf`` when
         disconnected); shard-local on a landmark shard."""
-        if self.shard_rows is not None:
-            from repro.core.sharding import shard_query_distance
-
-            dist, index_of = self.shard_rows
-            return shard_query_distance(
-                self.graph, self.labelling.landmark_set, dist, index_of, u, v
-            )
-        return query_distance(self.graph, self.labelling, u, v)
+        return self.query_many([(u, v)])[0]
 
     def query_many(self, pairs: Iterable[tuple[int, int]]) -> list[float]:
         """Exact distances for a batch of pairs at this epoch."""
-        if self.shard_rows is not None:
-            from repro.core.sharding import shard_query_distances_many
+        # Resolved at call time: the module attribute may be rebound.
+        from repro.core.sharding import shard_query_distances_many
 
-            dist, index_of = self.shard_rows
-            return shard_query_distances_many(
-                self.graph, self.labelling.landmark_set, dist, index_of, pairs
-            )
-        return query_distances_many(self.graph, self.labelling, pairs)
+        dist, index_of = self.shard_rows
+        return shard_query_distances_many(
+            self.graph, self.labelling.landmark_set, dist, index_of, pairs
+        )
 
     def shortest_path(self, u: int, v: int) -> list[int] | None:
         """One exact shortest path at this epoch (``None`` if disconnected).
@@ -331,7 +340,7 @@ class OracleSnapshot:
         Landmark shards answer by plain BFS on the (full) frozen graph —
         the greedy label walk needs the full label slice.
         """
-        if self.shard_rows is not None:
+        if len(self.shard_rows[0]) < len(self.labelling.landmarks):
             from repro.core.sharding import bfs_shortest_path
 
             return bfs_shortest_path(self.graph, u, v)

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.queries import query_cost_profile
+from repro.analysis.queries import query_cost_profile, query_distance_probed
 from repro.core.construction import build_hcl
-from repro.core.query import query_distance, query_distance_probed
+from repro.core.query import query_distance
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import grid_graph
 
@@ -73,6 +73,24 @@ class TestProfile:
             == profile.num_queries
         )
         assert profile.mean_label_join_ops > 0
+
+    def test_unreachable_pairs_are_not_bound_exact(self):
+        """``inf == inf`` is no bound hit: three of the four pairs are
+        disconnected, so only (0, 2) — through landmark 1 — is exact."""
+        graph = DynamicGraph.from_edges([(0, 1), (1, 2), (3, 4)])
+        labelling = build_hcl(graph, [1])
+        pairs = [(0, 3), (0, 4), (2, 4), (0, 2)]
+        profile = query_cost_profile(graph, labelling, pairs)
+        assert profile.unreachable_queries == 3
+        assert profile.bound_exact_queries == 1
+        assert profile.bound_exact_fraction == 0.25
+        assert not query_distance_probed(graph, labelling, 0, 3).bound_was_exact
+        assert (
+            profile.bound_exact_queries
+            + profile.search_won_queries
+            + profile.unreachable_queries
+            == profile.num_queries
+        )
 
     def test_unreachable_counted(self):
         graph = DynamicGraph.from_edges([(0, 1), (2, 3)])

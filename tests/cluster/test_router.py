@@ -109,6 +109,25 @@ def test_invalid_writes_never_reach_the_log(cluster):
     assert fleet.log.head == 0  # the partially-bad batch appended nothing
 
 
+@pytest.mark.parametrize(
+    "request_",
+    [
+        {"op": "query", "u": 0.9, "v": 15},
+        {"op": "query", "u": True, "v": 15},
+        {"op": "query_many", "pairs": [[15.5, 0]]},
+        {"op": "path", "u": 0.5, "v": 15},
+    ],
+    ids=["query-float", "query-bool", "query_many-float", "path-float"],
+)
+def test_reads_with_non_integer_ids_are_rejected(cluster, request_):
+    """Reads are forwarded verbatim, so the replicas' dispatch must
+    refuse ids that ``int()`` would truncate to real vertices."""
+    _, client = cluster
+    response = client.request(request_)
+    assert not response["ok"]
+    assert "vertex ids must be non-negative ints" in response["error"]
+
+
 def test_duplicate_insert_rejected_identically_on_all_replicas(cluster):
     fleet, client = cluster
     client.update("insert", 0, 15)

@@ -99,6 +99,36 @@ def test_protocol_errors(served):
     assert client.ping()
 
 
+#: Requests whose vertex ids are not ints; ``int()`` used to truncate
+#: them to real vertices (``0.9`` and ``True`` name 0 and 1).
+NON_INTEGER_IDS = {
+    "query-float": {"op": "query", "u": 0.9, "v": 8},
+    "query-bool": {"op": "query", "u": True, "v": 8},
+    "query-string": {"op": "query", "u": "0", "v": 8},
+    "query_many-float": {"op": "query_many", "pairs": [[8.99, 0]]},
+    "path-float": {"op": "path", "u": 0.5, "v": 2},
+    "update-float": {"op": "update", "kind": "insert", "u": 0.5, "v": 8},
+    "updates-float": {"op": "updates", "events": [["insert", 0.5, 8]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_IDS))
+def test_non_integer_vertex_ids_are_rejected(name):
+    oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
+    server = OracleServer(OracleService(oracle), port=0)
+    client = ServingClient(*server.start_in_thread())
+    try:
+        response = client.request(NON_INTEGER_IDS[name])
+        assert response["ok"] is False
+        assert "vertex ids must be non-negative ints" in response["error"]
+        drained = client.snapshot()  # every queued event is applied
+        assert drained["epoch"] == 0 and drained["num_edges"] == 12
+        assert client.query(0, 8) == 4
+    finally:
+        client.close()
+        server.stop_thread()
+
+
 def test_client_pipeline_batches_requests(served):
     _, client = served
     payloads = [{"op": "query", "u": 0, "v": i} for i in range(10)]

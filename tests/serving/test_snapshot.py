@@ -10,14 +10,21 @@ the oracle at capture time would.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
+import numpy as np
 import pytest
 
+import repro.graph.traversal as traversal
 from repro.core.dechl import apply_edge_deletion_partial
 from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
-from repro.graph.generators import grid_graph
+from repro.graph.generators import barabasi_albert, grid_graph
 from repro.serving.snapshot import OracleSnapshot
-from tests.conftest import all_pairs_distances, random_connected_graph
+from tests.conftest import all_pairs_distances, random_connected_graph, reference_bfs
+from tests.proptest.strategies import mixed_event_stream
 
 INF = float("inf")
 
@@ -172,3 +179,68 @@ def _non_edges(graph) -> list[tuple[int, int]]:
     from tests.conftest import non_edges
 
     return non_edges(graph)
+
+
+def _csr_rows(csr) -> list[list[int]]:
+    return [
+        sorted(csr.gather_neighbours(np.array([i])).tolist())
+        for i in range(csr.num_vertices)
+    ]
+
+
+def test_later_batches_leave_pinned_rows_and_csr_unchanged():
+    """Copy-on-write of the frozen CSR and the dense-row copy: inserts
+    into live delta lists, swap-removals from base rows, delta removals
+    and a compaction after capture must not reach the pinned state."""
+    oracle = DynamicHCL.build(random_connected_graph(41, 30, 40), num_landmarks=3)
+    missing = _non_edges(oracle.graph)
+    oracle.insert_edges_batch(missing[:6])  # live delta lists at capture
+    snap = oracle.snapshot()
+    dist, index_of = snap.shard_rows
+    pinned_dist = dist.copy()
+    pinned_rows = _csr_rows(snap.graph.csr)
+    base_edges = [e for e in oracle.graph.edges() if e not in missing[:6]]
+    oracle.apply_events_batch(
+        [("insert", e) for e in missing[6:12]]
+        + [("delete", e) for e in base_edges[:4] + missing[:2]]
+    )
+    oracle.insert_edges_batch(_non_edges(oracle.graph)[:300])  # compacts
+    assert oracle.snapshot().graph.csr.num_delta_edges == 0
+    assert (snap.shard_rows[0] == pinned_dist).all()
+    assert _csr_rows(snap.graph.csr) == pinned_rows
+
+
+def test_concurrent_readers_share_a_snapshot_exactly(monkeypatch):
+    """Several readers answer on one pinned snapshot while the writer
+    applies batches; each search's visited state lives in per-thread
+    stamp buffers, so every answer stays BFS-exact."""
+    monkeypatch.setattr(traversal, "NUMPY_FRONTIER", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the readers' numpy phases
+    try:
+        oracle = DynamicHCL.build(barabasi_albert(300, 2, rng=5), num_landmarks=4)
+        reference = oracle.graph.copy()
+        snap = oracle.snapshot()
+        rng = random.Random(7)
+        vertices = sorted(reference.vertices())
+        pairs = [tuple(rng.sample(vertices, 2)) for _ in range(60)]
+        expected = [reference_bfs(reference, u).get(v, INF) for u, v in pairs]
+        wrong: list = []
+
+        def read() -> None:
+            for _ in range(5):
+                answers = snap.query_many(pairs)
+                wrong.extend(p for p, a, e in zip(pairs, answers, expected) if a != e)
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        events = mixed_event_stream(oracle.graph.copy(), 120, rng)
+        for start in range(0, len(events), 8):
+            oracle.apply_events_batch(events[start : start + 8])
+        for thread in readers:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not wrong
+    finally:
+        sys.setswitchinterval(interval)
