@@ -37,7 +37,10 @@ Both serving commands shut down gracefully on SIGTERM/SIGINT: in-flight
 requests drain, the WAL closes cleanly, replicas exit 0.
 
 All file formats are the library's own: SNAP-style edge lists (``.gz``
-transparently) in, ``save_oracle`` JSON (``.gz`` transparently) out.
+transparently) in, ``save_oracle`` files out — ``repro-oracle-v2`` arrays
+whatever the suffix (gzip-wrapped when the name ends in ``.gz``), written
+atomically, so a failed ``insert``/``delete`` re-save keeps the old file.
+Legacy ``repro-oracle-v1`` JSON files still load.
 
 Examples::
 

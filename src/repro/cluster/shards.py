@@ -116,13 +116,17 @@ def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool =
     """Shard ``index``'s oracle: full graph, owned label rows only.
 
     ``oracle`` is an unsharded :class:`~repro.core.dynamic.DynamicHCL`
-    (typically just restored from the seed checkpoint).  The restriction
-    is a pure function of the labelling, so every shard derived from the
-    same checkpoint and replaying the same WAL suffix reaches the same
-    state regardless of process or host.  ``copy_graph=False`` reuses
-    the oracle's graph by reference — only safe when the source oracle
-    is discarded (the replica warm-start path); in-process multi-shard
-    setups must keep the default so each shard mutates its own graph.
+    (typically just restored from the seed checkpoint), or a shard
+    restored from this shard's own checkpoint.  The restriction is a pure
+    function of the labelling, so every shard derived from the same
+    checkpoint and replaying the same WAL suffix reaches the same state
+    regardless of process or host.  The shard keeps the source's update
+    engine sliced to the owned rows — a restored engine attached from the
+    checkpoint's rows, so a replica warm start runs no BFS.
+    ``copy_graph=False`` reuses the oracle's graph and overlay by
+    reference — only safe when the source oracle is discarded (the
+    replica warm-start path); in-process multi-shard setups must keep the
+    default so each shard mutates its own graph.
     """
     from repro.core.dynamic import DynamicHCL
     from repro.core.sharding import restrict_labelling
@@ -132,9 +136,14 @@ def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool =
             "shard plan landmarks do not match the oracle's landmark list"
         )
     owned = plan.owned(index)
-    graph = oracle.graph.copy() if copy_graph else oracle.graph
+    _, dyn, dist, entry = oracle.checkpoint_rows(owned)
+    if copy_graph:
+        graph, dyn = oracle.graph.copy(), dyn.copy()
+    else:
+        graph = oracle.graph
     return DynamicHCL(
         graph,
         restrict_labelling(oracle.labelling, owned),
         owned_landmarks=owned,
+        rows=(dyn, dist, entry),
     )

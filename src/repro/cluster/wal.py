@@ -452,12 +452,15 @@ def write_checkpoint(
     log_seq: int,
     extra_meta: dict | None = None,
 ) -> None:
-    """Atomically persist an oracle (or a pinned
+    """Atomically and durably persist an oracle (or a pinned
     :class:`~repro.serving.snapshot.OracleSnapshot`) as a checkpoint
     covering log position ``log_seq``.
 
-    Written to a temporary sibling first, then ``os.replace``d into
-    place, so a crash mid-write never clobbers the previous checkpoint.
+    :func:`~repro.utils.serialization.save_oracle` writes a temporary
+    sibling, fsyncs it, renames it into place and fsyncs the directory,
+    so a crash mid-write never clobbers the previous checkpoint, and a
+    returned call means the checkpoint is on disk — the precondition of
+    :meth:`UpdateLog.compact` unlinking the segments it covers.
     ``log_seq`` may *understate* what the state contains (a replica
     checkpoints a moving target): replaying already-applied events is
     harmless — a duplicate insert or absent-edge delete is rejected
@@ -471,13 +474,10 @@ def write_checkpoint(
     """
     from repro.utils.serialization import save_oracle
 
-    path = Path(path)
     meta: dict = {"log_seq": int(log_seq)}
     if extra_meta:
         meta.update(extra_meta)
-    tmp = path.parent / ("~" + path.name)  # same suffix => same compression
-    save_oracle(oracle_like, tmp, meta=meta)
-    os.replace(tmp, path)
+    save_oracle(oracle_like, path, meta=meta)
 
 
 def restore_checkpoint(path: str | os.PathLike):

@@ -27,7 +27,7 @@ from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.csr import CSRGraph
 from repro.parallel.sweeps import csr_landmark_sweep, merge_sweep
 
-__all__ = ["build_hcl_fast"]
+__all__ = ["build_hcl_fast", "build_hcl_fast_rows"]
 
 
 def build_hcl_fast(
@@ -48,6 +48,23 @@ def build_hcl_fast(
     >>> build_hcl_fast(g, [0, 15]) == build_hcl(g, [0, 15])
     True
     """
+    return build_hcl_fast_rows(graph, landmarks, csr)[0]
+
+
+def build_hcl_fast_rows(
+    graph,
+    landmarks: Sequence[int] | Iterable[int],
+    csr: CSRGraph | None = None,
+) -> tuple[HighwayCoverLabelling, CSRGraph, np.ndarray, np.ndarray]:
+    """:func:`build_hcl_fast` that also returns what its sweeps computed.
+
+    Returns ``(labelling, csr, dist, entry)``: the CSR snapshot and, per
+    landmark in selection order, the BFS distance row (int32,
+    :data:`~repro.graph.dyncsr.UNREACH` when unreachable) and the
+    label-membership mask over its columns — exactly the dense rows the
+    update engine keeps, so :meth:`repro.core.dynamic.DynamicHCL.build`
+    attaches the engine without a second BFS per landmark.
+    """
     landmark_list = list(landmarks)
     if not landmark_list:
         raise GraphError("at least one landmark is required")
@@ -64,9 +81,13 @@ def build_hcl_fast(
     for r in landmark_list:
         is_landmark[csr.index(r)] = True
 
-    for r in landmark_list:
+    shape = (len(landmark_list), csr.num_vertices)
+    dist = np.empty(shape, dtype=np.int32)
+    entry = np.zeros(shape, dtype=bool)
+    for k, r in enumerate(landmark_list):
         sweep = csr_landmark_sweep(
-            csr.indptr, csr.indices, csr.ids, is_landmark, csr.index(r), r
+            csr.indptr, csr.indices, csr.ids, is_landmark, csr.index(r), r,
+            dist=dist[k], entry=entry[k],
         )
         merge_sweep(highway, labels, sweep)
-    return HighwayCoverLabelling(highway, labels)
+    return HighwayCoverLabelling(highway, labels), csr, dist, entry

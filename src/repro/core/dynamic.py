@@ -68,6 +68,7 @@ class DynamicHCL:
         graph: DynamicGraph,
         labelling: HighwayCoverLabelling,
         owned_landmarks: Sequence[int] | None = None,
+        rows: tuple | None = None,
     ) -> None:
         self._graph = graph
         self._labelling = labelling
@@ -81,6 +82,16 @@ class DynamicHCL:
         self._version = 0
         self._snapshot_cache = None
         self._engine = None
+        if rows is not None:
+            # ``(overlay, dist, has_entry)`` known to be exact for this
+            # graph and labelling — construction sweeps, a verified
+            # checkpoint, or a restored engine sliced to a shard: the
+            # engine attaches from them instead of one BFS per landmark.
+            from repro.core.inchl_fast import FastUpdateEngine
+
+            self._engine = FastUpdateEngine(
+                graph, labelling, owned=self._owned, rows=rows
+            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -105,21 +116,24 @@ class DynamicHCL:
         ``construction`` selects the builder: ``"python"`` (reference) or
         ``"csr"`` (the numpy fast path of
         :func:`repro.core.construction_fast.build_hcl_fast`; same labelling,
-        much faster on large graphs).
+        much faster on large graphs).  The ``"csr"`` builder also hands
+        its sweeps' BFS rows to the update engine, which then attaches
+        without a BFS of its own.
         """
         if landmarks is None:
             landmarks = select_landmarks(graph, num_landmarks, strategy, rng=rng)
         if construction == "python":
-            labelling = build_hcl(graph, landmarks)
-        elif construction == "csr":
-            from repro.core.construction_fast import build_hcl_fast
+            return cls(graph, build_hcl(graph, landmarks))
+        if construction == "csr":
+            from repro.core.construction_fast import build_hcl_fast_rows
+            from repro.graph.dyncsr import DynCSR
 
-            labelling = build_hcl_fast(graph, landmarks)
-        else:
-            raise ValueError(
-                f"unknown construction {construction!r}; use 'python' or 'csr'"
-            )
-        return cls(graph, labelling)
+            labelling, csr, dist, entry = build_hcl_fast_rows(graph, landmarks)
+            dyn = DynCSR.from_arrays(csr.ids, csr.indptr, csr.indices)
+            return cls(graph, labelling, rows=(dyn, dist, entry))
+        raise ValueError(
+            f"unknown construction {construction!r}; use 'python' or 'csr'"
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -234,6 +248,18 @@ class DynamicHCL:
         (:meth:`~repro.core.inchl_fast.FastUpdateEngine.freeze_shard_rows`).
         """
         return self._resolve_engine().freeze_shard_rows()
+
+    def checkpoint_rows(self, landmarks: Sequence[int] | None = None):
+        """``(row_landmarks, overlay, dist, entry)``: the engine's dense
+        rows for ``landmarks`` (default: every landmark this oracle
+        maintains) as copies over the overlay's columns, attaching the
+        engine if needed — what :func:`repro.utils.serialization.save_oracle`
+        writes, and what :func:`repro.cluster.shards.make_shard_oracle`
+        slices a shard's engine from.  The overlay is live: read only."""
+        engine = self._resolve_engine()
+        rows = engine.owned_landmarks if landmarks is None else list(landmarks)
+        dist, entry = engine.rows(rows)
+        return rows, engine.dyn, dist, entry
 
     def distance_bound(self, u: int, v: int) -> float:
         """The label-only upper bound ``d⊤`` (Eq. 2) — useful on its own as

@@ -12,9 +12,10 @@ This module is the update-path counterpart of
 * old distances come from **dense per-landmark distance rows** maintained
   incrementally — by Eq. (1) a landmark query against a valid minimal
   labelling *is* the exact distance ``d_G(r, v)``, so seeding the rows
-  with one CSR BFS per landmark and overwriting exactly the affected
-  entries after each repair keeps them equal to what the dict kernels
-  would derive from labels, at ``O(1)`` per lookup;
+  exactly once — handed over by the CSR construction sweeps or a
+  verified checkpoint, else one CSR BFS per landmark — and overwriting
+  exactly the affected entries after each repair keeps them equal to
+  what the dict kernels would derive from labels, at ``O(1)`` per lookup;
 * find and repair run as the hybrid scalar/numpy level kernels
   :func:`~repro.parallel.sweeps.csr_find_affected_mixed` /
   :func:`~repro.parallel.sweeps.csr_repair_affected`.
@@ -49,13 +50,25 @@ from repro.parallel.sweeps import csr_find_affected_mixed, csr_repair_affected
 __all__ = ["FastUpdateEngine"]
 
 
+def _fit(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
+    """``rows`` widened to ``capacity`` columns (padded with ``fill``);
+    adopted as-is when already that wide and C-contiguous."""
+    if rows.shape[1] == capacity and rows.flags.c_contiguous:
+        return rows
+    out = np.full((rows.shape[0], capacity), fill, dtype=rows.dtype)
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
 class FastUpdateEngine:
     """Per-oracle state of the vectorized update path.
 
     Owns the :class:`DynCSR` overlay, the dense ``|R| x n`` old-distance
     matrix and the reusable scratch buffers.  Create it from a graph and
     labelling that are *in sync* (the labelling is valid and minimal for
-    the graph); apply every subsequent edge update through
+    the graph), plus ``rows=(overlay, dist, has_entry)`` when the dense
+    rows are already known exact for them; apply every subsequent edge
+    update through
     :meth:`apply_mixed` — the caller mutates the owning
     :class:`~repro.graph.dynamic_graph.DynamicGraph` first, the engine
     mirrors the batch into its overlay and repairs the labelling.  Any
@@ -96,6 +109,7 @@ class FastUpdateEngine:
         graph,
         labelling,
         owned: Iterable[int] | None = None,
+        rows: tuple[DynCSR, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         self._labelling = labelling
         self._full = list(labelling.landmarks)
@@ -117,7 +131,40 @@ class FastUpdateEngine:
                     raise InvariantViolationError(
                         f"owned landmark {r} not in the labelling's landmarks"
                     )
-        self._dyn = DynCSR.from_graph(graph)
+        if rows is None:
+            self._dyn = DynCSR.from_graph(graph)
+            self._seed_rows()
+        else:
+            # Attach from known-exact rows (a construction sweep's BFS
+            # distances, a verified checkpoint, or another engine's rows
+            # over the same overlay): no BFS, no label scan.
+            self._dyn, dist, has_entry = rows
+            shape = (len(self._landmarks), self._dyn.num_vertices)
+            if dist.shape[0] != shape[0] or dist.shape[1] < shape[1] or (
+                has_entry.shape != dist.shape
+            ):
+                raise InvariantViolationError(
+                    f"engine rows of shape {dist.shape}/{has_entry.shape} "
+                    f"do not fit {shape[0]} landmarks x {shape[1]} vertices"
+                )
+            capacity = self._dyn.capacity
+            self._dist = _fit(dist, capacity, UNREACH)
+            self._has_entry = _fit(has_entry.view(np.uint8), capacity, 0)
+        dyn = self._dyn
+        capacity = dyn.capacity
+        self._is_landmark = np.zeros(capacity, dtype=bool)
+        for r in self._full:
+            self._is_landmark[dyn.index(r)] = True
+        self._new_dist = np.full(capacity, -1, dtype=np.int32)
+        self._covered = np.zeros(capacity, dtype=np.uint8)
+        self._del_mask = np.zeros(capacity, dtype=np.uint8)
+        self._rebuild_views()
+
+    def _seed_rows(self) -> None:
+        """Seed the dense rows: one CSR BFS per landmark for the distances,
+        one scan of the label store for the membership mask
+        (``has_entry[k][i] == 1`` iff the k-th landmark has an entry on
+        vertex ``ids[i]``, kept true by the repair kernel from then on)."""
         dyn = self._dyn
         capacity = dyn.capacity
         self._dist = np.full(
@@ -125,27 +172,17 @@ class FastUpdateEngine:
         )
         for k, r in enumerate(self._landmarks):
             self._dist[k, : dyn.num_vertices] = dyn.bfs_compact(dyn.index(r))
-        self._is_landmark = np.zeros(capacity, dtype=bool)
-        for r in self._full:
-            self._is_landmark[dyn.index(r)] = True
-        # Dense label-membership rows (has_entry[k][i] == 1 iff the k-th
-        # landmark has an entry on vertex ids[i]); seeded from the label
-        # store once, then kept true by the repair kernel.
         self._has_entry = np.zeros((len(self._landmarks), capacity), dtype=np.uint8)
         position = {r: k for k, r in enumerate(self._landmarks)}
         columns: list[list[int]] = [[] for _ in self._landmarks]
         index_of = dyn.index
-        for v, label in labelling.labels.items():
+        for v, label in self._labelling.labels.items():
             vi = index_of(v)
             for r in label:
                 columns[position[r]].append(vi)
         for k, column in enumerate(columns):
             if column:
                 self._has_entry[k, column] = 1
-        self._new_dist = np.full(capacity, -1, dtype=np.int32)
-        self._covered = np.zeros(capacity, dtype=np.uint8)
-        self._del_mask = np.zeros(capacity, dtype=np.uint8)
-        self._rebuild_views()
 
     def _rebuild_views(self) -> None:
         """Cache the memoryviews the scalar kernel paths read.
@@ -209,6 +246,21 @@ class FastUpdateEngine:
         """
         n = self._dyn.num_vertices
         return self._dist[:, :n].copy(), self._dyn.freeze()
+
+    def rows(self, landmarks: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the dense ``(dist, has_entry)`` rows of ``landmarks``
+        (a subset of :attr:`owned_landmarks`) over the registered
+        vertices: int32 distances (:data:`UNREACH` when unreachable) and
+        a bool label-membership mask, columns in overlay order."""
+        index = self._landmarks.index
+        try:
+            picked = [index(r) for r in landmarks]
+        except ValueError:
+            raise InvariantViolationError(
+                f"engine keeps no row for some of {list(landmarks)}"
+            ) from None
+        n = self._dyn.num_vertices
+        return self._dist[picked, :n], self._has_entry[picked, :n].view(bool)
 
     @property
     def dyn(self) -> DynCSR:

@@ -88,6 +88,27 @@ class DynamicGraph:
             graph.add_edge(u, v)
         return graph
 
+    @classmethod
+    def from_csr(cls, ids: list[int], indptr, indices) -> "DynamicGraph":
+        """Bulk-build from a CSR already known to be a simple undirected
+        graph (symmetric, no self-loops or duplicates) — no per-edge
+        validation.
+
+        ``ids`` lists the vertex ids by compact index; ``indptr`` and
+        ``indices`` are numpy arrays in compact-index space.  Neighbour
+        lists reference the int objects of ``ids`` instead of allocating
+        one per adjacency slot.
+        """
+        graph = cls()
+        vertex = ids.__getitem__
+        bounds = indptr.tolist()
+        graph._adj = {
+            v: list(map(vertex, indices[bounds[i] : bounds[i + 1]].tolist()))
+            for i, v in enumerate(ids)
+        }
+        graph._num_edges = len(indices) // 2
+        return graph
+
     def copy(self) -> "DynamicGraph":
         """Return an independent deep copy of this graph."""
         clone = DynamicGraph()

@@ -117,35 +117,74 @@ class DynCSR:
         compact indices in sorted-id order) so ground-truth comparisons
         line up index for index.
         """
-        from itertools import chain
+        from repro.graph.csr import CSRGraph
 
-        adj = graph.adjacency()
-        if not adj:
-            raise GraphError("cannot snapshot an empty graph")
+        csr = CSRGraph.from_graph(graph)
+        return cls.from_arrays(csr.ids, csr.indptr, csr.indices)
+
+    @classmethod
+    def from_arrays(
+        cls, ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+    ) -> "DynCSR":
+        """Adopt a symmetric CSR as the base, without copying it.
+
+        ``ids`` are the vertex ids by compact index, ``indptr``/``indices``
+        int64 arrays in compact-index space — the layout of
+        :class:`~repro.graph.csr.CSRGraph` and of a ``save_oracle`` file.
+        The overlay takes ownership: deletions later swap-remove inside
+        ``indices``, so the caller must not keep using the arrays.
+        """
         dyn = cls()
-        ids = np.array(sorted(adj), dtype=np.int64)
         n = len(ids)
-        degrees = np.fromiter(
-            (len(adj[int(v)]) for v in ids), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        flat = np.fromiter(
-            chain.from_iterable(adj[int(v)] for v in ids),
-            dtype=np.int64,
-            count=total,
-        )
         dyn._ids = ids
         dyn._n = n
-        dyn._index_of = {int(v): i for i, v in enumerate(ids)}
+        dyn._index_of = dict(zip(ids.tolist(), range(n)))
         dyn._indptr = indptr
-        dyn._base_indices = np.searchsorted(ids, flat)
-        dyn._base_len = degrees.copy()
+        dyn._base_indices = indices
+        dyn._base_len = np.diff(indptr)
         dyn._base_n = n
         dyn._delta_count = np.zeros(n, dtype=np.int64)
-        dyn._num_edges = total // 2
+        dyn._num_edges = len(indices) // 2
         return dyn
+
+    def copy(self) -> "DynCSR":
+        """An independent, mutable copy (arrays and delta lists copied)."""
+        clone = DynCSR()
+        clone._n = self._n
+        clone._index_of = dict(self._index_of)
+        for name in ("_ids", "_indptr", "_base_indices", "_base_len",
+                     "_delta_count"):
+            setattr(clone, name, getattr(self, name).copy())
+        clone._base_n = self._base_n
+        clone._delta = {vi: list(extra) for vi, extra in self._delta.items()}
+        clone._delta_total = self._delta_total
+        clone._num_edges = self._num_edges
+        return clone
+
+    def canonical(
+        self, ids: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """This overlay as a canonical CSR: ``(ids, col, indptr, indices)``.
+
+        Rows follow ``ids`` (default: the registered ids, sorted; a sorted
+        superset adds isolated vertices) and each row's neighbours are
+        sorted, so equal graphs give equal arrays whatever their update
+        history — append order, delta lists and swap-removals all wash
+        out.  ``col[i]`` is the canonical position of compact index ``i``,
+        the permutation that carries per-vertex side arrays (the update
+        engine's dense rows) into the same order.
+        """
+        own = self._ids[: self._n]
+        if ids is None:
+            ids = np.sort(own)
+        col = np.searchsorted(ids, own)
+        sources, neighbours = self.gather(np.arange(self._n, dtype=np.int64))
+        width = len(ids)
+        keys = col[sources] * width + col[neighbours]
+        keys.sort()
+        indptr = np.zeros(width + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // width, minlength=width), out=indptr[1:])
+        return ids, col, indptr, keys % width
 
     # ------------------------------------------------------------------
     # Size, membership, id mapping

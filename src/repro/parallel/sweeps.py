@@ -108,7 +108,8 @@ def landmark_sweep(
 
 
 def csr_landmark_sweep(
-    indptr, indices, ids, is_landmark, root_index: int, root_id: int
+    indptr, indices, ids, is_landmark, root_index: int, root_id: int,
+    dist=None, entry=None,
 ) -> LandmarkSweep:
     """The numpy formulation of :func:`landmark_sweep` over CSR arrays.
 
@@ -116,13 +117,23 @@ def csr_landmark_sweep(
     kernel; per BFS level the cover flag propagates as one scatter over the
     frontier adjacency instead of a Python loop per edge.  Arguments are
     the raw arrays of a :class:`~repro.graph.csr.CSRGraph`.
+
+    ``dist`` and ``entry``, when given, are caller-owned int32 and bool
+    rows of length ``n`` (``entry`` all false) that receive the sweep's
+    BFS distances (:data:`~repro.graph.dyncsr.UNREACH` when unreachable)
+    and its label-membership mask — the dense rows the update engine
+    keeps, so a construction hands them over instead of the engine
+    re-running the BFS.
     """
     import numpy as np
 
     from repro.graph.csr import _gather_neighbors
+    from repro.graph.dyncsr import UNREACH
 
     num_vertices = len(ids)
-    dist = np.full(num_vertices, -1, dtype=np.int32)
+    if dist is None:
+        dist = np.empty(num_vertices, dtype=np.int32)
+    dist.fill(UNREACH)
     flag = np.zeros(num_vertices, dtype=np.uint8)
     member = np.zeros(num_vertices, dtype=bool)
     dist[root_index] = 0
@@ -135,7 +146,7 @@ def csr_landmark_sweep(
         sources, neighbours = _gather_neighbors(indptr, indices, frontier)
         if neighbours.size == 0:
             break
-        unseen = dist[neighbours] < 0
+        unseen = dist[neighbours] == UNREACH
         sources = sources[unseen]
         neighbours = neighbours[unseen]
         if neighbours.size == 0:
@@ -158,6 +169,8 @@ def csr_landmark_sweep(
         uncovered = new_level[(flag[new_level] == 0) & ~is_landmark[new_level]]
         if uncovered.size:
             levels.append((depth, ids[uncovered].tolist()))
+            if entry is not None:
+                entry[uncovered] = True
         frontier = new_level
     return LandmarkSweep(root_id, cells, levels)
 

@@ -212,9 +212,8 @@ class FrozenHighway:
             raise NotALandmarkError(r) from None
 
     def as_dict(self) -> dict[int, dict[int, float]]:
-        """Raw per-landmark distance rows (read-only) — lets
-        ``save_oracle`` serialize a pinned snapshot the same way it
-        serializes a live :class:`~repro.core.highway.Highway`."""
+        """Raw per-landmark distance rows (read-only), the same read
+        surface as :meth:`repro.core.highway.Highway.as_dict`."""
         return self._dist
 
     def size_bytes(self, bytes_per_distance: int = 4) -> int:
@@ -266,7 +265,7 @@ class OracleSnapshot:
     (4, 1)
     """
 
-    __slots__ = ("epoch", "graph", "labelling", "shard_rows")
+    __slots__ = ("epoch", "graph", "labelling", "shard_rows", "row_landmarks")
 
     def __init__(
         self,
@@ -274,10 +273,13 @@ class OracleSnapshot:
         graph: FrozenGraph,
         labelling: FrozenLabelling,
         shard_rows,
+        row_landmarks: list[int],
     ):
         self.epoch = epoch
         self.graph = graph
         self.labelling = labelling
+        #: The landmarks of the rows of ``shard_rows[0]``, in row order.
+        self.row_landmarks = row_landmarks
         #: ``(dist, index_of)``: the dense rows of the landmarks the oracle
         #: maintains (:meth:`repro.core.dynamic.DynamicHCL.shard_rows`)
         #: and their column map — the kernel's bound ``d⊤``.  Fewer rows
@@ -296,6 +298,7 @@ class OracleSnapshot:
             oracle.labelling.freeze()
         )
         dist, csr = oracle.shard_rows()
+        owned = oracle.owned_landmarks
         return cls(
             oracle.version,
             FrozenGraph(adjacency, num_edges, csr, landmark_set),
@@ -304,7 +307,24 @@ class OracleSnapshot:
                 FrozenLabels(label_rows, entries),
             ),
             (dist, csr.index_of()),
+            owned if owned is not None else landmarks,
         )
+
+    def checkpoint_rows(self):
+        """``(row_landmarks, overlay, dist, entry)`` at this epoch, as
+        :meth:`repro.core.dynamic.DynamicHCL.checkpoint_rows` returns them
+        for the live oracle: the pinned dense rows over the frozen
+        overlay's columns, plus the label-membership mask, which a
+        snapshot does not pin and so is rebuilt from the frozen labels."""
+        dist, index_of = self.shard_rows
+        width = dist.shape[1]
+        offset = {r: k * width for k, r in enumerate(self.row_landmarks)}
+        entry = np.zeros(dist.shape, dtype=bool)
+        entry.flat[
+            [offset[r] + index_of[v]
+             for v, label in self.labelling.labels.items() for r in label]
+        ] = True
+        return self.row_landmarks, self.graph.csr, dist, entry
 
     # -- read API ------------------------------------------------------
     @property

@@ -1,10 +1,23 @@
-"""Saving and loading highway cover labellings.
+"""Saving and loading labellings and whole oracles.
 
-Production deployments precompute the labelling offline and load it next to
-the query service; these helpers provide a portable JSON format (optionally
-gzip-compressed) that round-trips :class:`HighwayCoverLabelling` exactly.
-Distances are stored as ints where possible so unweighted labellings
-round-trip type-stably.
+Production deployments precompute the oracle offline, ship one file and
+restore it next to the query service (paper §1).  Two formats live here:
+
+* **Labellings** (:func:`save_labelling` / :func:`load_labelling`,
+  ``repro-hcl-v1``): portable JSON in canonical ``(v, r)`` order, the
+  byte-level equality check of the sharding and convergence tests.
+* **Oracles** (:func:`save_oracle` / :func:`load_oracle*`,
+  ``repro-oracle-v2``): the update engine's own arrays — a magic line, a
+  one-line JSON header, then ``.npy`` records of the graph as a canonical
+  CSR and each maintained landmark's dense distance row and
+  label-membership mask (``docs/DESIGN.md`` §15).  Loading proves every
+  row exact with vectorized checks and attaches the engine from the
+  stored rows: no JSON decode, no per-entry parsing, no landmark BFS.
+  ``repro-oracle-v1`` JSON files still load (read-only) and attach by BFS.
+
+Either format is gzip-wrapped when the file name ends in ``.gz``.
+Oracle writes are atomic: a temporary sibling is written, fsynced and
+renamed into place, then the directory is fsynced.
 """
 
 from __future__ import annotations
@@ -12,11 +25,19 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import uuid
+import zlib
+from pathlib import Path
+from typing import NoReturn
+
+import numpy as np
+from numpy.lib import format as npy
 
 from repro.core.highway import Highway
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.labels import LabelStore
 from repro.exceptions import ReproError
+from repro.graph.dyncsr import UNREACH
 from repro.graph.traversal import INF
 
 __all__ = [
@@ -29,7 +50,21 @@ __all__ = [
 ]
 
 _FORMAT = "repro-hcl-v1"
-_ORACLE_FORMAT = "repro-oracle-v1"
+_ORACLE_V1 = "repro-oracle-v1"
+#: First line of a ``repro-oracle-v2`` file.
+_MAGIC = b"repro-oracle-v2\n"
+#: Longest header line a loader accepts.
+_HEADER_LIMIT = 1 << 24
+#: The ``.npy`` records after the header, in file order, with their dtypes.
+_RECORDS = (
+    ("ids", np.dtype("<i8")),
+    ("indptr", np.dtype("<i8")),
+    ("indices", np.dtype("<i4")),
+    ("dist", np.dtype("<i4")),
+    ("entry", np.dtype("bool")),
+)
+#: What a truncated or corrupt (gzip) stream raises on read.
+_STREAM_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 def _open(path: str | os.PathLike, mode: str):
@@ -139,76 +174,376 @@ def _labelling_from_payload(payload: dict) -> HighwayCoverLabelling:
     return HighwayCoverLabelling(highway, labels)
 
 
+# ---------------------------------------------------------------------------
+# Oracles: repro-oracle-v2
+# ---------------------------------------------------------------------------
 def save_oracle(oracle, path: str | os.PathLike, meta: dict | None = None) -> None:
-    """Write a :class:`~repro.core.dynamic.DynamicHCL` — graph *and*
-    labelling — to ``path`` (gzip if the name ends in ``.gz``).
+    """Write a :class:`~repro.core.dynamic.DynamicHCL` — graph, labelling
+    and the update engine's dense rows — to ``path`` as
+    ``repro-oracle-v2`` (gzip-wrapped if the name ends in ``.gz``).
 
-    The deployment story behind it: precompute offline, ship one file,
-    restore with :func:`load_oracle` and continue updating online.
+    The file holds, after a magic line and a sorted-key JSON header
+    (``landmarks`` in selection order, ``rows`` — the landmarks whose rows
+    follow, all of them unless the oracle is a landmark shard — and
+    ``meta``), five ``.npy`` records: ``ids`` (sorted), ``indptr`` and
+    ``indices`` (each row's neighbours sorted), ``dist`` (``len(rows) x
+    n`` int32, ``UNREACH`` when unreachable) and ``entry`` (``len(rows) x
+    n`` bool).  Labels are ``L(v) = {(r_k, dist[k, v]) : entry[k, v]}``;
+    highway cells are derived from the rows on load.  The bytes are
+    canonical: equal oracles give equal files whatever their update
+    history, and a pinned :class:`~repro.serving.snapshot.OracleSnapshot`
+    saves to the same bytes as the oracle it was taken from.
 
-    ``meta`` attaches an optional JSON-encodable dict to the file — the
-    cluster layer records the update-log position a checkpoint covers as
-    ``{"log_seq": N}`` (:mod:`repro.cluster.wal`).  Omitting it keeps the
-    output byte-identical to the pre-meta format.  ``oracle`` may also be
-    an :class:`~repro.serving.snapshot.OracleSnapshot`: the frozen views
-    expose the same read surface, so a replica can checkpoint a pinned
-    epoch while its writer keeps applying updates.
+    ``meta`` attaches a JSON-encodable dict — the cluster layer records
+    the update-log position a checkpoint covers as ``{"log_seq": N}``
+    (:mod:`repro.cluster.wal`).
+
+    The write is atomic and durable: it goes to a temporary sibling that
+    is flushed, fsynced and ``os.replace``d into place, after which the
+    directory is fsynced.  A failed write (``ENOSPC``, an interrupt)
+    leaves the previous file intact and no temporary behind.
     """
+    rows, csr, dist, entry = oracle.checkpoint_rows()
     graph = oracle.graph
-    labelling = oracle.labelling
-    head = {
-        "format": _ORACLE_FORMAT,
-        "vertices": sorted(graph.vertices()),
-        "edges": sorted(graph.edges()),
-        "landmarks": labelling.landmarks,
-        "highway": _highway_cells(labelling),
+    ids = None
+    if graph.num_vertices != csr.num_vertices:
+        # Vertices registered on the graph but not yet on the overlay
+        # (isolated ones pre-registered by the service): UNREACH, no entry.
+        ids = np.array(sorted(graph.vertices()), dtype=np.int64)
+    ids, col, indptr, indices = csr.canonical(ids)
+    shape = (len(rows), len(ids))
+    out_dist = np.full(shape, UNREACH, dtype=np.int32)
+    out_dist[:, col] = dist
+    out_entry = np.zeros(shape, dtype=bool)
+    out_entry[:, col] = entry
+    header = {
+        "landmarks": list(oracle.labelling.landmarks),
+        "meta": meta or {},
+        "rows": rows,
     }
-    if meta is not None:
-        head["meta"] = meta
-    with _open(path, "w") as handle:
-        _write_streamed(handle, head, _iter_label_rows(labelling))
+    arrays = (ids, indptr, indices.astype(np.int32), out_dist, out_entry)
+
+    def write(handle) -> None:
+        handle.write(_MAGIC)
+        handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        for array in arrays:
+            npy.write_array(handle, array, version=(1, 0), allow_pickle=False)
+
+    _write_atomic(Path(path), write)
 
 
-def _read_oracle_payload(path: str | os.PathLike) -> dict:
-    with _open(path, "r") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != _ORACLE_FORMAT:
-        raise ReproError(
-            f"{path}: not a {_ORACLE_FORMAT} file "
-            f"(format={payload.get('format')!r})"
-        )
-    return payload
+def _write_atomic(path: Path, write) -> None:
+    """Run ``write(handle)`` against a temporary sibling of ``path``, then
+    fsync it, rename it over ``path`` and fsync the directory.
 
-
-def _oracle_from_payload(payload: dict):
-    from repro.core.dynamic import DynamicHCL
-    from repro.graph.dynamic_graph import DynamicGraph
-
-    graph = DynamicGraph(payload["vertices"])
-    for u, v in payload["edges"]:
-        graph.add_edge(u, v)
-    return DynamicHCL(graph, _labelling_from_payload(payload))
+    On any failure the temporary is removed and ``path`` is untouched.
+    A ``.gz`` name wraps the stream in gzip with a zero timestamp and no
+    stored file name, so compressed bytes stay canonical too.
+    """
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb") as raw:
+            if path.name.endswith(".gz"):
+                # Level 1: the rows are small integers and shrink ~4.5x
+                # already; level 9 spends ~60x the time for 20% less.
+                with gzip.GzipFile(
+                    filename="", mode="wb", fileobj=raw, compresslevel=1, mtime=0
+                ) as handle:
+                    write(handle)
+            else:
+                write(raw)
+            raw.flush()
+            os.fsync(raw.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+    directory = os.open(path.parent, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def load_oracle(path: str | os.PathLike):
-    """Read an oracle previously written by :func:`save_oracle`.
+    """Read an oracle written by :func:`save_oracle` (or a v1 JSON file).
 
-    Round-trips graph, landmark order, highway, and every label entry
-    exactly; the restored oracle accepts updates immediately.
+    Round-trips graph, landmark order, highway and every label entry
+    exactly; the restored oracle accepts updates immediately, its engine
+    already attached from the file's verified rows.  A file that fails
+    any check raises :class:`~repro.exceptions.ReproError` naming the
+    file and the check — it never yields an oracle.
     """
-    return _oracle_from_payload(_read_oracle_payload(path))
+    return _load(path)[0]
 
 
 def load_oracle_with_meta(path: str | os.PathLike):
     """Like :func:`load_oracle` but also returns the file's ``meta`` dict
     (``{}`` for files saved without one)."""
-    payload = _read_oracle_payload(path)
-    return _oracle_from_payload(payload), dict(payload.get("meta") or {})
+    return _load(path)
 
 
 def read_oracle_meta(path: str | os.PathLike) -> dict:
     """Only the ``meta`` dict of a :func:`save_oracle` file (``{}`` when
-    absent).  Parses the file without rebuilding graph or labelling — the
-    cluster supervisor uses this at startup to find the checkpoint's log
-    position."""
-    return dict(_read_oracle_payload(path).get("meta") or {})
+    absent), read from the header without touching the arrays — the
+    cluster supervisor calls this per checkpoint at start-up."""
+    with _open_binary(path) as handle:
+        head = _read_magic(handle, path)
+        if head != _MAGIC:
+            return dict(_v1_payload(path, head + handle.read()).get("meta") or {})
+        return _read_header(handle, path)[2]
+
+
+def _open_binary(path: str | os.PathLike):
+    if str(path).endswith(".gz"):
+        return gzip.open(path, "rb")
+    return open(path, "rb")
+
+
+def _fail(path, check: str) -> NoReturn:
+    raise ReproError(f"{path}: {check}")
+
+
+def _read_magic(handle, path) -> bytes:
+    """The first ``len(_MAGIC)`` bytes: the v2 magic, or the start of a
+    v1 JSON object (anything else is rejected)."""
+    try:
+        head = handle.read(len(_MAGIC))
+    except _STREAM_ERRORS as exc:
+        _fail(path, f"unreadable stream ({exc})")
+    if head != _MAGIC and not head.lstrip().startswith(b"{"):
+        _fail(path, "bad magic: not a repro oracle file")
+    return head
+
+
+def _read_header(handle, path) -> tuple[list[int], list[int], dict]:
+    """``(landmarks, rows, meta)`` from the header line, type-checked."""
+    try:
+        line = handle.readline(_HEADER_LIMIT)
+    except _STREAM_ERRORS as exc:
+        _fail(path, f"unreadable header ({exc})")
+    if not line.endswith(b"\n"):
+        _fail(path, "header truncated or oversized")
+    try:
+        header = json.loads(line)
+    except ValueError as exc:
+        _fail(path, f"header is not JSON ({exc})")
+    if not isinstance(header, dict) or sorted(header) != ["landmarks", "meta", "rows"]:
+        _fail(path, "header must hold exactly landmarks, meta and rows")
+    landmarks, rows, meta = header["landmarks"], header["rows"], header["meta"]
+    for name, value in (("landmarks", landmarks), ("rows", rows)):
+        if not isinstance(value, list) or not all(
+            type(r) is int and 0 <= r < 2**63 for r in value
+        ) or len(set(value)) != len(value):
+            _fail(path, f"header {name} must be a list of unique vertex ids")
+    if not landmarks:
+        _fail(path, "header lists no landmarks")
+    if not set(rows) <= set(landmarks):
+        _fail(path, "header rows are not a subset of the landmarks")
+    if not isinstance(meta, dict):
+        _fail(path, "header meta must be an object")
+    return landmarks, rows, meta
+
+
+def _read_record(handle, path, name: str, dtype: np.dtype) -> np.ndarray:
+    """One ``.npy`` record, pickle refused, dtype and layout checked."""
+    try:
+        array = npy.read_array(handle, allow_pickle=False)
+    except (ValueError, MemoryError, *_STREAM_ERRORS) as exc:
+        # MemoryError: a header claiming a shape no file could hold.
+        _fail(path, f"record {name!r} unreadable ({exc})")
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        _fail(path, f"record {name!r} is not a C-order {dtype} array "
+                    f"(got {array.dtype})")
+    return array
+
+
+def _load(path: str | os.PathLike):
+    """``(oracle, meta)`` from a v2 or v1 oracle file."""
+    with _open_binary(path) as handle:
+        head = _read_magic(handle, path)
+        if head != _MAGIC:
+            return _oracle_from_v1(path, head + handle.read())
+        landmarks, rows, meta = _read_header(handle, path)
+        arrays = {
+            name: _read_record(handle, path, name, dtype)
+            for name, dtype in _RECORDS
+        }
+        try:
+            trailing = handle.read(1)
+        except _STREAM_ERRORS as exc:
+            _fail(path, f"unreadable stream ({exc})")
+        if trailing:
+            _fail(path, "trailing data after the last record")
+    return _oracle_from_arrays(path, landmarks, rows, **arrays), meta
+
+
+def _check_graph(path, ids, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the CSR; returns ``(sources, neighbours)`` as int64 arrays.
+
+    Requires ids sorted, unique and non-negative; ``indptr`` monotone
+    from 0 to ``len(indices)``; every index in range; each row strictly
+    increasing (sorted, so no duplicate edges) with no self-loop; and a
+    symmetric adjacency — the sorted transposed pairs equal the pairs.
+    """
+    if ids.ndim != 1 or len(ids) == 0:
+        _fail(path, "ids must be a non-empty vector")
+    n = len(ids)
+    if ids[0] < 0 or (ids[1:] <= ids[:-1]).any():
+        _fail(path, "ids are not sorted, unique and non-negative")
+    if indptr.shape != (n + 1,) or indices.ndim != 1:
+        _fail(path, f"indptr/indices shapes {indptr.shape}/{indices.shape} "
+                    f"do not fit {n} vertices")
+    degrees = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != len(indices) or (degrees < 0).any():
+        _fail(path, "indptr is not monotone from 0 to len(indices)")
+    if len(indices) and (indices.min() < 0 or indices.max() >= n):
+        _fail(path, "neighbour index out of range")
+    sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    neighbours = indices.astype(np.int64)
+    if (neighbours == sources).any():
+        _fail(path, "adjacency has a self-loop")
+    same_row = sources[1:] == sources[:-1]
+    if (same_row & (neighbours[1:] <= neighbours[:-1])).any():
+        _fail(path, "neighbour rows are not strictly increasing")
+    transposed = neighbours * n + sources
+    transposed.sort()
+    if not np.array_equal(transposed, sources * n + neighbours):
+        _fail(path, "adjacency is not symmetric")
+    return sources, neighbours
+
+
+def _check_rows(path, rows, row_cols, sources, neighbours, dist, entry) -> None:
+    """Prove each stored row equals its landmark's BFS distances.
+
+    For the row ``D`` of landmark ``r`` (column ``c``) the checks are:
+    (a) every value is non-negative; (b) ``D`` has exactly one zero, at
+    ``c``; (c) ``|D(u) - D(v)| <= 1`` on every edge unless both ends are
+    ``UNREACH``; (d) every finite ``D(v) > 0`` has a neighbour ``u`` with
+    ``D(u) = D(v) - 1``.
+
+    Why that suffices: by (d), from a finite ``D(v)`` a chain of
+    neighbours strictly descends by one per step; by (a) it ends at a
+    zero, which by (b) is ``r`` — a walk of ``D(v)`` edges from ``r``, so
+    ``v`` is reachable and ``D(v) >= d(r, v)``, and also ``D(v) < n``.
+    Conversely, induct on ``d(r, v)`` along a shortest path: ``D(r) = 0``
+    by (b), and if ``D(u) = d(r, u)`` for the predecessor ``u``, then
+    ``D(v)`` cannot be ``UNREACH`` (the edge ``(u, v)`` would differ by
+    ``UNREACH - D(u) > 1``, violating (c)), so ``D(v) <= D(u) + 1 =
+    d(r, v)`` by (c).  Hence ``D = d(r, ·)`` on reachable vertices, and
+    unreachable ones cannot be finite (they would be reachable), so they
+    hold ``UNREACH``.  Each check is a few vectorized passes over the
+    edges, ``O(|rows| * m)`` in all.
+
+    Besides, no label entry may sit in a landmark's column or at an
+    unreachable vertex.
+    """
+    half = sources < neighbours
+    tail, head = sources[half], neighbours[half]
+    for k, (r, c) in enumerate(zip(rows, row_cols)):
+        row = dist[k]
+        if (row < 0).any():
+            _fail(path, f"row of landmark {r} has a negative distance")
+        zeros = np.flatnonzero(row == 0)
+        if zeros.size != 1 or zeros[0] != c:
+            _fail(path, f"row of landmark {r} is not zero exactly at {r}")
+        d_tail, d_head = row[tail], row[head]
+        step = d_tail - d_head
+        if ((np.abs(step) > 1) & ((d_tail != UNREACH) | (d_head != UNREACH))).any():
+            _fail(path, f"row of landmark {r} changes by more than one "
+                        f"across an edge")
+        has_parent = np.zeros(len(row), dtype=bool)
+        has_parent[tail[step == 1]] = True
+        has_parent[head[step == -1]] = True
+        has_parent[c] = True
+        if ((row != UNREACH) & ~has_parent).any():
+            _fail(path, f"row of landmark {r} has a finite distance with no "
+                        f"neighbour one step closer")
+        if (entry[k] & (row == UNREACH)).any():
+            _fail(path, f"row of landmark {r} has a label entry at an "
+                        f"unreachable vertex")
+
+
+def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry):
+    """Validate the decoded records, then build the oracle in bulk and
+    attach its engine from the stored rows."""
+    from repro.core.dynamic import DynamicHCL
+    from repro.graph.dynamic_graph import DynamicGraph
+    from repro.graph.dyncsr import DynCSR
+
+    sources, neighbours = _check_graph(path, ids, indptr, indices)
+    n = len(ids)
+    if dist.shape != (len(rows), n) or entry.shape != dist.shape:
+        _fail(path, f"dist/entry shapes {dist.shape}/{entry.shape} do not fit "
+                    f"{len(rows)} rows x {n} vertices")
+    landmark_cols = np.searchsorted(ids, landmarks)
+    if not np.array_equal(ids.take(landmark_cols, mode="clip"), landmarks):
+        _fail(path, "a landmark is not a vertex")
+    column = dict(zip(landmarks, landmark_cols.tolist()))
+    row_cols = [column[r] for r in rows]
+    if entry[:, landmark_cols].any():
+        _fail(path, "label entry in a landmark's column")
+    _check_rows(path, rows, row_cols, sources, neighbours, dist, entry)
+    del sources  # before the dict builds, which set the peak RSS
+
+    ids_list = ids.tolist()
+    graph = DynamicGraph.from_csr(ids_list, indptr, indices)
+    highway = Highway(landmarks)
+    labels = LabelStore()
+    vertex = ids_list.__getitem__
+    for k, r in enumerate(rows):
+        row = dist[k]
+        # Highway cells: every pair with a stored endpoint, when finite.
+        for r2, d in zip(landmarks, row[landmark_cols].tolist()):
+            if r2 != r and d != UNREACH:
+                highway.set_distance(r, r2, d)
+        # Label entries, one bulk write per distance level.
+        cols = np.flatnonzero(entry[k])
+        if not cols.size:
+            continue
+        depths = row[cols]
+        order = np.argsort(depths, kind="stable")
+        depths = depths[order]
+        members = list(map(vertex, cols[order].tolist()))
+        cuts = [0, *(np.flatnonzero(depths[1:] != depths[:-1]) + 1).tolist(),
+                len(members)]
+        for a, b in zip(cuts, cuts[1:]):
+            labels.bulk_set_new(r, members[a:b], int(depths[a]))
+    dyn = DynCSR.from_arrays(ids, indptr, neighbours)
+    return DynamicHCL(
+        graph,
+        HighwayCoverLabelling(highway, labels),
+        owned_landmarks=None if rows == landmarks else rows,
+        rows=(dyn, dist, entry),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: read-only repro-oracle-v1
+# ---------------------------------------------------------------------------
+def _v1_payload(path, data: bytes) -> dict:
+    try:
+        payload = json.loads(data)
+    except ValueError as exc:
+        _fail(path, f"not a repro oracle file ({exc})")
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != _ORACLE_V1:
+        _fail(path, f"not a repro oracle file (format={found!r})")
+    return payload
+
+
+def _oracle_from_v1(path, data: bytes):
+    """``(oracle, meta)`` from a legacy JSON file; the engine attaches by
+    BFS on first use, as before v2."""
+    from repro.core.dynamic import DynamicHCL
+    from repro.graph.dynamic_graph import DynamicGraph
+
+    payload = _v1_payload(path, data)
+    graph = DynamicGraph(payload["vertices"])
+    for u, v in payload["edges"]:
+        graph.add_edge(u, v)
+    oracle = DynamicHCL(graph, _labelling_from_payload(payload))
+    return oracle, dict(payload.get("meta") or {})

@@ -118,19 +118,3 @@ class TestStreamedWriter:
         save_labelling(gamma, path)
         loaded = load_labelling(path)
         assert loaded.labels.total_entries == gamma.labels.total_entries
-
-    def test_oracle_save_streams_identically(self, tmp_path):
-        import json
-
-        from repro.core.dynamic import DynamicHCL
-        from repro.utils.serialization import load_oracle, save_oracle
-
-        oracle = DynamicHCL.build(grid_graph(4, 4), landmarks=[0, 15])
-        oracle.insert_edge(0, 15)
-        path = tmp_path / "oracle.json"
-        save_oracle(oracle, path)
-        text = path.read_text()
-        assert text == json.dumps(json.loads(text))
-        restored = load_oracle(path)
-        assert restored.labelling == oracle.labelling
-        assert sorted(restored.graph.edges()) == sorted(oracle.graph.edges())
