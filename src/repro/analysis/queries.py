@@ -65,7 +65,7 @@ def query_distance_probed(
     bound = upper_bound(labelling, u, v)
     sparsified = bidirectional_bfs(graph, u, v, bound=bound, skip=landmark_set)
     return QueryProbe(
-        distance=min(sparsified, bound),
+        distance=sparsified if sparsified < bound else bound,
         bound=bound,
         label_join_ops=label_size(u) * label_size(v),
         landmark_endpoint=False,

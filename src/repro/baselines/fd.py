@@ -291,7 +291,7 @@ class FullDynamicOracle:
         sparsified = bidirectional_bfs(
             self._graph, u, v, bound=bound, skip=self._landmark_set
         )
-        return sparsified if sparsified <= bound else bound
+        return sparsified if sparsified < bound else bound
 
     # ------------------------------------------------------------------
     def insert_edge(self, a: int, b: int) -> int:

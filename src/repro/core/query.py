@@ -101,7 +101,7 @@ def query_distance(graph, labelling: HighwayCoverLabelling, u: int, v: int) -> f
         return landmark_distance(labelling, v, u)
     bound = upper_bound(labelling, u, v)
     sparsified = bidirectional_bfs(graph, u, v, bound=bound, skip=landmark_set)
-    return sparsified if sparsified <= bound else bound
+    return sparsified if sparsified < bound else bound
 
 
 def query_distances_many(

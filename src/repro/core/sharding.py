@@ -20,9 +20,12 @@ answer:
 where ``m_s = min_{r in R_s} d(r, u) + d(r, v)`` from the shard's dense
 distance rows, and the sparsified BFS skips *every* landmark in ``R``
 (interior vertices only — endpoints are always admitted, matching
-:func:`~repro.graph.traversal.bidirectional_bfs`).  Any shortest path
-through some landmark ``r`` is covered by ``m_s`` of the shard owning
-``r``; any landmark-free path is found by the BFS of every shard.
+:func:`~repro.graph.traversal.bidirectional_bfs`).  The bound is strict:
+the search reports a landmark-free distance only when it is ``< m_s``
+(∞ otherwise), since a path of length ``m_s`` cannot lower the min.
+Any shortest path through some landmark ``r`` is covered by ``m_s`` of
+the shard owning ``r``; any landmark-free path is found by the BFS of
+every shard whose ``m_s`` it beats.
 
 Restriction and reassembly are exact inverses: the union of per-shard
 label files reproduces the unsharded :func:`save_labelling` output
@@ -165,7 +168,8 @@ def shard_query_distance(
     min over a partition's shards is exact (module docstring).
     ``landmark_set`` must be the FULL landmark set: every shard
     sparsifies identically.  An endpoint whose own row is held makes the
-    bound exact, so no search runs.
+    bound exact, so no search runs; otherwise the search looks only for
+    a landmark-free path strictly shorter than the bound.
     """
     if not graph.has_vertex(u):
         raise VertexNotFoundError(u)
@@ -178,7 +182,7 @@ def shard_query_distance(
         if r in landmark_set and not dist[:, index_of[r]].all():
             return bound  # d(r, r) = 0: r's own row is held
     sparsified = bidirectional_bfs(graph, u, v, bound=bound, skip=landmark_set)
-    return sparsified if sparsified <= bound else bound
+    return sparsified if sparsified < bound else bound
 
 
 def shard_query_distances_many(

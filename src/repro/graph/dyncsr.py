@@ -491,7 +491,7 @@ class DynCSR:
         (detected with one mask over ``delta_count``, so an empty delta —
         the common state right after compaction — costs nothing).
         """
-        _, positions, neighbours = self._base_positions(frontier)
+        positions, neighbours = self._base_positions(frontier)
         sources = frontier[positions]
         if self._delta_total:
             mask = self._delta_count[frontier] > 0
@@ -513,20 +513,23 @@ class DynCSR:
 
     def _base_positions(
         self, frontier: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Base-CSR flattening: ``(counts, flat_positions, neighbours)``."""
-        starts = self._indptr[frontier]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Base-CSR flattening: ``(flat_positions, neighbours)``."""
         counts = self._base_len[frontier]
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return counts, empty, empty
-        cumulative = np.cumsum(counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            cumulative - counts, counts
-        )
-        neighbours = self._base_indices[np.repeat(starts, counts) + offsets]
-        return counts, np.repeat(np.arange(len(frontier)), counts), neighbours
+        neighbours = self._base_neighbours(frontier, counts)
+        return np.repeat(np.arange(len(frontier)), counts), neighbours
+
+    def _base_neighbours(
+        self, frontier: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """The live base-CSR rows of ``frontier`` (``counts`` long each),
+        flattened in order.  Entry ``k`` of the output lies in row ``j``
+        at flat slot ``k - first(j)`` past ``start(j)``, so one repeat of
+        ``start(j) - first(j)`` turns ``arange`` into the gather index."""
+        shift = self._indptr[frontier] - np.cumsum(counts) + counts
+        index = np.arange(int(counts.sum()), dtype=np.int64)
+        index += np.repeat(shift, counts)
+        return self._base_indices[index]
 
     def degree_sum(self, frontier: np.ndarray) -> int:
         """Total degree (base + delta) of the vertices in ``frontier``."""
@@ -538,7 +541,7 @@ class DynCSR:
         The find kernel's expansion needs only the target side of each
         edge, so this skips materializing the source column.
         """
-        _, _, neighbours = self._base_positions(frontier)
+        neighbours = self._base_neighbours(frontier, self._base_len[frontier])
         if self._delta_total:
             mask = self._delta_count[frontier] > 0
             if mask.any():
@@ -560,7 +563,7 @@ class DynCSR:
         exactly the scatter target the repair kernel needs, saving it a
         searchsorted back-mapping.
         """
-        _, positions, neighbours = self._base_positions(frontier)
+        positions, neighbours = self._base_positions(frontier)
         if self._delta_total:
             mask = self._delta_count[frontier] > 0
             if mask.any():

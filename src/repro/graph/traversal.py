@@ -125,18 +125,23 @@ def bidirectional_bfs(
     bound: float = INF,
     skip: Collection[int] = _EMPTY,
 ) -> float:
-    """Exact ``source``–``target`` distance if it is ``<= bound``, else INF.
+    """Exact ``source``–``target`` distance if it is ``< bound``, else INF.
 
     Path *interiors* avoid every vertex in ``skip``; the endpoints themselves
     are always allowed (this realises the paper's search over ``G[V \\ R]``
     when ``skip`` is the landmark set — permitting endpoints in ``skip``
-    keeps the primitive total).
+    keeps the primitive total).  The bound is strict because the query
+    answers ``min(d⊤, d_{G[V\\R]}(u, v))``: a landmark-free path of length
+    ``d⊤`` cannot change the answer, so it is never searched for.
 
-    Levels are expanded smaller-frontier-first; the search stops as soon as
-    the sum of the two search radii reaches ``min(best, bound)``, which is
-    exactly when no shorter path can remain undiscovered.  On a snapshot
-    graph (which carries a frozen CSR and a ``skip`` mask), a frontier
-    larger than :data:`NUMPY_FRONTIER` switches the search for good to
+    Levels are expanded smaller-frontier-first.  Before a level runs, the
+    two search radii sum to ``k`` and no path of length ``<= k`` exists, so
+    the first edge that reaches the other side closes a path of length
+    exactly ``k + 1``: the search returns it at once.  It gives up once
+    ``k + 1`` reaches ``bound``, and the level that would bring it there
+    only checks for a meeting, recording nothing.  On a snapshot graph
+    (which carries a frozen CSR and a ``skip`` mask), a frontier larger
+    than :data:`NUMPY_FRONTIER` switches the search for good to
     level-synchronous numpy (:func:`_numpy_levels`).
     """
     adj = graph.adjacency()
@@ -145,50 +150,46 @@ def bidirectional_bfs(
     if target not in adj:
         raise VertexNotFoundError(target)
     if source == target:
-        return 0
-    if bound < 1:
+        return 0 if bound > 0 else INF
+    if bound <= 1:
         return INF
 
     mask = graph.skip_mask(skip) if hasattr(graph, "skip_mask") else None
-    dist_s: dict[int, int] = {source: 0}
-    dist_t: dict[int, int] = {target: 0}
+    seen_s = {source}
+    seen_t = {target}
     frontier_s = [source]
     frontier_t = [target]
-    radius_s = 0
-    radius_t = 0
-    best = INF
+    radius = 0  # sum of the two search radii; radius + 1 < bound holds
 
-    while frontier_s and frontier_t and radius_s + radius_t < min(best, bound):
+    while frontier_s and frontier_t:
         if len(frontier_s) <= len(frontier_t):
-            frontier, radius = frontier_s, radius_s + 1
-            dist_own, dist_other = dist_s, dist_t
+            frontier, seen_own, seen_other = frontier_s, seen_s, seen_t
         else:
-            frontier, radius = frontier_t, radius_t + 1
-            dist_own, dist_other = dist_t, dist_s
+            frontier, seen_own, seen_other = frontier_t, seen_t, seen_s
         if mask is not None and len(frontier) > NUMPY_FRONTIER:
-            best = _numpy_levels(
-                graph.csr, mask, bound, best,
-                [dist_s, dist_t], [frontier_s, frontier_t], [radius_s, radius_t],
+            return _numpy_levels(
+                graph.csr, mask, bound, radius,
+                [seen_s, seen_t], [frontier_s, frontier_t],
             )
-            break
+        radius += 1
+        if radius + 1 >= bound:
+            # The last level: only a meeting can still beat ``bound``.
+            met = any(not seen_other.isdisjoint(adj[v]) for v in frontier)
+            return radius if met else INF
         next_frontier = []
         for v in frontier:
-            base = dist_own[v] + 1
             for w in adj[v]:
-                other = dist_other.get(w)
-                if other is not None:
-                    total = base + other
-                    if total < best:
-                        best = total
-                if w not in dist_own and w not in skip:
-                    dist_own[w] = base
+                if w in seen_other:
+                    return radius
+                if w not in seen_own and w not in skip:
+                    seen_own.add(w)
                     next_frontier.append(w)
-        if dist_own is dist_s:
-            frontier_s, radius_s = next_frontier, radius
+        if seen_own is seen_s:
+            frontier_s = next_frontier
         else:
-            frontier_t, radius_t = next_frontier, radius
+            frontier_t = next_frontier
 
-    return best if best <= bound else INF
+    return INF
 
 
 #: Frontier size past which :func:`bidirectional_bfs` leaves its dict loop
@@ -198,52 +199,49 @@ NUMPY_FRONTIER = 64
 _per_thread = threading.local()
 
 
-def _stamp_buffers(n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """This thread's ``(stamp, seen, depth, position)`` buffers over at
-    least ``n`` columns.  ``seen[side][i] == stamp`` marks column ``i``
-    visited by that side in this search, at distance ``depth[side][i]``:
-    a fresh stamp replaces an O(n) clear, and per-thread buffers keep
-    readers that share a snapshot apart."""
+def _stamp_buffers(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """This thread's ``(stamp, seen, position)`` buffers over at least
+    ``n`` columns.  ``seen[side][i] == stamp`` marks column ``i`` visited
+    by that side in this search: a fresh stamp replaces an O(n) clear,
+    and per-thread buffers keep readers that share a snapshot apart."""
     buffers = _per_thread.__dict__
     if len(buffers.get("position", ())) < n:
         buffers.update(
             seen=np.zeros((2, 2 * n), np.int64),
-            depth=np.zeros((2, 2 * n), np.int32),
             position=np.zeros(2 * n, np.int64),
         )
     stamp = buffers["stamp"] = buffers.get("stamp", 0) + 1
-    return stamp, buffers["seen"], buffers["depth"], buffers["position"]
+    return stamp, buffers["seen"], buffers["position"]
 
 
-def _numpy_levels(csr, mask, bound, best, dists, frontiers, radii) -> float:
-    """The numpy phase of :func:`bidirectional_bfs`; returns ``best``.
+def _numpy_levels(csr, mask, bound, radius, visited, frontiers) -> float:
+    """The numpy phase of :func:`bidirectional_bfs`, from radius sum
+    ``radius``; returns its answer.
 
-    Takes over the dict loop's per-side state (source side first) and
-    expands the side with the smaller degree sum.  A side's frontier sits
-    at its radius, so a neighbour the other side has seen closes a path
-    of ``radius + 1 + depth``; a position scatter drops duplicates in O(k).
+    Takes over the dict loop's per-side visited sets and frontiers
+    (source side first) and expands the side with the smaller degree
+    sum, under the same stopping rule; a position scatter drops
+    duplicates in linear time.
     """
-    stamp, seen, depth, position = _stamp_buffers(csr.num_vertices)
+    stamp, seen, position = _stamp_buffers(csr.num_vertices)
     for side in (0, 1):
-        visited = csr.indices(dists[side])
-        seen[side][visited] = stamp
-        depth[side][visited] = np.fromiter(dists[side].values(), np.int32)
+        seen[side][csr.indices(visited[side])] = stamp
         frontiers[side] = csr.indices(frontiers[side])
-    while frontiers[0].size and frontiers[1].size and sum(radii) < min(best, bound):
+    while frontiers[0].size and frontiers[1].size:
         own = int(csr.degree_sum(frontiers[1]) < csr.degree_sum(frontiers[0]))
         neighbours = csr.gather_neighbours(frontiers[own])
-        met = neighbours[seen[1 - own][neighbours] == stamp]
-        if met.size:
-            best = min(best, radii[own] + 1 + int(depth[1 - own][met].min()))
+        radius += 1
+        if (seen[1 - own][neighbours] == stamp).any():
+            return radius
+        if radius + 1 >= bound:
+            break
         fresh = neighbours[(seen[own][neighbours] != stamp) & ~mask[neighbours]]
         order = np.arange(fresh.size)
         position[fresh] = order
         fresh = fresh[position[fresh] == order]
-        radii[own] += 1
         seen[own][fresh] = stamp
-        depth[own][fresh] = radii[own]
         frontiers[own] = fresh
-    return best
+    return INF
 
 
 def dijkstra_distances(
@@ -285,8 +283,9 @@ def bidirectional_dijkstra(
     """Exact weighted ``source``–``target`` distance if ``<= bound``, else INF.
 
     Weighted counterpart of :func:`bidirectional_bfs`, with the same
-    ``skip``-as-interior-exclusion semantics.  Uses the classic two-heap
-    scheme with the ``top_s + top_t >= best`` stopping rule.
+    ``skip``-as-interior-exclusion semantics but an inclusive bound.
+    Uses the classic two-heap scheme with the ``top_s + top_t >= best``
+    stopping rule.
     """
     adj = graph.adjacency()
     if source not in adj:

@@ -4,6 +4,7 @@ searches that implement the paper's sparsified query step."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.graph.traversal as traversal
 from repro.exceptions import VertexNotFoundError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.digraph import DynamicDiGraph
@@ -98,8 +99,10 @@ class TestBidirectionalBfs:
         assert bidirectional_bfs(g, 0, 3) == INF
 
     def test_bound_respected(self, path_graph):
+        """The bound is strict: a path of length ``bound`` is not reported."""
         assert bidirectional_bfs(path_graph, 0, 4, bound=3) == INF
-        assert bidirectional_bfs(path_graph, 0, 4, bound=4) == 4
+        assert bidirectional_bfs(path_graph, 0, 4, bound=4) == INF
+        assert bidirectional_bfs(path_graph, 0, 4, bound=5) == 4
 
     def test_skip_forces_detour(self):
         g = ring_of_cliques(4, 3)
@@ -132,14 +135,81 @@ class TestBidirectionalBfs:
     @given(st.integers(0, 150), st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
     def test_bound_semantics_on_random_graphs(self, seed, rng):
-        """Exact iff true distance <= bound, INF otherwise."""
+        """Exact iff true distance < bound, INF otherwise; ``truth`` and
+        ``truth + 1`` assert both sides of the boundary."""
         g = random_connected_graph(seed)
         vertices = list(g.vertices())
         u, v = rng.choice(vertices), rng.choice(vertices)
         truth = reference_bfs(g, u).get(v, INF)
-        for bound in (0, 1, 2, 3, 5, INF):
+        for bound in (0, 1, 2, 3, 5, INF, truth, truth + 1):
             got = bidirectional_bfs(g, u, v, bound=bound)
-            assert got == (truth if truth <= bound else INF)
+            assert got == (truth if truth < bound else INF), bound
+
+
+class _RowCounter(dict):
+    """An adjacency mapping that counts the rows a search reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+class _CountingGraph:
+    def __init__(self, graph):
+        self.adj = _RowCounter(graph.adjacency())
+
+    def adjacency(self):
+        return self.adj
+
+
+class TestBoundedSearchWork:
+    """A search that cannot beat its bound stops one level earlier than
+    an inclusive search, which had to expand the level holding the paths
+    of length exactly ``bound``.  On a path the search reads one row (or
+    gathers one frontier vertex) per level, so the counts pin the
+    stopping rule of the dict loop and of the numpy phase."""
+
+    LENGTH = 8
+
+    @pytest.fixture
+    def long_path(self):
+        """0 - 1 - ... - 8, plus landmark 9 hanging off vertex 4."""
+        edges = [(i, i + 1) for i in range(self.LENGTH)] + [(4, 9)]
+        return DynamicGraph.from_edges(edges)
+
+    @pytest.mark.parametrize(
+        "bound, expected, levels",
+        [(LENGTH, INF, LENGTH - 1), (LENGTH + 1, LENGTH, LENGTH)],
+    )
+    def test_dict_loop_levels(self, long_path, bound, expected, levels):
+        graph = _CountingGraph(long_path)
+        assert bidirectional_bfs(graph, 0, self.LENGTH, bound=bound) == expected
+        assert graph.adj.reads == levels
+
+    @pytest.mark.parametrize(
+        "bound, expected, levels",
+        [(LENGTH, INF, LENGTH - 1), (LENGTH + 1, LENGTH, LENGTH)],
+    )
+    def test_numpy_levels(self, long_path, monkeypatch, bound, expected, levels):
+        from repro.core.dynamic import DynamicHCL
+        from repro.graph.dyncsr import DynCSR
+
+        snap = DynamicHCL.build(long_path, landmarks=[9]).snapshot()
+        gathers = []
+        gather = DynCSR.gather_neighbours
+
+        def counting_gather(csr, frontier):
+            gathers.append(frontier.size)
+            return gather(csr, frontier)
+
+        monkeypatch.setattr(traversal, "NUMPY_FRONTIER", 0)
+        monkeypatch.setattr(DynCSR, "gather_neighbours", counting_gather)
+        skip = snap.labelling.landmark_set
+        got = bidirectional_bfs(snap.graph, 0, self.LENGTH, bound=bound, skip=skip)
+        assert got == expected
+        assert gathers == [1] * levels
 
 
 class TestDijkstra:

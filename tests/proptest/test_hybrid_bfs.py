@@ -4,10 +4,11 @@
 CSR once a frontier outgrows ``NUMPY_FRONTIER``.  Here that constant is
 patched to 0, so every search on a snapshot graph runs its numpy phase,
 and each answer must equal the scalar loop's on the same epoch (the live
-:class:`DynamicGraph` carries no CSR, so it always stays scalar).  The
-snapshots come from mixed insert/delete streams, so the frozen CSR holds
-live delta lists (inserts below the compaction threshold) and
-swap-removed base rows (deletions).
+:class:`DynamicGraph` carries no CSR, so it always stays scalar).  Both
+must keep the strict contract: the exact distance iff it is below the
+bound.  The snapshots come from mixed insert/delete streams, so the
+frozen CSR holds live delta lists (inserts below the compaction
+threshold) and swap-removed base rows (deletions).
 """
 
 from __future__ import annotations
@@ -64,11 +65,13 @@ def test_hybrid_equals_scalar_loop(family, seed, numpy_everywhere):
     skip = snap.labelling.landmark_set
     for u, v in _pairs(oracle, rng):
         exact = bidirectional_bfs(oracle.graph, u, v, skip=skip)
-        bounds = {0, 1, exact, INF} | ({exact - 1} if exact < INF else set())
+        bounds = {0, 1, exact, exact + 1, INF}
+        bounds |= {exact - 1} if exact < INF else set()
         for bound in bounds:
+            expected = exact if exact < bound else INF
             scalar = bidirectional_bfs(oracle.graph, u, v, bound=bound, skip=skip)
             hybrid = bidirectional_bfs(snap.graph, u, v, bound=bound, skip=skip)
-            assert hybrid == scalar, (u, v, bound)
+            assert hybrid == scalar == expected, (u, v, bound)
 
 
 def test_matrix_reaches_delta_lists_swap_removal_and_disconnection():
