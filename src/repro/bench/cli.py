@@ -23,7 +23,6 @@ from repro.bench.experiments import (
     figure4,
     incremental_fast,
     mixed,
-    serving,
     table1,
     table2,
 )
@@ -43,7 +42,6 @@ EXPERIMENTS = {
     "extensions": extensions.run,
     "incremental_fast": incremental_fast.run,
     "mixed": mixed.run,
-    "serving": serving.run,
 }
 
 
@@ -95,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     # REPRO_PROFILE=1 profiles the harness itself: folded stacks land in
     # REPRO_PROFILE_OUT and the phase table in the JSON's `_profile` key
-    # (bench_compare treats non-list top-level keys as metadata).
+    # (metadata beside the row lists, not an experiment).
     profiler = start_if_enabled()
     reports: list[str] = []
     rows_by_experiment: dict[str, list[dict]] = {}

@@ -37,13 +37,9 @@ class BenchProfile:
     pll_budget_s: float  # construction gate for IncPLL
     ablation_updates: int
     ablation_queries: int
-    # Serving experiment (reproduction extra): closed-loop duration per
-    # reader count, the reader counts swept, the update-stream length fed
-    # to the writer, and how often readers BFS-verify an answer.
-    serving_duration_s: float
-    serving_reader_counts: tuple[int, ...]
+    # Serving benchmark (benchmarks/bench_serving.py): the update-stream
+    # length fed to the service writer.
     serving_updates: int
-    serving_verify_every: int
     # Cluster experiment (reproduction extra): closed-loop read duration
     # per replica count, the replica counts swept, concurrent client
     # threads, pairs per query_many frame, how many frames get BFS-checked,
@@ -71,10 +67,7 @@ _PROFILES = {
         pll_budget_s=30.0,
         ablation_updates=8,
         ablation_queries=40,
-        serving_duration_s=1.0,
-        serving_reader_counts=(1, 2),
         serving_updates=24,
-        serving_verify_every=8,
         cluster_duration_s=1.0,
         cluster_replica_counts=(1, 2),
         cluster_clients=2,
@@ -99,10 +92,7 @@ _PROFILES = {
         pll_budget_s=90.0,
         ablation_updates=60,
         ablation_queries=400,
-        serving_duration_s=3.0,
-        serving_reader_counts=(1, 2, 4),
         serving_updates=120,
-        serving_verify_every=16,
         cluster_duration_s=3.0,
         cluster_replica_counts=(1, 2, 4),
         cluster_clients=6,
@@ -124,10 +114,7 @@ _PROFILES = {
         pll_budget_s=600.0,
         ablation_updates=200,
         ablation_queries=2000,
-        serving_duration_s=8.0,
-        serving_reader_counts=(1, 2, 4, 8),
         serving_updates=600,
-        serving_verify_every=32,
         cluster_duration_s=6.0,
         cluster_replica_counts=(1, 2, 4),
         cluster_clients=8,

@@ -10,7 +10,7 @@ class TestCli:
         assert set(EXPERIMENTS) == {
             "table1", "table2", "figure1", "figure2", "figure3", "figure4",
             "ablations", "cluster", "extensions", "incremental_fast",
-            "mixed", "serving",
+            "mixed",
         }
 
     def test_run_single_experiment(self, capsys):

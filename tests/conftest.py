@@ -69,45 +69,6 @@ def random_connected_graph(
 
 
 # ---------------------------------------------------------------------------
-# Perf summary (bench-smoke rows surfaced at the end of the run)
-# ---------------------------------------------------------------------------
-#: Rows recorded via the ``perf_record`` fixture; the terminal-summary
-#: hook prints them so a plain ``pytest -q`` run still surfaces the
-#: serving qps/p99 numbers CI watches.
-_PERF_ROWS: list[dict] = []
-
-#: Bench-vs-baseline findings recorded via ``bench_delta_record`` (the
-#: ``perf``-marked gate tests); printed as a delta table at the end.
-_BENCH_DELTAS: list[dict] = []
-
-
-@pytest.fixture
-def perf_record():
-    """A callable tests use to report perf rows (qps, p99, ...)."""
-    return _PERF_ROWS.append
-
-
-@pytest.fixture
-def bench_delta_record():
-    """A callable the perf-gate tests use to report bench-vs-baseline
-    findings (:mod:`repro.bench.compare` dicts)."""
-    return _BENCH_DELTAS.extend
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if _PERF_ROWS:
-        terminalreporter.section("perf summary (recorded by tests)")
-        for row in _PERF_ROWS:
-            parts = [f"{k}={v}" for k, v in row.items()]
-            terminalreporter.write_line("  " + "  ".join(parts))
-    if _BENCH_DELTAS:
-        from repro.bench.compare import render_report
-
-        terminalreporter.section("bench vs committed baselines")
-        terminalreporter.write_line(render_report(_BENCH_DELTAS))
-
-
-# ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
 @pytest.fixture
