@@ -32,20 +32,30 @@ Quickstart::
     print(oracle.query(17, 4242))      # -> 1
 """
 
-from repro.core.dynamic import DynamicHCL
-from repro.core.construction import build_hcl
-from repro.core.construction_fast import build_hcl_fast
-from repro.core.directed import DirectedHCL
-from repro.core.labelling import HighwayCoverLabelling
-from repro.core.query import query_distance
-from repro.core.weighted_hcl import WeightedHCL
-from repro.graph.csr import CSRGraph
-from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.digraph import DynamicDiGraph
-from repro.graph.weighted import WeightedGraph
-from repro.serving import OracleService, OracleSnapshot
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
+
+# Resolved on first access, so ``import repro.cli`` or the cluster router
+# never pays for numpy and the core kernels.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "DynamicHCL": "repro.core.dynamic",
+        "OracleService": "repro.serving.service",
+        "OracleSnapshot": "repro.serving.snapshot",
+        "DirectedHCL": "repro.core.directed",
+        "WeightedHCL": "repro.core.weighted_hcl",
+        "build_hcl": "repro.core.construction",
+        "build_hcl_fast": "repro.core.construction_fast",
+        "HighwayCoverLabelling": "repro.core.labelling",
+        "query_distance": "repro.core.query",
+        "CSRGraph": "repro.graph.csr",
+        "DynamicGraph": "repro.graph.dynamic_graph",
+        "DynamicDiGraph": "repro.graph.digraph",
+        "WeightedGraph": "repro.graph.weighted",
+    },
+)
 
 __all__ = [
     "DynamicHCL",

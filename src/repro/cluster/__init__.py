@@ -10,7 +10,8 @@ while keeping the paper's update semantics exact (docs/DESIGN.md §9):
   configurable fsync policy), replayable from any offset and compactable
   into a ``save_oracle`` checkpoint;
 * :mod:`repro.cluster.replica` — :class:`ReplicaServer` /
-  :func:`run_replica`, a spawned process that warm-starts from
+  :func:`run_replica`, a ``python -m repro.cluster.replica`` process
+  (launched by the supervisor) that warm-starts from
   checkpoint + WAL replay, applies batched updates through the
   vectorized fast path, and serves the standard NDJSON query protocol
   with per-request ``min_epoch`` gating;
@@ -34,16 +35,28 @@ validation, and IncHL+/DecHL maintain the *canonical minimal* labelling
 replaying the log) hold byte-identical state.
 """
 
-from repro.cluster.replica import ReplicaServer, ReplicaSpec, build_replica, run_replica
-from repro.cluster.router import ClusterRouter
-from repro.cluster.shards import ShardPlan, make_shard_oracle
-from repro.cluster.supervisor import ClusterSupervisor, ReplicaWorker
-from repro.cluster.wal import (
-    LogRecord,
-    UpdateLog,
-    restore_checkpoint,
-    scan_wal,
-    write_checkpoint,
+from repro._lazy import lazy_exports
+
+# Lazy: the supervisor/router process imports only what it runs, and
+# never the replicas' numpy-backed oracle code.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ClusterRouter": "repro.cluster.router",
+        "ClusterSupervisor": "repro.cluster.supervisor",
+        "LogRecord": "repro.cluster.wal",
+        "ReplicaServer": "repro.cluster.replica",
+        "ReplicaSpec": "repro.cluster.replica",
+        "ReplicaWorker": "repro.cluster.supervisor",
+        "ShardPlan": "repro.cluster.shards",
+        "UpdateLog": "repro.cluster.wal",
+        "build_replica": "repro.cluster.replica",
+        "make_shard_oracle": "repro.cluster.shards",
+        "restore_checkpoint": "repro.cluster.wal",
+        "run_replica": "repro.cluster.replica",
+        "scan_wal": "repro.cluster.wal",
+        "write_checkpoint": "repro.cluster.wal",
+    },
 )
 
 __all__ = [

@@ -21,27 +21,35 @@ semantics (:class:`ReplicaServer`):
   while the writer keeps applying.
 
 :func:`build_replica` is the warm-start path (checkpoint → WAL suffix
-replay → serving), shared byte-for-byte between the spawned process entry
+replay → serving), shared byte-for-byte between the process entry
 :func:`run_replica` and the in-process servers the tests and benches use.
+
+The supervisor runs each replica as ``python -m repro.cluster.replica``
+with the :class:`ReplicaSpec` as JSON in ``REPRO_REPLICA_SPEC``, plus a
+``report_fd`` key naming an inherited pipe end that receives one
+``host port`` line once the socket is bound.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cluster.wal import scan_wal, write_checkpoint
 from repro.exceptions import ClusterError
 from repro.obs.log import get_logger
 from repro.serving.server import OracleServer
-from repro.serving.service import OracleService
 from repro.workloads.streams import UpdateEvent
+
+if TYPE_CHECKING:
+    from repro.serving.service import OracleService
 
 __all__ = [
     "ReplicaSpec",
     "ReplicaServer",
     "build_replica",
-    "replica_process_entry",
     "run_replica",
 ]
 
@@ -61,8 +69,9 @@ def _peak_rss_kb() -> int:
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """Everything a replica process needs to boot (picklable: crosses the
-    ``multiprocessing`` spawn boundary)."""
+    """Everything a replica process needs to boot.  The supervisor hands
+    it to ``python -m repro.cluster.replica`` as the JSON object in
+    ``REPRO_REPLICA_SPEC``, so every field is JSON-encodable."""
 
     name: str
     checkpoint_path: str
@@ -242,6 +251,7 @@ def build_replica(spec: ReplicaSpec) -> ReplicaServer:
     suffix on every shard reconstructs the exact landmark partition of
     the sequential full-oracle replay.
     """
+    from repro.serving.service import OracleService
     from repro.utils.serialization import load_oracle_with_meta
 
     oracle, meta = load_oracle_with_meta(spec.checkpoint_path)
@@ -300,12 +310,12 @@ def build_replica(spec: ReplicaSpec) -> ReplicaServer:
     )
 
 
-def run_replica(spec: ReplicaSpec, conn=None) -> int:
+def run_replica(spec: ReplicaSpec, report_fd: int | None = None) -> int:
     """Process entry point: boot from checkpoint + WAL, serve until
-    SIGTERM/SIGINT, exit 0 on a clean drain.
+    SIGTERM/SIGINT, exit 0 on a clean drain (1 when the boot fails).
 
-    ``conn`` (a ``multiprocessing`` pipe end) receives the bound
-    ``(host, port)`` once the socket is up — the supervisor assigns
+    ``report_fd`` (an inherited pipe end) receives one ``host port`` line
+    once the socket is bound, then is closed — the supervisor assigns
     ephemeral ports, so the replica must report where it landed.
     """
     log = get_logger("replica")
@@ -313,15 +323,14 @@ def run_replica(spec: ReplicaSpec, conn=None) -> int:
         server = build_replica(spec)
     except Exception as exc:
         log.error("boot_failed", replica=spec.name, err=str(exc))
-        if conn is not None:
-            conn.close()
         return 1
     log.info("booted", replica=spec.name, applied_seq=server.applied_seq)
 
     def _report(started_server) -> None:
-        if conn is not None:
-            conn.send(started_server.address)
-            conn.close()
+        if report_fd is not None:
+            host, port = started_server.address
+            os.write(report_fd, f"{host} {port}\n".encode())
+            os.close(report_fd)
 
     try:
         asyncio.run(server.run(on_started=_report))
@@ -330,18 +339,21 @@ def run_replica(spec: ReplicaSpec, conn=None) -> int:
     return 0
 
 
-def replica_process_entry(spec: ReplicaSpec, conn=None) -> None:
-    """``multiprocessing.Process`` target wrapping :func:`run_replica`.
-
-    A Process *discards* its target's return value; raising SystemExit
-    is what actually sets the child's exit code, so a failed boot shows
-    up as exit code 1 (the supervisor and smoke checks assert on it)
-    instead of masquerading as a clean shutdown.
-    """
-    raise SystemExit(run_replica(spec, conn))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual debugging aid
+def main() -> int:
+    """``python -m repro.cluster.replica``: the spec comes from
+    ``REPRO_REPLICA_SPEC``, whose optional ``report_fd`` field is the pipe
+    end :func:`run_replica` reports its address on."""
     from repro import knobs
 
-    raise SystemExit(run_replica(ReplicaSpec(**knobs.get("REPRO_REPLICA_SPEC"))))
+    fields = dict(knobs.get("REPRO_REPLICA_SPEC"))
+    report_fd = fields.pop("report_fd", None)
+    return run_replica(ReplicaSpec(**fields), report_fd)
+
+
+if __name__ == "__main__":  # pragma: no cover - runs in the replica process
+    # Run the importable module, not this ``__main__`` copy of it: names
+    # patched on ``repro.cluster.replica`` (``ReplicaServer._op_apply``)
+    # must be the ones that serve.
+    from repro.cluster import replica
+
+    raise SystemExit(replica.main())

@@ -39,7 +39,7 @@ from repro.obs.timeseries import peak_rss_kb
 from repro.obs.trace import get_recorder, span
 from repro.serving.metrics import ServiceMetrics, merge_summaries
 from repro.serving.server import LineServer, decode_line
-from repro.serving.service import _valid_vertex_id
+from repro.workloads.streams import valid_vertex_id
 
 __all__ = ["ClusterRouter"]
 
@@ -482,7 +482,7 @@ class ClusterRouter(LineServer):
         for kind, u, v in events:
             if kind not in _VALID_KINDS:
                 return {"ok": False, "error": f"unknown event kind {kind!r}"}
-            if not (_valid_vertex_id(u) and _valid_vertex_id(v)) or u == v:
+            if not (valid_vertex_id(u) and valid_vertex_id(v)) or u == v:
                 return {
                     "ok": False,
                     "error": f"invalid edge ({u!r}, {v!r}); nothing was logged",

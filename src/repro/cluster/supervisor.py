@@ -7,11 +7,10 @@ The deployment unit behind ``python -m repro serve-cluster``: given a
    ``wal/``), opens the :class:`~repro.cluster.wal.UpdateLog` at the
    checkpoint's log position and starts the
    :class:`~repro.cluster.router.ClusterRouter`;
-2. **spawns** one replica process per requested worker
-   (:func:`~repro.cluster.replica.run_replica` via the ``spawn``
-   multiprocessing context — no inherited locks or loops), each booting
-   from checkpoint + WAL suffix and reporting its ephemeral port back
-   over a pipe;
+2. **spawns** one replica process per requested worker, all at once
+   (``python -m repro.cluster.replica`` as a plain subprocess — no
+   inherited locks or loops), each booting from checkpoint + WAL suffix
+   and reporting its ephemeral port back on an inherited pipe;
 3. **health-checks**: a dead process — or one whose router link has been
    unhealthy longer than ``restart_after`` — is terminated and respawned;
    the fresh process warm-starts from the newest checkpoint, replays the
@@ -37,33 +36,54 @@ exit 0 after their own graceful drain.
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
+import dataclasses
+import json
 import os
+import select
+import subprocess
+import sys
 from pathlib import Path
+from time import monotonic, perf_counter
 
-from time import perf_counter
-
-from repro.cluster.replica import ReplicaSpec, replica_process_entry
+from repro.cluster.replica import ReplicaSpec
 from repro.cluster.router import ClusterRouter
 from repro.cluster.wal import UpdateLog
 from repro.exceptions import ClusterError
 from repro.obs.log import get_logger
 from repro.serving.server import ThreadedLoopRunner
-from repro.utils.serialization import read_oracle_meta
+from repro.utils.oracle_header import read_oracle_meta
 
 __all__ = ["ReplicaWorker", "ClusterSupervisor"]
 
 _CHECKPOINT_NAME = "checkpoint.json.gz"
 _WAL_DIRNAME = "wal"
+#: The directory holding this ``repro`` package; replicas import it from
+#: there even when the parent found it only through ``sys.path``.
+_SOURCE_ROOT = str(Path(__file__).resolve().parents[2])
+
+
+def _replica_env(spec: ReplicaSpec, report_fd: int) -> dict[str, str]:
+    """The parent's environment plus the replica's spec, with
+    ``PYTHONPATH`` extended (never replaced: a start-up hook on it must
+    reach the replicas too)."""
+    env = dict(os.environ)
+    env["REPRO_REPLICA_SPEC"] = json.dumps(
+        {**dataclasses.asdict(spec), "report_fd": report_fd}
+    )
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        _SOURCE_ROOT + os.pathsep + inherited if inherited else _SOURCE_ROOT
+    )
+    return env
 
 
 class ReplicaWorker:
-    """One spawned replica process plus the spec to respawn it."""
+    """One replica process (``python -m repro.cluster.replica``) plus the
+    spec to respawn it."""
 
-    def __init__(self, spec: ReplicaSpec, context) -> None:
+    def __init__(self, spec: ReplicaSpec) -> None:
         self.spec = spec
-        self._ctx = context
-        self.process = None
+        self.process: subprocess.Popen | None = None
         self.address: tuple[str, int] | None = None
         self.restarts = 0
         self.last_exitcode = None
@@ -74,71 +94,77 @@ class ReplicaWorker:
 
     @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        return self.process is not None and self.process.poll() is None
 
     @property
     def exitcode(self):
         """Exit code of the current (or last terminated) process.  A clean
         SIGTERM drain exits 0 — the smoke checks assert on it."""
         if self.process is not None:
-            return self.process.exitcode
+            return self.process.poll()
         return self.last_exitcode
 
     def spawn(self, spawn_timeout: float) -> tuple[str, int]:
         """Start the process; blocks until it reports its bound address.
 
-        Called in an executor by the supervisor (pipe recv blocks).
+        Called in an executor by the supervisor.  On failure the process
+        is gone (terminated, or it had already exited) before this raises.
         """
-        parent_conn, child_conn = self._ctx.Pipe()
-        # NOT daemonic: replica shutdown is explicit — replicas exit on
-        # SIGTERM (supervisor.stop / terminate) — rather than left to the
-        # interpreter-exit hook that terminates daemonic children.
-        self.process = self._ctx.Process(
-            target=replica_process_entry,
-            args=(self.spec, child_conn),
-            name=f"repro-replica-{self.spec.name}",
-        )
-        self.process.start()
-        child_conn.close()
-        waited = 0.0
+        read_fd, write_fd = os.pipe()
         try:
-            while not parent_conn.poll(0.1):
-                waited += 0.1
-                if not self.process.is_alive():
-                    raise ClusterError(
-                        f"replica {self.spec.name} died during boot "
-                        f"(exit code {self.process.exitcode})"
-                    )
-                if waited >= spawn_timeout:
-                    self.terminate()
-                    raise ClusterError(
-                        f"replica {self.spec.name} did not report its address "
-                        f"within {spawn_timeout:.0f}s"
-                    )
             try:
-                self.address = tuple(parent_conn.recv())
-            except EOFError:
-                self.process.join(5.0)
-                raise ClusterError(
-                    f"replica {self.spec.name} died before reporting its "
-                    f"address (exit code {self.process.exitcode})"
-                ) from None
+                self.process = subprocess.Popen(
+                    [sys.executable, "-m", "repro.cluster.replica"],
+                    env=_replica_env(self.spec, write_fd),
+                    stdin=subprocess.DEVNULL,
+                    pass_fds=(write_fd,),
+                )
+            finally:
+                os.close(write_fd)  # only the child may hold the write end
+            line = self._read_report(read_fd, monotonic() + spawn_timeout)
+        except BaseException:
+            self.terminate()
+            raise
         finally:
-            parent_conn.close()
+            os.close(read_fd)
+        host, port = line.split()
+        self.address = (host, int(port))
         return self.address
+
+    def _read_report(self, fd: int, deadline: float) -> str:
+        """The ``host port`` line the replica writes once it is serving."""
+        data = b""
+        while not data.endswith(b"\n"):
+            remaining = deadline - monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise ClusterError(
+                    f"replica {self.name} did not report its address in time"
+                )
+            chunk = os.read(fd, 256)
+            if not chunk:  # the replica closed the pipe without a report
+                try:
+                    code = self.process.wait(5.0)
+                except subprocess.TimeoutExpired:
+                    code = None
+                raise ClusterError(
+                    f"replica {self.name} exited during boot (exit code {code})"
+                )
+            data += chunk
+        return data.decode()
 
     def terminate(self, grace: float = 10.0) -> None:
         """SIGTERM (graceful drain in the replica), escalate to SIGKILL."""
         proc = self.process
         if proc is None:
             return
-        if proc.is_alive():
+        if proc.poll() is None:
             proc.terminate()
-            proc.join(grace)
-            if proc.is_alive():  # pragma: no cover - stuck replica
+            try:
+                proc.wait(grace)
+            except subprocess.TimeoutExpired:  # pragma: no cover - stuck replica
                 proc.kill()
-                proc.join(grace)
-        self.last_exitcode = proc.exitcode
+                proc.wait(grace)
+        self.last_exitcode = proc.returncode
         self.process = None
         self.address = None
 
@@ -185,7 +211,6 @@ class ClusterSupervisor:
         self._compact_every = compact_every
         self._spawn_timeout = spawn_timeout
         self._router_kwargs = dict(router_kwargs or {})
-        self._ctx = multiprocessing.get_context("spawn")
         self._workers_by_name: dict[str, ReplicaWorker] = {}
         self._health_task: asyncio.Task | None = None
         self._compact_task: asyncio.Task | None = None
@@ -255,7 +280,22 @@ class ClusterSupervisor:
         try:
             for name, shard in self._worker_layout():
                 self._shard_of_worker[name] = shard
-                await self._spawn(name)
+            # Boot every replica at once: each pays its own imports and
+            # checkpoint load, so the cluster is up after the slowest.
+            # Wait for all of them even when one fails — stop() must
+            # reach every process that did come up.
+            booted = await asyncio.gather(
+                *(self._spawn(name) for name in self._shard_of_worker),
+                return_exceptions=True,
+            )
+            failed = [exc for exc in booted if isinstance(exc, BaseException)]
+            if failed:
+                raise ClusterError(
+                    f"{len(failed)} of {len(booted)} replicas failed to boot: "
+                    f"{failed[0]}"
+                ) from failed[0]
+            for worker in booted:
+                await self._attach(worker)
         except Exception:
             await self.stop()
             raise
@@ -386,26 +426,32 @@ class ClusterSupervisor:
 
         registry.on_collect(_collect)
 
-    async def _spawn(self, name: str) -> None:
+    async def _spawn(self, name: str) -> ReplicaWorker:
+        """Start ``name``'s process and wait for its address.  The worker
+        is registered before it boots, so :meth:`stop` reaches it even
+        when a sibling's boot fails."""
         previous = self._workers_by_name.get(name)
-        worker = ReplicaWorker(self._spec(name), self._ctx)
+        worker = ReplicaWorker(self._spec(name))
         if previous is not None:
             worker.restarts = previous.restarts + 1
-        loop = asyncio.get_running_loop()
-        host, port = await loop.run_in_executor(
-            None, worker.spawn, self._spawn_timeout
-        )
         self._workers_by_name[name] = worker
-        shard = self._shard_of_worker.get(name)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, worker.spawn, self._spawn_timeout)
+        return worker
+
+    async def _attach(self, worker: ReplicaWorker) -> None:
+        """Point the router at a booted replica."""
+        host, port = worker.address
+        shard = self._shard_of_worker.get(worker.name)
         self._logger.info(
             "replica_spawned",
-            replica=name,
+            replica=worker.name,
             shard=shard,
             port=port,
             restarts=worker.restarts,
         )
         await self.router.set_replica_address(
-            name, host, port, shard=shard if shard is not None else 0
+            worker.name, host, port, shard=shard if shard is not None else 0
         )
 
     async def _health_loop(self) -> None:
@@ -447,7 +493,7 @@ class ClusterSupervisor:
                 continue
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, worker.terminate)
-            await self._spawn(name)
+            await self._attach(await self._spawn(name))
         await self._maybe_compact()
 
     async def _maybe_compact(self) -> None:

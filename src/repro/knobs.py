@@ -136,8 +136,9 @@ KNOBS: dict[str, Knob] = {
             "REPRO_REPLICA_SPEC",
             None,
             _parse_json,
-            "JSON `ReplicaSpec` consumed by `python -m repro.cluster."
-            "replica` (cluster-internal; required there).",
+            "JSON `ReplicaSpec`, plus the `report_fd` pipe end for the "
+            "bound address, consumed by `python -m repro.cluster.replica` "
+            "(cluster-internal; required there).",
             required=True,
         ),
         Knob(

@@ -17,9 +17,17 @@ layer that actually serves that workload (docs/DESIGN.md §7):
   latency tracking surfaced through the ``stats`` op.
 """
 
-from repro.serving.metrics import LatencyRecorder, ServiceMetrics
-from repro.serving.service import OracleService
-from repro.serving.snapshot import OracleSnapshot
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "LatencyRecorder": "repro.serving.metrics",
+        "OracleService": "repro.serving.service",
+        "OracleSnapshot": "repro.serving.snapshot",
+        "ServiceMetrics": "repro.serving.metrics",
+    },
+)
 
 __all__ = [
     "LatencyRecorder",

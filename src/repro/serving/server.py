@@ -55,10 +55,11 @@ import asyncio
 import json
 import signal
 import threading
+from math import inf
 from time import perf_counter
+from typing import TYPE_CHECKING
 
 from repro.exceptions import ReproError, ServingError
-from repro.graph.traversal import INF
 from repro.obs.exporter import CONTENT_TYPE, MetricsExporter
 from repro.obs.log import get_logger, slow_threshold_ms
 from repro.obs.profile import dump_if_enabled, get_profiler, start_if_enabled
@@ -66,8 +67,10 @@ from repro.obs.registry import COUNT_BOUNDS, Histogram, MetricsRegistry
 from repro.obs.slo import SLOEvaluator
 from repro.obs.timeseries import TimeSeriesRecorder, peak_rss_kb
 from repro.obs.trace import get_recorder, obs_enabled, span
-from repro.serving.service import OracleService, _valid_vertex_id
-from repro.workloads.streams import UpdateEvent
+from repro.workloads.streams import UpdateEvent, valid_vertex_id
+
+if TYPE_CHECKING:
+    from repro.serving.service import OracleService
 
 __all__ = ["LineServer", "OracleServer", "ThreadedLoopRunner"]
 
@@ -78,14 +81,14 @@ _DRAIN_TIMEOUT = 10.0  # seconds a graceful stop waits for in-flight requests
 
 def _finite(distance: float) -> float | int | None:
     """JSON-encodable distance: ``None`` stands for unreachable."""
-    return None if distance == INF else distance
+    return None if distance == inf else distance
 
 
 def _vertex_ids(u, v) -> tuple[int, int]:
     """``(u, v)`` when both are vertex ids, else ``ValueError`` (``int()``
     would turn ``0.9``, ``True`` or ``"0"`` into the wrong vertex)."""
     for x in (u, v):
-        if not _valid_vertex_id(x):
+        if not valid_vertex_id(x):
             raise ValueError(f"vertex ids must be non-negative ints, got {x!r}")
     return u, v
 
@@ -707,6 +710,7 @@ class OracleServer(LineServer):
         slos=None,
     ) -> "OracleServer":
         """Warm-start: load a ``save_oracle`` file and wrap it in a service."""
+        from repro.serving.service import OracleService
         from repro.utils.serialization import load_oracle
 
         oracle = load_oracle(path)

@@ -36,19 +36,13 @@ from repro.obs.log import get_logger, slow_threshold_ms
 from repro.obs.trace import obs_enabled, record_span
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.snapshot import OracleSnapshot
-from repro.workloads.streams import UpdateEvent
+from repro.workloads.streams import UpdateEvent, valid_vertex_id
 
 __all__ = ["OracleService"]
 
 _STOP = object()  # queue sentinel: shut the writer loop down
 
 _log = get_logger("service")
-
-
-def _valid_vertex_id(x) -> bool:
-    """Whether ``x`` may name a vertex (checked *before* any graph
-    mutation, so a half-valid event can never leave side effects)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 class _PublishBarrier:
@@ -364,7 +358,7 @@ class OracleService:
         rejected = 0
         for event in events:
             u, v = event.edge
-            if not _valid_vertex_id(u) or not _valid_vertex_id(v) or u == v:
+            if not valid_vertex_id(u) or not valid_vertex_id(v) or u == v:
                 rejected += 1
                 continue
             key = (u, v) if u < v else (v, u)

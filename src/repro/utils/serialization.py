@@ -26,9 +26,7 @@ import gzip
 import json
 import os
 import uuid
-import zlib
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 from numpy.lib import format as npy
@@ -39,6 +37,16 @@ from repro.core.labels import LabelStore
 from repro.exceptions import ReproError
 from repro.graph.dyncsr import UNREACH
 from repro.graph.traversal import INF
+from repro.utils.oracle_header import (
+    MAGIC,
+    STREAM_ERRORS,
+    fail,
+    open_binary,
+    read_header,
+    read_magic,
+    read_oracle_meta,
+    v1_payload,
+)
 
 __all__ = [
     "save_labelling",
@@ -50,11 +58,6 @@ __all__ = [
 ]
 
 _FORMAT = "repro-hcl-v1"
-_ORACLE_V1 = "repro-oracle-v1"
-#: First line of a ``repro-oracle-v2`` file.
-_MAGIC = b"repro-oracle-v2\n"
-#: Longest header line a loader accepts.
-_HEADER_LIMIT = 1 << 24
 #: The ``.npy`` records after the header, in file order, with their dtypes.
 _RECORDS = (
     ("ids", np.dtype("<i8")),
@@ -63,8 +66,6 @@ _RECORDS = (
     ("dist", np.dtype("<i4")),
     ("entry", np.dtype("bool")),
 )
-#: What a truncated or corrupt (gzip) stream raises on read.
-_STREAM_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)
 
 
 def _open(path: str | os.PathLike, mode: str):
@@ -224,7 +225,7 @@ def save_oracle(oracle, path: str | os.PathLike, meta: dict | None = None) -> No
     arrays = (ids, indptr, indices.astype(np.int32), out_dist, out_entry)
 
     def write(handle) -> None:
-        handle.write(_MAGIC)
+        handle.write(MAGIC)
         handle.write(json.dumps(header, sort_keys=True).encode() + b"\n")
         for array in arrays:
             npy.write_array(handle, array, version=(1, 0), allow_pickle=False)
@@ -286,98 +287,36 @@ def load_oracle_with_meta(path: str | os.PathLike):
     return _load(path)
 
 
-def read_oracle_meta(path: str | os.PathLike) -> dict:
-    """Only the ``meta`` dict of a :func:`save_oracle` file (``{}`` when
-    absent), read from the header without touching the arrays — the
-    cluster supervisor calls this per checkpoint at start-up."""
-    with _open_binary(path) as handle:
-        head = _read_magic(handle, path)
-        if head != _MAGIC:
-            return dict(_v1_payload(path, head + handle.read()).get("meta") or {})
-        return _read_header(handle, path)[2]
-
-
-def _open_binary(path: str | os.PathLike):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _fail(path, check: str) -> NoReturn:
-    raise ReproError(f"{path}: {check}")
-
-
-def _read_magic(handle, path) -> bytes:
-    """The first ``len(_MAGIC)`` bytes: the v2 magic, or the start of a
-    v1 JSON object (anything else is rejected)."""
-    try:
-        head = handle.read(len(_MAGIC))
-    except _STREAM_ERRORS as exc:
-        _fail(path, f"unreadable stream ({exc})")
-    if head != _MAGIC and not head.lstrip().startswith(b"{"):
-        _fail(path, "bad magic: not a repro oracle file")
-    return head
-
-
-def _read_header(handle, path) -> tuple[list[int], list[int], dict]:
-    """``(landmarks, rows, meta)`` from the header line, type-checked."""
-    try:
-        line = handle.readline(_HEADER_LIMIT)
-    except _STREAM_ERRORS as exc:
-        _fail(path, f"unreadable header ({exc})")
-    if not line.endswith(b"\n"):
-        _fail(path, "header truncated or oversized")
-    try:
-        header = json.loads(line)
-    except ValueError as exc:
-        _fail(path, f"header is not JSON ({exc})")
-    if not isinstance(header, dict) or sorted(header) != ["landmarks", "meta", "rows"]:
-        _fail(path, "header must hold exactly landmarks, meta and rows")
-    landmarks, rows, meta = header["landmarks"], header["rows"], header["meta"]
-    for name, value in (("landmarks", landmarks), ("rows", rows)):
-        if not isinstance(value, list) or not all(
-            type(r) is int and 0 <= r < 2**63 for r in value
-        ) or len(set(value)) != len(value):
-            _fail(path, f"header {name} must be a list of unique vertex ids")
-    if not landmarks:
-        _fail(path, "header lists no landmarks")
-    if not set(rows) <= set(landmarks):
-        _fail(path, "header rows are not a subset of the landmarks")
-    if not isinstance(meta, dict):
-        _fail(path, "header meta must be an object")
-    return landmarks, rows, meta
-
-
 def _read_record(handle, path, name: str, dtype: np.dtype) -> np.ndarray:
     """One ``.npy`` record, pickle refused, dtype and layout checked."""
     try:
         array = npy.read_array(handle, allow_pickle=False)
-    except (ValueError, MemoryError, *_STREAM_ERRORS) as exc:
+    except (ValueError, MemoryError, *STREAM_ERRORS) as exc:
         # MemoryError: a header claiming a shape no file could hold.
-        _fail(path, f"record {name!r} unreadable ({exc})")
+        fail(path, f"record {name!r} unreadable ({exc})")
     if array.dtype != dtype or not array.flags.c_contiguous:
-        _fail(path, f"record {name!r} is not a C-order {dtype} array "
-                    f"(got {array.dtype})")
+        fail(path, f"record {name!r} is not a C-order {dtype} array "
+                   f"(got {array.dtype})")
     return array
 
 
 def _load(path: str | os.PathLike):
     """``(oracle, meta)`` from a v2 or v1 oracle file."""
-    with _open_binary(path) as handle:
-        head = _read_magic(handle, path)
-        if head != _MAGIC:
+    with open_binary(path) as handle:
+        head = read_magic(handle, path)
+        if head != MAGIC:
             return _oracle_from_v1(path, head + handle.read())
-        landmarks, rows, meta = _read_header(handle, path)
+        landmarks, rows, meta = read_header(handle, path)
         arrays = {
             name: _read_record(handle, path, name, dtype)
             for name, dtype in _RECORDS
         }
         try:
             trailing = handle.read(1)
-        except _STREAM_ERRORS as exc:
-            _fail(path, f"unreadable stream ({exc})")
+        except STREAM_ERRORS as exc:
+            fail(path, f"unreadable stream ({exc})")
         if trailing:
-            _fail(path, "trailing data after the last record")
+            fail(path, "trailing data after the last record")
     return _oracle_from_arrays(path, landmarks, rows, **arrays), meta
 
 
@@ -390,29 +329,29 @@ def _check_graph(path, ids, indptr, indices) -> tuple[np.ndarray, np.ndarray]:
     symmetric adjacency — the sorted transposed pairs equal the pairs.
     """
     if ids.ndim != 1 or len(ids) == 0:
-        _fail(path, "ids must be a non-empty vector")
+        fail(path, "ids must be a non-empty vector")
     n = len(ids)
     if ids[0] < 0 or (ids[1:] <= ids[:-1]).any():
-        _fail(path, "ids are not sorted, unique and non-negative")
+        fail(path, "ids are not sorted, unique and non-negative")
     if indptr.shape != (n + 1,) or indices.ndim != 1:
-        _fail(path, f"indptr/indices shapes {indptr.shape}/{indices.shape} "
-                    f"do not fit {n} vertices")
+        fail(path, f"indptr/indices shapes {indptr.shape}/{indices.shape} "
+                   f"do not fit {n} vertices")
     degrees = np.diff(indptr)
     if indptr[0] != 0 or indptr[-1] != len(indices) or (degrees < 0).any():
-        _fail(path, "indptr is not monotone from 0 to len(indices)")
+        fail(path, "indptr is not monotone from 0 to len(indices)")
     if len(indices) and (indices.min() < 0 or indices.max() >= n):
-        _fail(path, "neighbour index out of range")
+        fail(path, "neighbour index out of range")
     sources = np.repeat(np.arange(n, dtype=np.int64), degrees)
     neighbours = indices.astype(np.int64)
     if (neighbours == sources).any():
-        _fail(path, "adjacency has a self-loop")
+        fail(path, "adjacency has a self-loop")
     same_row = sources[1:] == sources[:-1]
     if (same_row & (neighbours[1:] <= neighbours[:-1])).any():
-        _fail(path, "neighbour rows are not strictly increasing")
+        fail(path, "neighbour rows are not strictly increasing")
     transposed = neighbours * n + sources
     transposed.sort()
     if not np.array_equal(transposed, sources * n + neighbours):
-        _fail(path, "adjacency is not symmetric")
+        fail(path, "adjacency is not symmetric")
     return sources, neighbours
 
 
@@ -446,25 +385,25 @@ def _check_rows(path, rows, row_cols, sources, neighbours, dist, entry) -> None:
     for k, (r, c) in enumerate(zip(rows, row_cols)):
         row = dist[k]
         if (row < 0).any():
-            _fail(path, f"row of landmark {r} has a negative distance")
+            fail(path, f"row of landmark {r} has a negative distance")
         zeros = np.flatnonzero(row == 0)
         if zeros.size != 1 or zeros[0] != c:
-            _fail(path, f"row of landmark {r} is not zero exactly at {r}")
+            fail(path, f"row of landmark {r} is not zero exactly at {r}")
         d_tail, d_head = row[tail], row[head]
         step = d_tail - d_head
         if ((np.abs(step) > 1) & ((d_tail != UNREACH) | (d_head != UNREACH))).any():
-            _fail(path, f"row of landmark {r} changes by more than one "
-                        f"across an edge")
+            fail(path, f"row of landmark {r} changes by more than one "
+                       f"across an edge")
         has_parent = np.zeros(len(row), dtype=bool)
         has_parent[tail[step == 1]] = True
         has_parent[head[step == -1]] = True
         has_parent[c] = True
         if ((row != UNREACH) & ~has_parent).any():
-            _fail(path, f"row of landmark {r} has a finite distance with no "
-                        f"neighbour one step closer")
+            fail(path, f"row of landmark {r} has a finite distance with no "
+                       f"neighbour one step closer")
         if (entry[k] & (row == UNREACH)).any():
-            _fail(path, f"row of landmark {r} has a label entry at an "
-                        f"unreachable vertex")
+            fail(path, f"row of landmark {r} has a label entry at an "
+                       f"unreachable vertex")
 
 
 def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry):
@@ -477,15 +416,15 @@ def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry
     sources, neighbours = _check_graph(path, ids, indptr, indices)
     n = len(ids)
     if dist.shape != (len(rows), n) or entry.shape != dist.shape:
-        _fail(path, f"dist/entry shapes {dist.shape}/{entry.shape} do not fit "
-                    f"{len(rows)} rows x {n} vertices")
+        fail(path, f"dist/entry shapes {dist.shape}/{entry.shape} do not fit "
+                   f"{len(rows)} rows x {n} vertices")
     landmark_cols = np.searchsorted(ids, landmarks)
     if not np.array_equal(ids.take(landmark_cols, mode="clip"), landmarks):
-        _fail(path, "a landmark is not a vertex")
+        fail(path, "a landmark is not a vertex")
     column = dict(zip(landmarks, landmark_cols.tolist()))
     row_cols = [column[r] for r in rows]
     if entry[:, landmark_cols].any():
-        _fail(path, "label entry in a landmark's column")
+        fail(path, "label entry in a landmark's column")
     _check_rows(path, rows, row_cols, sources, neighbours, dist, entry)
     del sources  # before the dict builds, which set the peak RSS
 
@@ -524,24 +463,13 @@ def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry
 # ---------------------------------------------------------------------------
 # Oracles: read-only repro-oracle-v1
 # ---------------------------------------------------------------------------
-def _v1_payload(path, data: bytes) -> dict:
-    try:
-        payload = json.loads(data)
-    except ValueError as exc:
-        _fail(path, f"not a repro oracle file ({exc})")
-    found = payload.get("format") if isinstance(payload, dict) else None
-    if found != _ORACLE_V1:
-        _fail(path, f"not a repro oracle file (format={found!r})")
-    return payload
-
-
 def _oracle_from_v1(path, data: bytes):
     """``(oracle, meta)`` from a legacy JSON file; the engine attaches by
     BFS on first use, as before v2."""
     from repro.core.dynamic import DynamicHCL
     from repro.graph.dynamic_graph import DynamicGraph
 
-    payload = _v1_payload(path, data)
+    payload = v1_payload(path, data)
     graph = DynamicGraph(payload["vertices"])
     for u, v in payload["edges"]:
         graph.add_edge(u, v)

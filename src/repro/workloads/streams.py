@@ -33,6 +33,7 @@ from repro.utils.rng import ensure_rng
 
 __all__ = [
     "UpdateEvent",
+    "valid_vertex_id",
     "ReplayRecord",
     "insertion_stream",
     "mixed_stream",
@@ -44,6 +45,12 @@ __all__ = [
 
 INSERT = "insert"
 DELETE = "delete"
+
+
+def valid_vertex_id(x) -> bool:
+    """Whether ``x`` may name a vertex (checked *before* any graph
+    mutation, so a half-valid event can never leave side effects)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 @dataclass(frozen=True)

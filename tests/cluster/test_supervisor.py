@@ -1,11 +1,18 @@
-"""ClusterSupervisor: real spawned replica processes, crash recovery.
+"""ClusterSupervisor: real replica processes, crash recovery, boot
+failures and the lean process tree.
 
-These are the only cluster tests paying a ``multiprocessing`` spawn —
-everything protocol-level is covered in-process elsewhere.
+These are the only cluster tests paying a process spawn — everything
+protocol-level is covered in-process elsewhere.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from time import perf_counter, sleep
 
 import pytest
@@ -26,6 +33,32 @@ def oracle_file(tmp_path_factory):
     return path
 
 
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _src_env(**extra: str) -> dict[str, str]:
+    """This environment plus ``extra``, with ``src`` first on PYTHONPATH."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    return env
+
+
+def _children(pid: int) -> set[int]:
+    """Live (non-zombie) child pids of ``pid``, read from ``/proc``."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.add(int(entry))
+    return found
+
+
 def _wait_until(predicate, timeout=15.0, interval=0.1):
     deadline = perf_counter() + timeout
     while perf_counter() < deadline:
@@ -44,8 +77,13 @@ def test_cluster_end_to_end_with_crash_recovery(oracle_file, tmp_path):
         compact_every=None,
         health_interval=0.2,
     )
+    before = _children(os.getpid())
     host, port = supervisor.start_in_thread()
     try:
+        # The process tree holds only what serves: no resource tracker or
+        # other helper next to the replicas.
+        pids = {w.process.pid for w in supervisor.workers_by_name.values()}
+        assert _children(os.getpid()) - before == pids
         with ServingClient(host, port) as client:
             assert client.ping()
             assert client.query(0, 15) == 6
@@ -137,18 +175,106 @@ def test_compaction_writes_checkpoint_and_trims_wal(oracle_file, tmp_path):
 
 
 def test_boot_failure_exits_nonzero(tmp_path):
-    """A replica that cannot boot must exit 1 (a Process discards its
-    target's return value — the SystemExit wrapper carries the code)."""
-    import multiprocessing
+    """A replica that cannot boot must exit 1 (the supervisor and the
+    smoke checks tell a failed boot from a clean drain by it)."""
+    spec = {"name": "x", "checkpoint_path": str(tmp_path / "missing.json")}
+    process = subprocess.run(
+        [sys.executable, "-m", "repro.cluster.replica"],
+        env=_src_env(REPRO_REPLICA_SPEC=json.dumps(spec)), stdin=subprocess.DEVNULL, capture_output=True, timeout=60,
+    )
+    assert process.returncode == 1
+    assert process.stdout == b""
 
-    from repro.cluster.replica import ReplicaSpec, replica_process_entry
 
-    ctx = multiprocessing.get_context("spawn")
-    spec = ReplicaSpec(name="x", checkpoint_path=str(tmp_path / "missing.json"))
-    process = ctx.Process(target=replica_process_entry, args=(spec, None))
-    process.start()
-    process.join(60)
-    assert process.exitcode == 1
+def test_failed_shard_boot_leaks_no_replica(oracle_file, tmp_path):
+    """Replicas boot concurrently; when one shard's boot file is corrupt,
+    start() raises only after every spawn finished, and the replicas
+    that did come up are terminated."""
+    cluster_dir = tmp_path / "cluster"
+    cluster_dir.mkdir()
+    (cluster_dir / "checkpoint-s1.json.gz").write_bytes(b"not an oracle")
+    supervisor = ClusterSupervisor(
+        oracle_file, cluster_dir=cluster_dir, replicas=1, shards=2, port=0,
+        compact_every=None,
+    )
+    before = _children(os.getpid())
+    with pytest.raises(ClusterError, match="1 of 2 replicas failed to boot"):
+        supervisor.start_in_thread()
+    assert _children(os.getpid()) == before
+    workers = supervisor.workers_by_name
+    assert workers["s0r0"].last_exitcode == 0  # booted, then drained
+    assert workers["s1r0"].last_exitcode == 1  # boot failed
+    assert all(not worker.alive for worker in workers.values())
+
+
+def test_boot_timeout_terminates_the_booting_replica(oracle_file, tmp_path):
+    supervisor = ClusterSupervisor(
+        oracle_file, cluster_dir=tmp_path / "cluster", replicas=1, port=0,
+        compact_every=None, spawn_timeout=0.01,
+    )
+    before = _children(os.getpid())
+    with pytest.raises(ClusterError, match="did not report its address"):
+        supervisor.start_in_thread()
+    assert _children(os.getpid()) == before
+    assert not supervisor.worker("r0").alive
+
+
+def test_replicas_boot_when_repro_is_found_only_through_sys_path(
+    oracle_file, tmp_path
+):
+    """A parent that imports ``repro`` via ``sys.path`` with PYTHONPATH
+    unset still launches replicas that can import it."""
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {_SRC!r})
+        from repro.cluster import ClusterSupervisor
+        from repro.serving.client import ServingClient
+
+        supervisor = ClusterSupervisor(
+            {str(oracle_file)!r}, cluster_dir={str(tmp_path / "cluster")!r},
+            replicas=1, port=0, compact_every=None,
+        )
+        host, port = supervisor.start_in_thread()
+        try:
+            with ServingClient(host, port) as client:
+                print(client.query(0, 15))
+        finally:
+            supervisor.stop_thread()
+        print(supervisor.worker("r0").exitcode)
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    process = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    assert process.stdout.split() == ["6", "0"]
+
+
+def test_router_process_never_imports_numpy(oracle_file):
+    """The supervisor/router process imports no numpy (and no core
+    kernel), reading checkpoint headers included; the package's lazy
+    re-exports still resolve."""
+    script = textwrap.dedent(f"""
+        import sys
+        import repro.cli, repro.cluster.supervisor, repro.cluster.router
+        from repro.cluster.supervisor import read_oracle_meta
+        assert read_oracle_meta({str(oracle_file)!r}) == {{}}
+        leaked = sorted(
+            m for m in sys.modules
+            if m.split(".")[0] == "numpy" or m.startswith("repro.core")
+        )
+        assert not leaked, leaked
+        from repro import DynamicHCL
+        from repro.serving import OracleService
+        assert DynamicHCL.__module__ == "repro.core.dynamic"
+        assert OracleService.__module__ == "repro.serving.service"
+    """)
+    process = subprocess.run(
+        [sys.executable, "-c", script], env=_src_env(), stdin=subprocess.DEVNULL,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert process.returncode == 0, process.stderr
 
 
 def test_missing_oracle_file_fails_fast(tmp_path):

@@ -18,12 +18,14 @@ replica processes — then:
 4. checks the router's ``aggregate.queries.count`` equals the sum of its
    replicas' ``queries.count`` (both read from the replicas' one latency
    histogram each);
-5. stops the supervisor and asserts a **clean shutdown**: every replica
+5. checks the supervisor's child processes are exactly its replicas
+   (no ``multiprocessing`` resource tracker or other helper);
+6. stops the supervisor and asserts a **clean shutdown**: every replica
    process exited 0 after its SIGTERM drain.
 
 Exit code 0 requires **nonzero qps, zero incorrect answers, zero-lag
-convergence in the exposition, an exact read-count aggregate, and a
-clean shutdown**.
+convergence in the exposition, an exact read-count aggregate, a lean
+process tree, and a clean shutdown**.
 
 With ``--shards N`` the supervisor runs N landmark shard groups of
 ``--replicas`` each; reads scatter-gather across groups, so the BFS
@@ -57,6 +59,22 @@ from repro.serving.client import ServingClient
 from repro.utils.rng import ensure_rng
 from repro.utils.serialization import save_oracle
 from repro.workloads.streams import mixed_stream
+
+
+def child_pids(pid: int) -> set[int]:
+    """Live (non-zombie) child pids of ``pid``, read from ``/proc``."""
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid and fields[0] != "Z":
+            found.add(int(entry))
+    return found
 
 
 def main(argv=None) -> int:
@@ -101,6 +119,11 @@ def main(argv=None) -> int:
         )
         host, port = supervisor.start_in_thread()
         total_replicas = args.shards * args.replicas
+        children = child_pids(os.getpid())
+        replica_pids = {
+            worker.process.pid
+            for worker in supervisor.workers_by_name.values()
+        }
         print(f"cluster router on {host}:{port} with {args.shards} shard "
               f"group(s) x {args.replicas} replicas "
               f"(|V|={len(vertices)}, |E|={graph.num_edges})")
@@ -206,6 +229,8 @@ def main(argv=None) -> int:
     print(f"observability: {len(trace_spans)} router span(s) for trace "
           f"{trace}, {len(exposition)} bytes of exposition, "
           f"lag gauges: {lag_lines}")
+    print(f"process tree: children {sorted(children)}, replicas "
+          f"{sorted(replica_pids)}")
     print(f"shutdown: replica exit codes {exit_codes}")
 
     if queries == 0 or qps <= 0:
@@ -252,6 +277,11 @@ def main(argv=None) -> int:
         return 1
     if args.span_log and not Path(args.span_log).stat().st_size:
         print("FAIL: span log is empty", file=sys.stderr)
+        return 1
+    if children != replica_pids or len(replica_pids) != total_replicas:
+        print(f"FAIL: supervisor children {sorted(children)} are not exactly "
+              f"its {total_replicas} replicas {sorted(replica_pids)}",
+              file=sys.stderr)
         return 1
     if any(code != 0 for code in exit_codes.values()):
         print(f"FAIL: unclean replica shutdown: {exit_codes}", file=sys.stderr)
