@@ -20,6 +20,12 @@ single node), but:
   the hot path.  If no replica is caught up yet the read parks (bounded
   by ``read_timeout``) until a pump acks; a ``min_epoch`` beyond the log
   head is rejected outright — it names a write that never happened.
+  On a landmark-sharded cluster a ``query``/``query_many`` frame goes to
+  one replica per shard group and the answers are min-reduced.  The
+  fan-out runs on the request's own task: it locks the picked replicas'
+  query connections in group order, writes the frame to all of them,
+  then reads the responses in group order under one deadline for the
+  whole frame (no task per shard, no timeout task per read).
 * **stats** aggregates :class:`~repro.serving.metrics.ServiceMetrics`
   across replicas (counts and qps add, latency histograms merge exactly)
   next to the router's own log/lag/routing counters; **snapshot** drains:
@@ -54,6 +60,41 @@ def _min_distance(values):
     shard reports unreachable."""
     finite = [v for v in values if v is not None]
     return min(finite) if finite else None
+
+
+class _Deadline:
+    """One cancel of the current task at loop time ``when``: the pattern
+    of ``asyncio.timeout_at`` (Python 3.11+), which Python 3.10 lacks.
+
+    The ``with`` block swallows the cancellation the deadline caused and
+    leaves ``expired`` set.  A cancellation from elsewhere (a server
+    ``stop()``) still propagates; on Python 3.10, which does not count
+    cancellations, only when it does not coincide with the deadline.
+    """
+
+    __slots__ = ("expired", "_task", "_cancelling", "_handle")
+
+    def __init__(self, when: float) -> None:
+        self.expired = False
+        self._task = asyncio.current_task()
+        cancelling = getattr(self._task, "cancelling", None)
+        self._cancelling = cancelling() if cancelling is not None else 0
+        self._handle = asyncio.get_running_loop().call_at(when, self._expire)
+
+    def _expire(self) -> None:
+        self.expired = True
+        self._task.cancel()
+
+    def __enter__(self) -> "_Deadline":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._handle.cancel()
+        if not self.expired:
+            return False
+        uncancel = getattr(self._task, "uncancel", None)
+        pending = uncancel() if uncancel is not None else 0
+        return exc_type is asyncio.CancelledError and pending <= self._cancelling
 
 
 class _ReplicaLink:
@@ -538,43 +579,34 @@ class ClusterRouter(LineServer):
                 "epoch": self._log.head,
             }
         start = perf_counter()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self._read_timeout
+        deadline = asyncio.get_running_loop().time() + self._read_timeout
         if self._shards > 1 and request.get("op") in ("query", "query_many"):
-            return await self._scatter_read(request, line, min_epoch, deadline, start)
-        # Single-shard clusters (and `path`, which any shard answers
-        # exactly by BFS on its full graph copy) route to one replica
-        # and pass the response line through verbatim.
-        response = await self._routed_read(line, min_epoch, deadline)
-        if isinstance(response, bytes):
+            response = self._reduce(
+                request["op"],
+                await self._read(line, min_epoch, deadline, range(self._shards)),
+            )
+        else:
+            # Single-shard clusters (and `path`, which any shard answers
+            # exactly by BFS on its full graph copy) route to one replica
+            # and pass the response line through verbatim.
+            (response,) = await self._read(line, min_epoch, deadline, (None,))
+        if isinstance(response, bytes) or response.get("ok"):
             self.metrics.queries.record(perf_counter() - start)
         return response
 
-    async def _scatter_read(
-        self,
-        request: dict,
-        line: bytes,
-        min_epoch: int,
-        deadline: float,
-        start: float,
-    ) -> dict:
-        """Landmark-sharded read: one caught-up replica per shard group,
-        element-wise min reduction over the shard-local answers.
+    @staticmethod
+    def _reduce(op: str, results: list) -> dict:
+        """Landmark-sharded read: element-wise min reduction over the
+        shard-local answers, one per shard group.
 
-        Every shard's answer is exact through its owned landmarks and an
-        overestimate otherwise, so the min is the exact global distance
-        (:mod:`repro.core.sharding`); ``None`` encodes unreachable and
-        survives only if every shard reports it.  The reduced ``epoch``
-        is the min over the per-shard epochs — the read-your-writes
-        guarantee holds per shard group, and the client may only assume
-        the weakest of them.
+        The min over the shards is the exact global distance: each shard
+        answers exactly through its owned landmarks, and the pair's owning
+        shard also through landmark-free paths (:mod:`repro.core.sharding`).
+        ``None`` encodes unreachable and survives only if every shard
+        reports it.  The reduced ``epoch`` is the min over the per-shard
+        epochs — the read-your-writes guarantee holds per shard group,
+        and the client may only assume the weakest of them.
         """
-        results = await asyncio.gather(
-            *(
-                self._routed_read(line, min_epoch, deadline, shard=shard)
-                for shard in range(self._shards)
-            )
-        )
         responses: list[dict] = []
         for shard, result in enumerate(results):
             if isinstance(result, bytes):
@@ -584,73 +616,121 @@ class ClusterRouter(LineServer):
                 return result
             responses.append(result)
         epoch = min(int(r.get("epoch", 0)) for r in responses)
-        if request["op"] == "query":
-            merged: dict = {
+        if op == "query":
+            return {
                 "ok": True,
                 "distance": _min_distance([r.get("distance") for r in responses]),
                 "epoch": epoch,
             }
-        else:
-            columns = zip(*(r.get("distances") or [] for r in responses))
-            merged = {
-                "ok": True,
-                "distances": [_min_distance(column) for column in columns],
-                "epoch": epoch,
-            }
-        self.metrics.queries.record(perf_counter() - start)
-        return merged
+        columns = zip(*(r.get("distances") or [] for r in responses))
+        return {
+            "ok": True,
+            "distances": [_min_distance(column) for column in columns],
+            "epoch": epoch,
+        }
 
-    async def _routed_read(
-        self,
-        line: bytes,
-        min_epoch: int,
-        deadline: float,
-        shard: int | None = None,
-    ) -> dict | bytes:
-        """Forward ``line`` verbatim to one caught-up replica (of one
-        shard group when ``shard`` is given); returns the raw response
-        line, or an error dict if no replica could answer in time."""
-        loop = asyncio.get_running_loop()
+    async def _read(
+        self, line: bytes, min_epoch: int, deadline: float, groups
+    ) -> list[dict | bytes]:
+        """Forward ``line`` verbatim to one caught-up replica of each shard
+        group in ``groups`` (``None``: any replica) and return, per group,
+        the raw response line, or an error dict if no replica of the group
+        answered before ``deadline``.
+
+        The fan-out runs on the calling task alone: it takes the picked
+        replicas' query locks in group order (so concurrent frames never
+        deadlock or share a connection), writes every request, then reads
+        the responses in group order, all under one timer for the whole
+        frame.  A replica whose read fails is marked unhealthy and its
+        group retried on another member until the deadline.  A connection
+        whose response was not consumed is closed, so no later frame
+        reads a stale line.
+        """
+        results: list = [None] * len(groups)
         excluded: set[str] = set()
-        while True:
-            link = await self._pick(min_epoch, deadline, excluded, shard=shard)
-            if link is None:
-                message = (
-                    f"no replica caught up to epoch {min_epoch}"
-                    if min_epoch
-                    else "no healthy replica available"
-                )
-                if shard is not None:
-                    message = f"shard {shard}: {message}"
-                return {"ok": False, "error": message, "retryable": True}
+        pending = list(range(len(groups)))
+        locked: list[_ReplicaLink] = []  # request written, response unread
+        waiting = None  # the replica the frame is blocked on
+        with _Deadline(deadline) as timer:
             try:
-                async with link.query_lock:
-                    reader, writer = await self._query_conn(link)
-                    writer.write(line)
-                    await writer.drain()
-                    response = await asyncio.wait_for(
-                        reader.readline(), max(0.05, deadline - loop.time())
-                    )
-                if not response:
-                    raise ClusterError("replica closed the connection")
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                self._mark_unhealthy(link, f"read failed: {exc}")
-                await self._close_query_conn(link)
-                excluded.add(link.name)
-                continue
-            self._reads_routed += 1
-            return bytes(response)  # verbatim passthrough
+                while pending:
+                    picked = [
+                        (i, await self._pick(min_epoch, excluded, groups[i]))
+                        for i in pending
+                    ]
+                    pending, sent = [], []
+                    for i, link in picked:
+                        await link.query_lock.acquire()
+                        locked.append(link)
+                        waiting = link
+                        try:
+                            reader, writer = await self._query_conn(link)
+                            writer.write(line)
+                            await writer.drain()
+                        except Exception as exc:
+                            self._read_failed(link, exc, excluded, locked)
+                            pending.append(i)
+                        else:
+                            sent.append((i, link, reader))
+                        waiting = None
+                    for i, link, reader in sent:
+                        waiting = link
+                        try:
+                            response = await reader.readline()
+                            if not response:
+                                raise ClusterError("replica closed the connection")
+                        except Exception as exc:
+                            self._read_failed(link, exc, excluded, locked)
+                            pending.append(i)
+                        else:
+                            locked.remove(link)
+                            link.query_lock.release()
+                            results[i] = bytes(response)  # verbatim passthrough
+                            self._reads_routed += 1
+                        waiting = None
+            finally:
+                for link in locked:
+                    self._drop_query_conn(link)
+                    link.query_lock.release()
+        if timer.expired:
+            if waiting is not None:
+                self._mark_unhealthy(waiting, "read timed out")
+            message = (
+                f"no replica caught up to epoch {min_epoch}"
+                if min_epoch
+                else "no healthy replica available"
+            )
+            for i, group in enumerate(groups):
+                if results[i] is None:
+                    scope = "" if group is None else f"shard {group}: "
+                    results[i] = {
+                        "ok": False,
+                        "error": scope + message,
+                        "retryable": True,
+                    }
+        return results
+
+    def _read_failed(
+        self,
+        link: _ReplicaLink,
+        exc: Exception,
+        excluded: set[str],
+        locked: list[_ReplicaLink],
+    ) -> None:
+        """Mark ``link`` unhealthy, exclude it for the rest of the frame,
+        close its connection and unlock it."""
+        self._mark_unhealthy(link, f"read failed: {exc}")
+        excluded.add(link.name)
+        locked.remove(link)
+        self._drop_query_conn(link)
+        link.query_lock.release()
 
     async def _pick(
-        self,
-        min_epoch: int,
-        deadline: float,
-        excluded: set[str],
-        shard: int | None = None,
-    ) -> _ReplicaLink | None:
-        loop = asyncio.get_running_loop()
+        self, min_epoch: int, excluded: set[str], shard: int | None
+    ) -> _ReplicaLink:
+        """The next caught-up healthy replica (of one shard group when
+        ``shard`` is given), parking until a pump ack when none is; the
+        caller's deadline bounds the wait."""
         while True:
             members = sorted(
                 (
@@ -691,14 +771,9 @@ class ClusterRouter(LineServer):
                 offset, link = chosen
                 self._rr[cursor_key] = (cursor + offset + 1) % len(members)
                 return link
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                return None
-            event = self._ack_event  # grab before re-checking: no lost wakeup
-            try:
-                await asyncio.wait_for(event.wait(), min(remaining, 0.25))
-            except (TimeoutError, asyncio.TimeoutError):
-                pass
+            # The event is read in the same step as the scan: no lost
+            # wakeup.
+            await self._ack_event.wait()
             # Re-admit replicas excluded by earlier failures in this
             # request: a replica that died mid-read but recovered (its
             # pump re-acked) must become routable again instead of the
@@ -712,13 +787,19 @@ class ClusterRouter(LineServer):
             )
         return link.query_conn
 
-    async def _close_query_conn(self, link: _ReplicaLink) -> None:
+    @staticmethod
+    def _drop_query_conn(link: _ReplicaLink) -> None:
+        """Close ``link``'s query connection without waiting for it."""
         conn, link.query_conn = link.query_conn, None
         if conn is not None:
-            _, writer = conn
-            writer.close()
+            conn[1].close()
+
+    async def _close_query_conn(self, link: _ReplicaLink) -> None:
+        conn = link.query_conn
+        self._drop_query_conn(link)
+        if conn is not None:
             try:
-                await writer.wait_closed()
+                await conn[1].wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 

@@ -232,8 +232,10 @@ class DynamicHCL:
         Answered on :meth:`snapshot` by the one query kernel
         (:mod:`repro.core.sharding`).  On a landmark shard the answer is
         *shard-local*: exact whenever some shortest path meets an owned
-        landmark or no landmark at all, an overestimate otherwise — the
-        element-wise min across all shards is the exact distance.
+        landmark, or meets no landmark at all and the shard owns the pair
+        (:func:`~repro.core.sharding.pair_owners`); an overestimate
+        otherwise — the element-wise min across all shards is the exact
+        distance.
         """
         return self.snapshot().query(u, v)
 

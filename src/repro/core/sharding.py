@@ -15,17 +15,20 @@ query is a min over landmarks, a shard can answer *exactly for its own
 landmarks* and a scatter-gather min over shards equals the unsharded
 answer:
 
-    d(u, v) = min_s  min( m_s ,  sparsified_bfs(u, v, bound=m_s) )
+    d(u, v) = min( min_s m_s ,  sparsified_bfs(u, v, bound=m_o) )
 
 where ``m_s = min_{r in R_s} d(r, u) + d(r, v)`` from the shard's dense
 distance rows, and the sparsified BFS skips *every* landmark in ``R``
 (interior vertices only — endpoints are always admitted, matching
-:func:`~repro.graph.traversal.bidirectional_bfs`).  The bound is strict:
-the search reports a landmark-free distance only when it is ``< m_s``
-(∞ otherwise), since a path of length ``m_s`` cannot lower the min.
-Any shortest path through some landmark ``r`` is covered by ``m_s`` of
-the shard owning ``r``; any landmark-free path is found by the BFS of
-every shard whose ``m_s`` it beats.
+:func:`~repro.graph.traversal.bidirectional_bfs`).  The search runs on
+one shard only, the pair's *owner* ``o``: the shard holding landmark
+``landmarks[(u + v) % |R|]`` (:func:`pair_owners`).  Every other shard
+answers its bound ``m_s``.  The bound is strict: the search reports a
+landmark-free distance only when it is ``< m_o`` (∞ otherwise).  Any
+shortest path through some landmark ``r`` is covered by ``m_s`` of the
+shard owning ``r``.  A landmark-free path either beats every bound, and
+then it beats ``m_o`` and the owner finds it, or it does not, and then
+some bound already equals it.
 
 Restriction and reassembly are exact inverses: the union of per-shard
 label files reproduces the unsharded :func:`save_labelling` output
@@ -50,6 +53,7 @@ from repro.graph.traversal import INF, bfs_with_parents, bidirectional_bfs
 __all__ = [
     "restrict_labelling",
     "reassemble_labellings",
+    "pair_owners",
     "shard_min_distance",
     "shard_query_distance",
     "shard_query_distances_many",
@@ -154,6 +158,21 @@ def shard_min_distance(
     return INF if best >= UNREACH else best
 
 
+def pair_owners(
+    landmarks: Sequence[int], row_landmarks: Iterable[int]
+) -> tuple[bool, ...]:
+    """The owner rule as a lookup table: ``owners[(u + v) % len(owners)]``
+    is true when the shard holding the rows of ``row_landmarks`` owns the
+    pair ``(u, v)``, that is, holds landmark ``landmarks[(u + v) % |R|]``.
+
+    The rule is symmetric in ``u`` and ``v`` and names exactly one shard
+    of any partition of ``landmarks``; holding every row (unsharded)
+    owns every pair, and so does an oracle without landmarks.
+    """
+    held = frozenset(row_landmarks)
+    return tuple(r in held for r in landmarks) or (True,)
+
+
 def shard_query_distance(
     graph,
     landmark_set: frozenset[int],
@@ -161,15 +180,18 @@ def shard_query_distance(
     index_of: dict[int, int],
     u: int,
     v: int,
+    search: bool,
 ) -> float:
     """``Q(u, v, Γ)`` on dense rows: exact through the landmarks whose
-    rows ``dist`` holds, exact for landmark-free paths, an overestimate
-    otherwise — so exact with every landmark's row (unsharded), and the
-    min over a partition's shards is exact (module docstring).
-    ``landmark_set`` must be the FULL landmark set: every shard
-    sparsifies identically.  An endpoint whose own row is held makes the
-    bound exact, so no search runs; otherwise the search looks only for
-    a landmark-free path strictly shorter than the bound.
+    rows ``dist`` holds, exact for landmark-free paths when ``search``,
+    an overestimate otherwise — so exact with every landmark's row
+    (unsharded), and the min over a partition's shards is exact when the
+    pair's owner searches (module docstring).  ``landmark_set`` must be
+    the FULL landmark set: every shard sparsifies identically.  Without
+    ``search`` (a pair another shard owns) the answer is the bound.  An
+    endpoint whose own row is held makes the bound exact, so no search
+    runs; otherwise the search looks only for a landmark-free path
+    strictly shorter than the bound.
     """
     if not graph.has_vertex(u):
         raise VertexNotFoundError(u)
@@ -178,6 +200,8 @@ def shard_query_distance(
     if u == v:
         return 0
     bound = shard_min_distance(dist, index_of, u, v)
+    if not search:
+        return bound
     for r in (u, v):
         if r in landmark_set and not dist[:, index_of[r]].all():
             return bound  # d(r, r) = 0: r's own row is held
@@ -191,10 +215,16 @@ def shard_query_distances_many(
     dist: np.ndarray,
     index_of: dict[int, int],
     pairs: Iterable[tuple[int, int]],
+    owners: Sequence[bool],
 ) -> list[float]:
-    """Batched :func:`shard_query_distance` (one row lookup per pair)."""
+    """Batched :func:`shard_query_distance` (one row lookup per pair);
+    only the pairs ``owners`` (from :func:`pair_owners`) assigns to this
+    shard are searched."""
+    n = len(owners)
     return [
-        shard_query_distance(graph, landmark_set, dist, index_of, u, v)
+        shard_query_distance(
+            graph, landmark_set, dist, index_of, u, v, owners[(u + v) % n]
+        )
         for u, v in pairs
     ]
 

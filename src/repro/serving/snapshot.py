@@ -19,6 +19,8 @@ readers on other threads never block and never tear.
 A snapshot also pins a copy of the engine's dense ``d(r, ·)`` rows and a
 frozen copy of its CSR overlay, and answers distances through the one
 kernel, :func:`repro.core.sharding.shard_query_distance`, sharded or not.
+A landmark shard runs the bounded search only for the pairs it owns
+(:func:`repro.core.sharding.pair_owners`).
 The ``Frozen*`` views duck-type the read surface of the graph and
 labelling, so path extraction (:mod:`repro.core.paths`) and
 ``save_oracle`` read a snapshot as they read the live oracle.
@@ -31,6 +33,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from repro.core.paths import shortest_path as _shortest_path
+from repro.core.sharding import pair_owners
 from repro.exceptions import NotALandmarkError, VertexNotFoundError
 from repro.graph.traversal import INF
 
@@ -265,7 +268,9 @@ class OracleSnapshot:
     (4, 1)
     """
 
-    __slots__ = ("epoch", "graph", "labelling", "shard_rows", "row_landmarks")
+    __slots__ = (
+        "epoch", "graph", "labelling", "shard_rows", "row_landmarks", "owners",
+    )
 
     def __init__(
         self,
@@ -287,6 +292,9 @@ class OracleSnapshot:
         #: through the owned landmarks, with the scatter-gather min over
         #: all shards globally exact (:mod:`repro.core.sharding`).
         self.shard_rows = shard_rows
+        #: Which pairs this snapshot searches (all of them unsharded);
+        #: on a shard, the others are searched by their owning shard.
+        self.owners = pair_owners(labelling.landmarks, row_landmarks)
 
     @classmethod
     def capture(cls, oracle) -> "OracleSnapshot":
@@ -351,7 +359,8 @@ class OracleSnapshot:
 
         dist, index_of = self.shard_rows
         return shard_query_distances_many(
-            self.graph, self.labelling.landmark_set, dist, index_of, pairs
+            self.graph, self.labelling.landmark_set, dist, index_of, pairs,
+            self.owners,
         )
 
     def shortest_path(self, u: int, v: int) -> list[int] | None:

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterRouter, ReplicaServer, UpdateLog
+from repro.cluster import (
+    ClusterRouter,
+    ReplicaServer,
+    ShardPlan,
+    UpdateLog,
+    make_shard_oracle,
+)
 from repro.core.dynamic import DynamicHCL
 from repro.serving.service import OracleService
 
@@ -37,6 +43,43 @@ class InProcessCluster:
         self.address = self.router.start_in_thread()
         for server in self.replicas:
             self.router.add_replica_from_thread(server.name, *server.address)
+
+    def close(self) -> None:
+        self.router.stop_thread()
+        for server in self.replicas:
+            server.stop_thread()
+
+
+class ShardedCluster:
+    """shards x replicas in-process fleet behind a sharded router."""
+
+    def __init__(
+        self,
+        oracle: DynamicHCL,
+        shards: int = 2,
+        replicas: int = 1,
+        read_timeout: float = 2.0,
+    ):
+        self.plan = ShardPlan.for_landmarks(oracle.landmarks, shards)
+        self.replicas: list[ReplicaServer] = []
+        self.log = UpdateLog()
+        self.router = ClusterRouter(
+            self.log, port=0, read_timeout=read_timeout, shards=shards
+        )
+        self.address = self.router.start_in_thread()
+        for i in range(shards):
+            for j in range(replicas):
+                shard = make_shard_oracle(oracle, self.plan, i)
+                server = ReplicaServer(
+                    OracleService(shard), name=f"s{i}r{j}", port=0,
+                    shard_index=i,
+                    shard_meta={**self.plan.to_meta(), "shard_index": i},
+                )
+                server.start_in_thread()
+                self.replicas.append(server)
+                self.router.add_replica_from_thread(
+                    server.name, *server.address, shard=i
+                )
 
     def close(self) -> None:
         self.router.stop_thread()

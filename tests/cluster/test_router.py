@@ -253,3 +253,31 @@ def test_read_retries_readmit_recovered_replica(small_oracle):
             replacement.stop_thread()
     assert result.get("ok"), result
     assert result["distance"] == 6
+
+
+def test_read_deadline_expires_quietly_but_passes_a_real_cancel_on():
+    """The frame deadline cancels its own task once and swallows that
+    cancellation; a cancellation from elsewhere (a server stop) must
+    still reach the caller."""
+    import asyncio
+
+    from repro.cluster.router import _Deadline
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        with _Deadline(loop.time() + 0.05) as timer:
+            await asyncio.sleep(5)
+        assert timer.expired
+        await asyncio.sleep(0)  # the task stays usable after expiry
+
+        async def parked():
+            with _Deadline(loop.time() + 5):
+                await asyncio.sleep(5)
+
+        task = loop.create_task(parked())
+        await asyncio.sleep(0.05)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+
+    asyncio.run(scenario())

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.sharding as sharding
 from repro.cluster import (
-    ClusterRouter,
-    ReplicaServer,
     ReplicaSpec,
     ShardPlan,
     UpdateLog,
@@ -29,10 +28,11 @@ from repro.core.dynamic import DynamicHCL
 from repro.core.sharding import reassemble_labellings, restrict_labelling
 from repro.exceptions import ReproError
 from repro.graph.generators import barabasi_albert, ring_of_cliques
+from repro.graph.traversal import bfs_distances
 from repro.landmarks.selection import top_degree_landmarks
 from repro.serving.client import ServingClient
-from repro.serving.service import OracleService
 
+from tests.cluster.conftest import ShardedCluster
 from tests.cluster.test_mixed_convergence import (
     churn_events,
     labelling_bytes,
@@ -117,39 +117,38 @@ def test_shard_oracle_rejects_topology_ops(small_oracle):
 
 
 # ----------------------------------------------------------------------
+# One bounded search per pair across the shards
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("num_shards", [2, 3])
+def test_each_pair_is_searched_on_one_shard_only(num_shards, monkeypatch):
+    """Only a pair's owning shard runs the bounded search; every other
+    shard answers its bound, and the min over the shards stays exact."""
+    graph = barabasi_albert(200, attach=2, rng=5)
+    full = DynamicHCL.build(graph, landmarks=top_degree_landmarks(graph, 6))
+    plan = ShardPlan.for_landmarks(full.landmarks, num_shards)
+    shards = [make_shard_oracle(full, plan, i) for i in range(num_shards)]
+    vertices = sorted(graph.vertices())
+    pairs = [(u, v) for u in vertices[::13] for v in vertices[5::17] if u != v]
+
+    searched: dict[tuple[int, int], int] = {}
+    search = sharding.bidirectional_bfs
+
+    def counted(graph, source, target, bound=float("inf"), skip=()):
+        key = (min(source, target), max(source, target))
+        searched[key] = searched.get(key, 0) + 1
+        return search(graph, source, target, bound=bound, skip=skip)
+
+    monkeypatch.setattr(sharding, "bidirectional_bfs", counted)
+    answers = [shard.query_many(pairs) for shard in shards]
+    assert searched, "no pair needed a search"
+    assert max(searched.values()) == 1, searched
+    for (u, v), column in zip(pairs, zip(*answers)):
+        assert min(column) == bfs_distances(graph, u).get(v, float("inf")), (u, v)
+
+
+# ----------------------------------------------------------------------
 # Socket-level scatter-gather
 # ----------------------------------------------------------------------
-class ShardedCluster:
-    """shards x replicas in-process fleet behind a sharded router."""
-
-    def __init__(self, oracle: DynamicHCL, shards: int = 2, replicas: int = 1):
-        self.plan = ShardPlan.for_landmarks(oracle.landmarks, shards)
-        self.replicas: list[ReplicaServer] = []
-        self.log = UpdateLog()
-        self.router = ClusterRouter(
-            self.log, port=0, read_timeout=2.0, shards=shards
-        )
-        self.address = self.router.start_in_thread()
-        for i in range(shards):
-            for j in range(replicas):
-                shard = make_shard_oracle(oracle, self.plan, i)
-                server = ReplicaServer(
-                    OracleService(shard), name=f"s{i}r{j}", port=0,
-                    shard_index=i,
-                    shard_meta={**self.plan.to_meta(), "shard_index": i},
-                )
-                server.start_in_thread()
-                self.replicas.append(server)
-                self.router.add_replica_from_thread(
-                    server.name, *server.address, shard=i
-                )
-
-    def close(self) -> None:
-        self.router.stop_thread()
-        for server in self.replicas:
-            server.stop_thread()
-
-
 @pytest.fixture
 def sharded(small_oracle):
     fleet = ShardedCluster(small_oracle, shards=2, replicas=2)

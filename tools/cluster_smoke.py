@@ -8,9 +8,12 @@ replica processes — then:
 1. drives a concurrent phase: client threads run closed `query_many`
    loops against the router while updates stream in through the protocol
    (measures aggregate qps across the replica fleet);
-2. drains every replica to the log head (`snapshot` op), then re-checks
-   query pairs — routed with `min_epoch` = head, so every replica must be
-   caught up — against a local BFS mirror that replayed the same updates;
+2. drains every replica to the log head (`snapshot` op), then runs the
+   ``--clients`` readers again, concurrently: each checks ``--checks``
+   pairs of its own frames — routed with `min_epoch` = head, so every
+   replica must be caught up — against a local BFS mirror that replayed
+   the same updates (a response delivered to the wrong frame shows up
+   as a wrong answer);
 3. scrapes the router's ``--metrics-port`` Prometheus endpoint after the
    drain and asserts every per-replica lag gauge reads **zero** (the
    cluster converged), and that one traced request produced spans
@@ -48,7 +51,7 @@ import urllib.request
 from pathlib import Path
 from time import perf_counter
 
-from smoke_common import QueryLoop, bfs_distance
+from smoke_common import QueryLoop
 
 from repro.cluster import ClusterSupervisor
 from repro.core.dynamic import DynamicHCL
@@ -56,7 +59,6 @@ from repro.graph.generators import barabasi_albert
 from repro.obs.profile import dump_if_enabled
 from repro.obs.trace import new_trace_id
 from repro.serving.client import ServingClient
-from repro.utils.rng import ensure_rng
 from repro.utils.serialization import save_oracle
 from repro.workloads.streams import mixed_stream
 
@@ -87,7 +89,8 @@ def main(argv=None) -> int:
                         help="landmark shard groups (1 = unsharded)")
     parser.add_argument("--vertices", type=int, default=400)
     parser.add_argument("--updates", type=int, default=60)
-    parser.add_argument("--checks", type=int, default=150)
+    parser.add_argument("--checks", type=int, default=150,
+                        help="BFS-checked pairs per reader after the drain")
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--span-log", default=None, metavar="FILE",
                         help="mirror router spans to this NDJSON file")
@@ -158,30 +161,31 @@ def main(argv=None) -> int:
                 queries = sum(loop.count for loop in loops)
                 qps = queries / elapsed
 
-                # Drain every replica to the head, then verify reads gated
-                # at that epoch against the BFS mirror.
+                # Drain every replica to the head, then verify concurrent
+                # reads gated at that epoch against the BFS mirror.
                 final = feeder.snapshot()
                 stats = feeder.stats()
-                rng = ensure_rng(args.seed * 7)
-                pairs = [
-                    (rng.choice(vertices), rng.choice(vertices))
-                    for _ in range(args.checks)
+                checkers = [
+                    QueryLoop(host, port, vertices, args.seed * 7 + i,
+                              perf_counter() + 60, limit=args.checks,
+                              mirror=mirror, min_epoch=head)
+                    for i in range(args.clients)
                 ]
-                incorrect = 0
-                for chunk_base in range(0, len(pairs), 25):
-                    chunk = pairs[chunk_base : chunk_base + 25]
-                    answers = feeder.query_many(chunk, min_epoch=head)
-                    incorrect += sum(
-                        1
-                        for (u, v), got in zip(chunk, answers)
-                        if got != bfs_distance(mirror, u, v)
-                    )
+                for checker in checkers:
+                    checker.start()
+                for checker in checkers:
+                    checker.join()
+                checked = sum(checker.count for checker in checkers)
+                incorrect = sum(checker.incorrect for checker in checkers)
+                failed = [
+                    repr(checker.error) for checker in checkers if checker.error
+                ]
 
                 # Observability: one traced read through the router, then
                 # scrape the router's Prometheus endpoint — every replica
                 # has acked the head, so all lag gauges must read zero.
                 trace = new_trace_id()
-                feeder.query(*pairs[0], min_epoch=head, trace=trace)
+                feeder.query(vertices[0], vertices[-1], min_epoch=head, trace=trace)
                 trace_spans = feeder.spans(of=trace)
             mhost, mport = supervisor.router.metrics_address
             with urllib.request.urlopen(
@@ -224,8 +228,8 @@ def main(argv=None) -> int:
         print(f"shard s{index}: lag={group.get('lag')} "
               f"rss_max={group.get('rss_kb_max'):,}KiB "
               f"label_entries={shard_report[index]['label_entries_max']:,}")
-    print(f"verification: {args.checks} BFS cross-checks at min_epoch="
-          f"{head}, {incorrect} incorrect")
+    print(f"verification: {checked} BFS cross-checks by {args.clients} "
+          f"concurrent readers at min_epoch={head}, {incorrect} incorrect")
     print(f"observability: {len(trace_spans)} router span(s) for trace "
           f"{trace}, {len(exposition)} bytes of exposition, "
           f"lag gauges: {lag_lines}")
@@ -238,6 +242,10 @@ def main(argv=None) -> int:
         return 1
     if incorrect:
         print(f"FAIL: {incorrect} incorrect answers", file=sys.stderr)
+        return 1
+    if failed or checked < args.clients * args.checks:
+        print(f"FAIL: {checked} of {args.clients * args.checks} checks ran; "
+              f"failed reads: {failed}", file=sys.stderr)
         return 1
     if final["epoch"] != args.updates:
         print(f"FAIL: log head {final['epoch']} != {args.updates} updates",
@@ -295,7 +303,7 @@ def main(argv=None) -> int:
             "clients": args.clients,
             "vertices": args.vertices,
             "updates": args.updates,
-            "checks": args.checks,
+            "checks": checked,
             "seconds": elapsed,
             "queries": queries,
             "qps": round(qps, 1),

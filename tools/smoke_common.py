@@ -37,24 +37,49 @@ def bfs_distance(adj: dict[int, set[int]], u: int, v: int) -> float:
 
 class QueryLoop(threading.Thread):
     """Closed-loop reader batching pairs through one `query_many` frame
-    per round-trip (the serving hot path) instead of N `query` calls."""
+    per round-trip (the serving hot path) instead of N `query` calls.
 
-    def __init__(self, host, port, vertices, seed, deadline, batch=16):
+    Given an adjacency-set ``mirror``, the loop also checks every answer
+    against :func:`bfs_distance` and counts mismatches in ``incorrect``;
+    it stops at ``deadline`` or after ``limit`` pairs, and keeps a failed
+    request in ``error``.
+    """
+
+    def __init__(self, host, port, vertices, seed, deadline, batch=16,
+                 *, limit=INF, mirror=None, min_epoch=None):
         super().__init__(daemon=True)
         self.host, self.port = host, port
         self.vertices = vertices
         self.rng = ensure_rng(seed)
         self.deadline = deadline
         self.batch = batch
+        self.limit = limit
+        self.mirror = mirror
+        self.min_epoch = min_epoch
         self.count = 0
+        self.incorrect = 0
+        self.error = None
 
     def run(self) -> None:
+        try:
+            self._loop()
+        except Exception as exc:
+            self.error = exc
+            raise
+
+    def _loop(self) -> None:
         with ServingClient(self.host, self.port) as client:
             choice = self.rng.choice
-            while perf_counter() < self.deadline:
+            while perf_counter() < self.deadline and self.count < self.limit:
                 pairs = [
                     (choice(self.vertices), choice(self.vertices))
                     for _ in range(self.batch)
                 ]
-                client.query_many(pairs)
+                answers = client.query_many(pairs, min_epoch=self.min_epoch)
                 self.count += len(pairs)
+                if self.mirror is not None:
+                    self.incorrect += sum(
+                        1
+                        for (u, v), got in zip(pairs, answers)
+                        if got != bfs_distance(self.mirror, u, v)
+                    )
