@@ -48,7 +48,7 @@ def setup(cache, tmp_path_factory):
     save_oracle(oracle, oracle_file)
 
     single = OracleServer(
-        OracleService(DynamicHCL(oracle.graph.copy(), oracle.labelling.copy())),
+        OracleService(DynamicHCL(oracle.graph.copy(), oracle.labelling)),
         port=0,
     )
     single_addr = single.start_in_thread()

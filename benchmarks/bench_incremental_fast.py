@@ -50,12 +50,10 @@ def _extra(benchmark, mode, insertions):
 
 
 def _make_setup(graph, base_labelling):
-    """Per-round untimed setup: fresh oracle (engine pre-attached)."""
+    """Per-round untimed setup: a fresh oracle, its engine attached."""
 
     def _setup():
-        oracle = DynamicHCL(graph.copy(), base_labelling.copy())
-        oracle._resolve_engine()
-        return (oracle,), {}
+        return (DynamicHCL(graph.copy(), base_labelling),), {}
 
     return _setup
 

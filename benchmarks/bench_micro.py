@@ -40,20 +40,21 @@ def test_single_query(benchmark, setup):
 
 def test_upper_bound_only(benchmark, setup):
     oracle, pairs = setup
+    labelling = oracle.labelling
     non_landmark_pairs = [
         (u, v) for u, v in pairs
-        if u not in oracle.labelling.landmark_set
-        and v not in oracle.labelling.landmark_set
+        if u not in labelling.landmark_set and v not in labelling.landmark_set
     ]
     cycle = itertools.cycle(non_landmark_pairs)
-    benchmark(lambda: upper_bound(oracle.labelling, *next(cycle)))
+    benchmark(lambda: upper_bound(labelling, *next(cycle)))
 
 
 def test_landmark_query(benchmark, setup):
     oracle, pairs = setup
+    labelling = oracle.labelling
     r = oracle.landmarks[0]
     cycle = itertools.cycle([v for _, v in pairs])
-    benchmark(lambda: landmark_distance(oracle.labelling, r, next(cycle)))
+    benchmark(lambda: landmark_distance(labelling, r, next(cycle)))
 
 
 def test_full_bfs(benchmark, setup):

@@ -5,8 +5,8 @@ same dataset (the fully-dynamic extension of the Figure-4 replay):
 
 * ``sequential`` — the paper's kernels, one event at a time (IncHL+
   insertions, DecHL deletions) through ``replay_events``;
-* ``fallback``   — insert runs on the vectorized engine, each deletion
-  through the DecHL kernel with engine invalidation + re-attach (the
+* ``fallback``   — insert runs on the vectorized engine, deletions
+  through the DecHL kernel on a materialized labelling + re-attach (the
   pre-mixed-engine serving behaviour);
 * ``mixed``      — the BatchHL-style mixed batch engine, one net
   find/repair sweep per landmark per chunk.
@@ -21,8 +21,8 @@ Run:  pytest benchmarks/bench_mixed.py --benchmark-only
 
 import pytest
 
+from repro.bench.experiments.mixed import replay_fallback
 from repro.core.batch import replay_events
-from repro.core.dechl import apply_edge_deletion_partial
 from repro.core.dynamic import DynamicHCL
 from repro.landmarks.selection import top_degree_landmarks
 from repro.workloads.streams import mixed_stream
@@ -39,7 +39,7 @@ def setup(cache, profile):
         graph, profile.figure4_total, insert_ratio=_INSERT_RATIO, rng=2021
     )
     base = DynamicHCL.build(graph.copy(), landmarks=landmarks, construction="csr")
-    reference = base.labelling.copy()
+    reference = base.labelling
     replay_events(graph.copy(), reference, events)
     return graph, events, base.labelling, reference
 
@@ -56,12 +56,10 @@ def _extra(benchmark, mode, events):
 
 
 def _make_setup(graph, base_labelling):
-    """Per-round untimed setup: fresh oracle, engine pre-attached."""
+    """Per-round untimed setup: a fresh oracle, its engine attached."""
 
     def _setup():
-        oracle = DynamicHCL(graph.copy(), base_labelling.copy())
-        oracle._resolve_engine()
-        return (oracle,), {}
+        return (DynamicHCL(graph.copy(), base_labelling),), {}
 
     return _setup
 
@@ -88,22 +86,7 @@ def test_fallback_replay(benchmark, setup, profile):
     result = []
 
     def replay(oracle):
-        for start in range(0, len(events), chunk_size):
-            run = []
-            for event in events[start : start + chunk_size]:
-                if event.is_insert:
-                    run.append(event.edge)
-                    continue
-                if run:
-                    oracle.insert_edges_batch(run)
-                    run = []
-                apply_edge_deletion_partial(
-                    oracle.graph, oracle.labelling, *event.edge
-                )
-                oracle._invalidate_engine()
-            if run:
-                oracle.insert_edges_batch(run)
-        result.append(oracle)
+        result.append(replay_fallback(oracle, events, chunk_size)[1])
 
     benchmark.pedantic(
         replay, setup=_make_setup(graph, base),

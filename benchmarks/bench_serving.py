@@ -106,7 +106,7 @@ def test_service_read_under_writer(benchmark, setup, profile):
     def serve_round():
         # Fresh oracle copy per round: replaying the same events must not
         # compound mutations across rounds (or leak into other benchmarks).
-        fresh = DynamicHCL(oracle.graph.copy(), oracle.labelling.copy())
+        fresh = DynamicHCL(oracle.graph.copy(), oracle.labelling)
         service = OracleService(fresh)
         with service:
             service.submit_many(events)

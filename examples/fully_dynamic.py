@@ -65,9 +65,10 @@ def main() -> None:
     oracle.insert_vertex(hub, [0, 1, 2, 3, 4])
     print(f"  inserted vertex {hub} with 5 edges; "
           f"d({hub}, 100) = {oracle.query(hub, 100)}")
+    landmarks = set(oracle.landmarks)
     victim = next(
         v for v in sorted(graph.vertices())
-        if v not in oracle.labelling.landmark_set and v != hub
+        if v not in landmarks and v != hub
     )
     oracle.remove_vertex(victim)
     print(f"  removed vertex {victim}; |V| = {graph.num_vertices:,}")

@@ -34,8 +34,9 @@ def main() -> None:
         oracle = DynamicHCL.build(
             graph.copy(), num_landmarks=12, strategy=strategy, rng=5
         )
-        stats = label_stats(oracle.labelling, graph.num_vertices)
-        hstats = highway_stats(oracle.labelling)
+        labelling = oracle.labelling
+        stats = label_stats(labelling, graph.num_vertices)
+        hstats = highway_stats(labelling)
         sizes[strategy] = stats.total_entries
         print(f"  {strategy:>12}: size(L) = {stats.total_entries:>7,}  "
               f"l = {stats.mean_label_size:.2f}  "
@@ -70,8 +71,9 @@ def main() -> None:
           f"exact: {exactness_probe()}")
 
     print("Promoting the highest-degree non-landmark online ...")
+    landmarks = set(oracle.landmarks)
     candidate = max(
-        (v for v in graph.vertices() if v not in oracle.labelling.landmark_set),
+        (v for v in graph.vertices() if v not in landmarks),
         key=graph.degree,
     )
     removed = oracle.add_landmark(candidate)

@@ -56,8 +56,9 @@ def run_landmark_strategies(
                 rng=ensure_rng(seed),
             )
             entries_before = oracle.label_entries
-            update_ms = time_updates(paper_insert(oracle), insertions).mean_ms()
-            query_ms = time_queries(oracle, query_pairs).mean_ms()
+            insert = paper_insert(oracle)
+            update_ms = time_updates(insert, insertions).mean_ms()
+            query_ms = time_queries(insert.oracle(), query_pairs).mean_ms()
             rows.append({
                 "experiment": "A1-landmark-strategy",
                 "dataset": name,

@@ -238,7 +238,7 @@ def run_cost_model_fit(
         records = []
         for u, v in insertions:
             avg_degree = graph.average_degree()
-            avg_label = oracle.label_entries / graph.num_vertices
+            avg_label = insert.labelling.label_entries / graph.num_vertices
             with Stopwatch() as sw:
                 stats = insert(u, v)
             records.append(UpdateRecord(

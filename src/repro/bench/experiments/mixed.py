@@ -10,11 +10,11 @@ identical graph copies:
   insertions, DecHL deletions) through
   :func:`repro.core.batch.replay_events`;
 * **fallback** — the *pre-mixed-engine* fast path: insert runs use the
-  vectorized batch engine but every deletion drops to the DecHL kernel
-  and invalidates the engine, so the next insert run pays a full
-  re-attach (one CSR BFS per landmark).  This is what serving
-  deployments did before the engine kept its dense rows valid across
-  deletions;
+  vectorized batch engine but deletions drop to the DecHL kernel on a
+  dict labelling materialized from the engine, so the next insert run
+  pays a full re-attach (one CSR BFS per landmark).  This is what
+  serving deployments did before the engine kept its dense rows valid
+  across deletions;
 * **mixed-fast** — the BatchHL-style mixed batch engine: each chunk is
   collapsed to its net edge sets and applied as one find/repair sweep
   per landmark through ``DynamicHCL.apply_events_batch``.
@@ -44,7 +44,7 @@ from repro.utils.timing import Stopwatch
 from repro.workloads.datasets import DATASETS, build_dataset
 from repro.workloads.streams import mixed_stream
 
-__all__ = ["run"]
+__all__ = ["run", "replay_fallback"]
 
 #: Same representative spread as the incremental-fast sweep.
 _DEFAULT_DATASETS = ["flickr-s", "twitter-s", "uk-s"]
@@ -58,11 +58,22 @@ def _chunks(events, size):
         yield events[start : start + size]
 
 
-def _replay_fallback(oracle: DynamicHCL, events, batch: int) -> float:
+def replay_fallback(oracle: DynamicHCL, events, batch: int):
     """Insert runs on the vectorized engine, deletions through the DecHL
-    kernel with engine invalidation — the pre-mixed-engine serving
-    behaviour."""
-    oracle._resolve_engine()
+    kernel on a dict labelling materialized from the engine, which the
+    next insert run re-attaches a new oracle from — the pre-mixed-engine
+    serving behaviour.  Returns ``(seconds, oracle)``: the time summed
+    over the ``batch``-event chunks, and the oracle holding the result.
+    """
+    graph = oracle.graph
+    pending = None  # the dict labelling deletions changed since the attach
+
+    def insert_run(run):
+        nonlocal oracle, pending
+        if pending is not None:
+            oracle, pending = DynamicHCL(graph, pending), None
+        oracle.insert_edges_batch(run)
+
     total = 0.0
     for chunk in _chunks(events, batch):
         with Stopwatch() as sw:
@@ -72,20 +83,20 @@ def _replay_fallback(oracle: DynamicHCL, events, batch: int) -> float:
                     run.append(event.edge)
                     continue
                 if run:
-                    oracle.insert_edges_batch(run)
+                    insert_run(run)
                     run = []
-                apply_edge_deletion_partial(
-                    oracle.graph, oracle.labelling, *event.edge
-                )
-                oracle._invalidate_engine()
+                if pending is None:
+                    pending = oracle.labelling
+                apply_edge_deletion_partial(graph, pending, *event.edge)
             if run:
-                oracle.insert_edges_batch(run)
+                insert_run(run)
         total += sw.elapsed
-    return total
+    if pending is not None:
+        oracle = DynamicHCL(graph, pending)
+    return total, oracle
 
 
 def _replay_mixed(oracle: DynamicHCL, events, batch: int):
-    oracle._resolve_engine()  # attach once, like a serving deployment
     total = 0.0
     phase_s: dict[str, float] = {}
     affected: list[int] = []
@@ -171,7 +182,7 @@ def run(
         fb_oracle = DynamicHCL.build(
             graph.copy(), landmarks=landmarks, construction="csr"
         )
-        t_fb = _replay_fallback(fb_oracle, events, prof.figure4_batch)
+        t_fb, fb_oracle = replay_fallback(fb_oracle, events, prof.figure4_batch)
         identical_fb = fb_oracle.labelling == seq_labelling
 
         mx_oracle = DynamicHCL.build(

@@ -18,6 +18,7 @@ from repro.bench.report import format_bytes, format_table
 from repro.bench.runner import (
     build_oracles,
     default_factories,
+    PaperInsert,
     paper_insert,
     time_queries,
     time_updates,
@@ -79,7 +80,10 @@ def run(
                     "build_s": None, "failure": b.failure,
                 }
                 continue
-            update_stats = time_updates(paper_insert(b.oracle), insertions)
+            insert = paper_insert(b.oracle)
+            update_stats = time_updates(insert, insertions)
+            if isinstance(insert, PaperInsert):
+                b.oracle = insert.oracle()
             query_stats = time_queries(b.oracle, query_pairs)
             per_method[b.name] = {
                 "update_ms": update_stats.mean_ms(),

@@ -25,6 +25,7 @@ __all__ = [
     "OracleFactory",
     "BuiltOracle",
     "build_oracles",
+    "PaperInsert",
     "paper_insert",
     "time_updates",
     "time_queries",
@@ -99,25 +100,39 @@ def build_oracles(
     return built
 
 
+class PaperInsert:
+    """The paper's IncHL+ on an oracle's graph and a detached labelling.
+
+    Each call adds the edge to the oracle's graph, then runs
+    :func:`repro.core.inchl.apply_edge_insertion` on :attr:`labelling`, a
+    copy materialized from the oracle once.  The oracle itself does not
+    see these insertions: once the stream is done, :meth:`oracle` seeds
+    a new oracle from the kernel's labelling.
+    """
+
+    def __init__(self, oracle: DynamicHCL) -> None:
+        self.graph = oracle.graph
+        self.labelling = oracle.labelling
+
+    def __call__(self, u: int, v: int):
+        self.graph.add_edge(u, v)
+        return apply_edge_insertion(self.graph, self.labelling, u, v)
+
+    def oracle(self) -> DynamicHCL:
+        """An oracle for the graph and labelling as the kernel left them."""
+        return DynamicHCL(self.graph, self.labelling)
+
+
 def paper_insert(oracle) -> Callable[[int, int], object]:
     """The per-edge insertion the reproduction times for ``oracle``.
 
     Baselines time their own ``insert_edge``.  ``DynamicHCL`` updates run
     on the vectorized engine, so for IncHL+ this returns the paper's
-    Python kernel instead: add the edge, then
-    :func:`repro.core.inchl.apply_edge_insertion` on the oracle's graph
-    and labelling.  The oracle's epoch is left alone; it still answers
-    queries exactly.
+    Python kernel instead, as a :class:`PaperInsert`.
     """
     if not isinstance(oracle, DynamicHCL):
         return oracle.insert_edge
-    graph, labelling = oracle.graph, oracle.labelling
-
-    def insert(u: int, v: int):
-        graph.add_edge(u, v)
-        return apply_edge_insertion(graph, labelling, u, v)
-
-    return insert
+    return PaperInsert(oracle)
 
 
 def time_updates(

@@ -321,9 +321,10 @@ def _cmd_stats(args) -> int:
 
     oracle = _load(args.oracle)
     graph = oracle.graph
-    lstats = label_stats(oracle.labelling, graph.num_vertices)
-    hstats = highway_stats(oracle.labelling)
-    counts = landmark_entry_counts(oracle.labelling)
+    labelling = oracle.labelling
+    lstats = label_stats(labelling, graph.num_vertices)
+    hstats = highway_stats(labelling)
+    counts = landmark_entry_counts(labelling)
     print(f"graph      |V|={graph.num_vertices:,} |E|={graph.num_edges:,} "
           f"avg deg={graph.average_degree():.2f}")
     print(f"landmarks  |R|={hstats.num_landmarks} "

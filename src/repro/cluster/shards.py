@@ -10,8 +10,8 @@ can verify the files on disk describe the partition it is about to
 serve rather than silently mixing shards from different deployments.
 
 :func:`make_shard_oracle` is the offline counterpart of what each shard
-replica does at warm start: restrict the full labelling to a shard's
-owned landmarks and wrap it in a shard-mode
+replica does at warm start: slice the oracle's dense rows to a shard's
+owned landmarks and wrap them in a shard-mode
 :class:`~repro.core.dynamic.DynamicHCL` whose updates repair only the
 owned rows and whose queries are shard-local
 (:mod:`repro.core.sharding`).
@@ -113,25 +113,25 @@ class ShardPlan:
 
 
 def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool = True):
-    """Shard ``index``'s oracle: full graph, owned label rows only.
+    """Shard ``index``'s oracle: full graph, owned landmark rows only.
 
     ``oracle`` is an unsharded :class:`~repro.core.dynamic.DynamicHCL`
     (typically just restored from the seed checkpoint), or a shard
-    restored from this shard's own checkpoint.  The restriction is a pure
-    function of the labelling, so every shard derived from the same
+    restored from this shard's own checkpoint.  The slice is a pure
+    function of the rows, so every shard derived from the same
     checkpoint and replaying the same WAL suffix reaches the same state
-    regardless of process or host.  The shard keeps the source's update
-    engine sliced to the owned rows — a restored engine attached from the
-    checkpoint's rows, so a replica warm start runs no BFS.
+    regardless of process or host.  The shard's engine attaches from
+    the source engine's rows sliced to the owned landmarks, so a replica
+    warm start runs no BFS; its labelling is the restricted one
+    (:func:`~repro.core.sharding.restrict_labelling`).
     ``copy_graph=False`` reuses the oracle's graph and overlay by
     reference — only safe when the source oracle is discarded (the
     replica warm-start path); in-process multi-shard setups must keep the
     default so each shard mutates its own graph.
     """
     from repro.core.dynamic import DynamicHCL
-    from repro.core.sharding import restrict_labelling
 
-    if list(plan.landmarks) != oracle.labelling.landmarks:
+    if list(plan.landmarks) != oracle.landmarks:
         raise ReproError(
             "shard plan landmarks do not match the oracle's landmark list"
         )
@@ -141,9 +141,6 @@ def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool =
         graph, dyn = oracle.graph.copy(), dyn.copy()
     else:
         graph = oracle.graph
-    return DynamicHCL(
-        graph,
-        restrict_labelling(oracle.labelling, owned),
-        owned_landmarks=owned,
-        rows=(dyn, dist, entry),
+    return DynamicHCL.from_rows(
+        graph, oracle.landmarks, (dyn, dist, entry), owned_landmarks=owned
     )

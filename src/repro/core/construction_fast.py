@@ -11,7 +11,9 @@ thousands of vertices, |R| up to 60) in seconds rather than minutes.
 
 The numpy kernel lives in :func:`repro.parallel.sweeps.csr_landmark_sweep`
 (cover flags propagate as a scatter over the frontier adjacency); each
-sweep is merged into the shared stores in landmark order.
+sweep writes one landmark's dense distance row and label-membership mask,
+and :meth:`~repro.core.labelling.HighwayCoverLabelling.from_rows` turns
+the rows into the dict labelling.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.highway import Highway
 from repro.core.labelling import HighwayCoverLabelling
-from repro.core.labels import LabelStore
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.csr import CSRGraph
-from repro.parallel.sweeps import csr_landmark_sweep, merge_sweep
+from repro.parallel.sweeps import csr_landmark_sweep
 
 __all__ = ["build_hcl_fast", "build_hcl_fast_rows"]
 
@@ -48,22 +48,24 @@ def build_hcl_fast(
     >>> build_hcl_fast(g, [0, 15]) == build_hcl(g, [0, 15])
     True
     """
-    return build_hcl_fast_rows(graph, landmarks, csr)[0]
+    landmarks = list(landmarks)
+    csr, dist, entry = build_hcl_fast_rows(graph, landmarks, csr)
+    return HighwayCoverLabelling.from_rows(landmarks, landmarks, csr.ids, dist, entry)
 
 
 def build_hcl_fast_rows(
     graph,
     landmarks: Sequence[int] | Iterable[int],
     csr: CSRGraph | None = None,
-) -> tuple[HighwayCoverLabelling, CSRGraph, np.ndarray, np.ndarray]:
-    """:func:`build_hcl_fast` that also returns what its sweeps computed.
+) -> tuple[CSRGraph, np.ndarray, np.ndarray]:
+    """The construction sweeps as dense rows, without a dict labelling.
 
-    Returns ``(labelling, csr, dist, entry)``: the CSR snapshot and, per
-    landmark in selection order, the BFS distance row (int32,
+    Returns ``(csr, dist, entry)``: the CSR snapshot and, per landmark in
+    selection order, the BFS distance row (int32,
     :data:`~repro.graph.dyncsr.UNREACH` when unreachable) and the
     label-membership mask over its columns — exactly the dense rows the
     update engine keeps, so :meth:`repro.core.dynamic.DynamicHCL.build`
-    attaches the engine without a second BFS per landmark.
+    attaches the engine from them without a BFS of its own.
     """
     landmark_list = list(landmarks)
     if not landmark_list:
@@ -74,9 +76,6 @@ def build_hcl_fast_rows(
 
     if csr is None:
         csr = CSRGraph.from_graph(graph)
-    highway = Highway(landmark_list)
-    labels = LabelStore()
-
     is_landmark = np.zeros(csr.num_vertices, dtype=bool)
     for r in landmark_list:
         is_landmark[csr.index(r)] = True
@@ -85,9 +84,7 @@ def build_hcl_fast_rows(
     dist = np.empty(shape, dtype=np.int32)
     entry = np.zeros(shape, dtype=bool)
     for k, r in enumerate(landmark_list):
-        sweep = csr_landmark_sweep(
-            csr.indptr, csr.indices, csr.ids, is_landmark, csr.index(r), r,
-            dist=dist[k], entry=entry[k],
+        csr_landmark_sweep(
+            csr.indptr, csr.indices, is_landmark, csr.index(r), dist[k], entry[k]
         )
-        merge_sweep(highway, labels, sweep)
-    return HighwayCoverLabelling(highway, labels), csr, dist, entry
+    return csr, dist, entry

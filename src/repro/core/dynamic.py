@@ -1,9 +1,9 @@
 """DynamicHCL — the user-facing dynamic distance oracle.
 
-Couples a :class:`~repro.graph.dynamic_graph.DynamicGraph` with a
-:class:`~repro.core.labelling.HighwayCoverLabelling` and keeps the two in
-sync through the paper's update operations plus this repository's
-extensions:
+Couples a :class:`~repro.graph.dynamic_graph.DynamicGraph` with the
+vectorized update engine (:class:`~repro.core.inchl_fast.FastUpdateEngine`)
+and keeps the two in sync through the paper's update operations plus this
+repository's extensions:
 
 * :meth:`DynamicHCL.insert_edge` — IncHL+ edge insertion (Section 4);
 * :meth:`DynamicHCL.insert_vertex` — vertex insertion, decomposed into edge
@@ -18,21 +18,28 @@ extensions:
 * :meth:`DynamicHCL.add_landmark` / :meth:`DynamicHCL.remove_landmark` —
   online landmark-set resizing (:mod:`repro.landmarks.maintenance`);
 * :meth:`DynamicHCL.shortest_path` — path extraction on top of the
-  distance oracle (:mod:`repro.core.paths`).
+  distance oracle.
 
 Queries are answered exactly at any point between updates.  Every
 per-landmark sweep (construction and updates alike) runs in the calling
 process, one landmark after another.
 
+The engine's dense rows are the oracle's only labelling: by Eq. (1) the
+distance rows ``d(r, ·)`` plus a label-membership mask determine
+``Γ = (H, L)``.  :attr:`DynamicHCL.labelling` materializes a detached
+:class:`~repro.core.labelling.HighwayCoverLabelling` from them on demand.
 Every edge update goes through one private helper into
-:meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`, the
-vectorized CSR engine.  The labelling it produces is byte-identical to
-the paper's Python kernels (IncHL+ in :mod:`repro.core.inchl`, batch
-IncHL+ in :mod:`repro.core.batch`, DecHL in :mod:`repro.core.dechl`),
-which stay plain functions: the test oracle and the timed reproduction
-call them directly (:func:`repro.core.batch.replay_events` replays a
-mixed stream through them).  The engine is cached across updates and
-rebuilt after landmark maintenance or vertex removal.
+:meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.  The
+labelling it maintains is byte-identical to the paper's Python kernels
+(IncHL+ in :mod:`repro.core.inchl`, batch IncHL+ in
+:mod:`repro.core.batch`, DecHL in :mod:`repro.core.dechl`), which stay
+plain functions over dict labellings: the test oracle and the timed
+reproduction call them directly (:func:`repro.core.batch.replay_events`
+replays a mixed stream through them).  The operations that only the
+reference kernels implement — vertex removal and landmark maintenance —
+materialize the labelling, run the kernel on it and seed a new engine
+from the result.  Mutating the graph around the oracle is not
+supported: the engine would not see it.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.construction import build_hcl
 from repro.core.inchl import UpdateStats
+from repro.core.inchl_fast import FastUpdateEngine
 from repro.core.labelling import HighwayCoverLabelling
-from repro.core.query import landmark_distance, upper_bound
 from repro.exceptions import GraphError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.landmarks.selection import select_landmarks
@@ -68,30 +75,49 @@ class DynamicHCL:
         graph: DynamicGraph,
         labelling: HighwayCoverLabelling,
         owned_landmarks: Sequence[int] | None = None,
-        rows: tuple | None = None,
     ) -> None:
+        """Wrap ``graph`` and a labelling valid and minimal for it.
+
+        The engine seeds its rows from ``labelling`` (one BFS per
+        landmark, one scan of the labels) and keeps no reference to it.
+        With ``owned_landmarks`` the oracle is a landmark shard
+        (:mod:`repro.core.sharding`): it maintains only those landmarks'
+        rows, its queries are shard-local (exact through owned
+        landmarks; the scatter-gather min over all shards is globally
+        exact), and every update runs on the engine restricted to the
+        owned rows.
+        """
+        owned = list(owned_landmarks) if owned_landmarks is not None else None
+        self._setup(graph, owned, FastUpdateEngine(
+            graph, labelling.landmarks, owned=owned, labels=labelling.labels
+        ))
+
+    @classmethod
+    def from_rows(
+        cls,
+        graph: DynamicGraph,
+        landmarks: Sequence[int],
+        rows: tuple,
+        owned_landmarks: Sequence[int] | None = None,
+    ) -> "DynamicHCL":
+        """An oracle attached from dense rows: ``rows=(overlay, dist,
+        has_entry)`` known exact for ``graph`` and ``landmarks`` — the
+        construction sweeps, a verified checkpoint, or an engine's rows
+        sliced to a shard.  No BFS runs and no dict labelling is built.
+        """
+        oracle = cls.__new__(cls)
+        owned = list(owned_landmarks) if owned_landmarks is not None else None
+        oracle._setup(graph, owned, FastUpdateEngine(
+            graph, landmarks, owned=owned, rows=rows
+        ))
+        return oracle
+
+    def _setup(self, graph, owned, engine) -> None:
         self._graph = graph
-        self._labelling = labelling
-        #: Landmark-sharded mode (``repro.core.sharding``): this oracle
-        #: owns only these landmarks' label rows; ``labelling`` must be
-        #: the matching restricted labelling.  Queries become
-        #: shard-local (exact through owned landmarks, scatter-gather
-        #: min over all shards is globally exact) and every update runs
-        #: on the vectorized engine restricted to the owned rows.
-        self._owned = list(owned_landmarks) if owned_landmarks is not None else None
+        self._owned = owned
+        self._engine = engine
         self._version = 0
         self._snapshot_cache = None
-        self._engine = None
-        if rows is not None:
-            # ``(overlay, dist, has_entry)`` known to be exact for this
-            # graph and labelling — construction sweeps, a verified
-            # checkpoint, or a restored engine sliced to a shard: the
-            # engine attaches from them instead of one BFS per landmark.
-            from repro.core.inchl_fast import FastUpdateEngine
-
-            self._engine = FastUpdateEngine(
-                graph, labelling, owned=self._owned, rows=rows
-            )
 
     # ------------------------------------------------------------------
     # Construction
@@ -116,9 +142,9 @@ class DynamicHCL:
         ``construction`` selects the builder: ``"python"`` (reference) or
         ``"csr"`` (the numpy fast path of
         :func:`repro.core.construction_fast.build_hcl_fast`; same labelling,
-        much faster on large graphs).  The ``"csr"`` builder also hands
-        its sweeps' BFS rows to the update engine, which then attaches
-        without a BFS of its own.
+        much faster on large graphs).  The ``"csr"`` builder hands its
+        sweeps' rows to the update engine, which attaches from them
+        without a BFS of its own and without a dict labelling.
         """
         if landmarks is None:
             landmarks = select_landmarks(graph, num_landmarks, strategy, rng=rng)
@@ -128,9 +154,9 @@ class DynamicHCL:
             from repro.core.construction_fast import build_hcl_fast_rows
             from repro.graph.dyncsr import DynCSR
 
-            labelling, csr, dist, entry = build_hcl_fast_rows(graph, landmarks)
+            csr, dist, entry = build_hcl_fast_rows(graph, landmarks)
             dyn = DynCSR.from_arrays(csr.ids, csr.indptr, csr.indices)
-            return cls(graph, labelling, rows=(dyn, dist, entry))
+            return cls.from_rows(graph, landmarks, (dyn, dist, entry))
         raise ValueError(
             f"unknown construction {construction!r}; use 'python' or 'csr'"
         )
@@ -145,13 +171,21 @@ class DynamicHCL:
 
     @property
     def labelling(self) -> HighwayCoverLabelling:
-        """The maintained labelling ``Γ = (H, L)``."""
-        return self._labelling
+        """The maintained labelling ``Γ = (H, L)``, materialized from the
+        engine's rows as a fresh, detached copy: mutating it does not
+        touch the oracle.  On a landmark shard it is the restricted
+        labelling (:func:`~repro.core.sharding.restrict_labelling`)."""
+        engine = self._engine
+        rows = engine.owned_landmarks
+        dist, entry = engine.rows(rows)
+        return HighwayCoverLabelling.from_rows(
+            engine.landmarks, rows, engine.dyn.ids, dist, entry
+        )
 
     @property
     def landmarks(self) -> list[int]:
         """Landmarks ``R`` in selection order."""
-        return self._labelling.landmarks
+        return self._engine.landmarks
 
     @property
     def owned_landmarks(self) -> list[int] | None:
@@ -161,12 +195,13 @@ class DynamicHCL:
 
     @property
     def label_entries(self) -> int:
-        """``size(L)`` — the paper's labelling-size metric."""
-        return self._labelling.label_entries
+        """``size(L)`` — the paper's labelling-size metric (of the owned
+        rows on a landmark shard)."""
+        return self._engine.label_entries
 
     def size_bytes(self) -> int:
         """Logical labelling footprint in bytes (Table 1 accounting)."""
-        return self._labelling.size_bytes()
+        return self.labelling.size_bytes()
 
     @property
     def version(self) -> int:
@@ -182,8 +217,8 @@ class DynamicHCL:
         """An immutable point-in-time read view of this oracle.
 
         Returns an :class:`repro.serving.snapshot.OracleSnapshot` pinned to
-        the current :attr:`version`.  Snapshots are cheap (pointer-level
-        copy-on-write, see :meth:`HighwayCoverLabelling.freeze`) and never
+        the current :attr:`version`.  Snapshots are cheap (copies of the
+        dense rows, a copy-on-write freeze of the graph) and never
         block or observe later updates — the serving layer's readers query
         snapshots while the single writer mutates the oracle.  Repeated
         calls between updates return the same cached snapshot object.
@@ -243,76 +278,63 @@ class DynamicHCL:
         """Exact distances for a batch of ``(u, v)`` pairs."""
         return self.snapshot().query_many(pairs)
 
-    def shard_rows(self):
-        """Frozen ``(dist, csr)`` query state at this version, attaching
-        the engine if needed: the dense rows of the owned landmarks (all
-        of them when unsharded) and a frozen copy of the graph overlay
-        (:meth:`~repro.core.inchl_fast.FastUpdateEngine.freeze_shard_rows`).
+    def frozen_rows(self):
+        """Pinned ``(dist, entry, csr)`` query state at this version: copies
+        of the dense rows and label mask of the owned landmarks (all of
+        them when unsharded) and a frozen copy of the graph overlay
+        (:meth:`~repro.core.inchl_fast.FastUpdateEngine.freeze_rows`).
         """
-        return self._resolve_engine().freeze_shard_rows()
+        return self._engine.freeze_rows()
 
     def checkpoint_rows(self, landmarks: Sequence[int] | None = None):
         """``(row_landmarks, overlay, dist, entry)``: the engine's dense
         rows for ``landmarks`` (default: every landmark this oracle
-        maintains) as copies over the overlay's columns, attaching the
-        engine if needed — what :func:`repro.utils.serialization.save_oracle`
-        writes, and what :func:`repro.cluster.shards.make_shard_oracle`
-        slices a shard's engine from.  The overlay is live: read only."""
-        engine = self._resolve_engine()
+        maintains) as copies over the overlay's columns — what
+        :func:`repro.utils.serialization.save_oracle` writes, and what
+        :func:`repro.cluster.shards.make_shard_oracle` slices a shard's
+        engine from.  The overlay is live: read only."""
+        engine = self._engine
         rows = engine.owned_landmarks if landmarks is None else list(landmarks)
         dist, entry = engine.rows(rows)
         return rows, engine.dyn, dist, entry
 
     def distance_bound(self, u: int, v: int) -> float:
         """The label-only upper bound ``d⊤`` (Eq. 2) — useful on its own as
-        a fast approximate distance."""
-        landmark_set = self._labelling.landmark_set
-        if u == v:
-            return 0
-        if u in landmark_set:
-            return landmark_distance(self._labelling, u, v)
-        if v in landmark_set:
-            return landmark_distance(self._labelling, v, u)
-        return upper_bound(self._labelling, u, v)
+        a fast approximate distance.  Read from the snapshot's rows as
+        ``min_r d(r, u) + d(r, v)``, which equals Eq. (2) on a minimal
+        labelling (through the owned landmarks on a shard)."""
+        return self.snapshot().distance_bound(u, v)
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def _resolve_engine(self):
-        """The cached vectorized update engine, (re)built when stale.
-
-        Must be called *before* the graph mutation: the engine snapshots
-        the pre-insertion graph to seed its dense old-distance rows.
-        """
-        from repro.core.inchl_fast import FastUpdateEngine
-
-        engine = self._engine
-        if engine is None or not engine.matches(self._graph, self._labelling):
-            engine = FastUpdateEngine(self._graph, self._labelling, owned=self._owned)
-            self._engine = engine
-        return engine
-
-    def _invalidate_engine(self) -> None:
-        """Drop the cached engine (its overlay/rows are now stale)."""
-        self._engine = None
-
     def _apply(self, inserts, deletes, events: int):
         """The one update route every edge mutator takes.
 
-        Resolves the engine (before the graph changes: a fresh engine
-        seeds its rows from the pre-batch graph), applies the net edge
-        sets ``inserts``/``deletes`` to the graph, stamps ``events``
-        epochs and repairs through
+        Applies the net edge sets ``inserts``/``deletes`` to the graph,
+        stamps ``events`` epochs and repairs through
         :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.
         """
-        engine = self._resolve_engine()
         graph = self._graph
         for u, v in inserts:
             graph.add_edge(u, v)
         for u, v in deletes:
             graph.remove_edge(u, v)
         self._version += events
-        return engine.apply_mixed(inserts, deletes)
+        return self._engine.apply_mixed(inserts, deletes)
+
+    def _run_reference(self, kernel, *args):
+        """Run a reference ``kernel(graph, labelling, *args)`` on a
+        materialized labelling, then seed a new engine from its result
+        (one BFS per landmark)."""
+        labelling = self.labelling
+        self._version += 1
+        result = kernel(self._graph, labelling, *args)
+        self._engine = FastUpdateEngine(
+            self._graph, labelling.landmarks, owned=self._owned,
+            labels=labelling.labels,
+        )
+        return result
 
     def _require_unsharded(self, operation: str) -> None:
         if self._owned is not None:
@@ -455,9 +477,7 @@ class DynamicHCL:
         self._require_unsharded("remove_vertex")
         from repro.core.dechl import apply_vertex_deletion
 
-        self._invalidate_engine()
-        self._version += 1
-        apply_vertex_deletion(self._graph, self._labelling, v)
+        self._run_reference(apply_vertex_deletion, v)
 
     # ------------------------------------------------------------------
     # Landmark maintenance
@@ -471,9 +491,7 @@ class DynamicHCL:
         self._require_unsharded("add_landmark")
         from repro.landmarks.maintenance import add_landmark
 
-        self._invalidate_engine()
-        self._version += 1
-        return add_landmark(self._graph, self._labelling, v)
+        return self._run_reference(add_landmark, v)
 
     def remove_landmark(self, v: int) -> list[int]:
         """Demote landmark ``v`` online (extension).
@@ -483,34 +501,23 @@ class DynamicHCL:
         self._require_unsharded("remove_landmark")
         from repro.landmarks.maintenance import remove_landmark
 
-        self._invalidate_engine()
-        self._version += 1
-        return remove_landmark(self._graph, self._labelling, v)
+        return self._run_reference(remove_landmark, v)
 
     # ------------------------------------------------------------------
     # Paths
     # ------------------------------------------------------------------
     def shortest_path(self, u: int, v: int) -> list[int] | None:
-        """One exact shortest path (``None`` when disconnected).
-
-        A landmark shard keeps the full graph but only a slice of the
-        labels, so the greedy label walk is unavailable there; shards
-        answer by plain BFS instead.
-        """
-        if self._owned is not None:
-            from repro.core.sharding import bfs_shortest_path
-
-            return bfs_shortest_path(self._graph, u, v)
-        from repro.core.paths import shortest_path
-
-        return shortest_path(self._graph, self._labelling, u, v)
+        """One exact shortest path (``None`` when disconnected), answered
+        on :meth:`snapshot` (:meth:`OracleSnapshot.shortest_path
+        <repro.serving.snapshot.OracleSnapshot.shortest_path>`)."""
+        return self.snapshot().shortest_path(u, v)
 
     def approximate_path(self, u: int, v: int) -> list[int] | None:
         """A landmark-routed path of length ``d⊤`` (Eq. 2) — cheap, exact
         whenever some shortest path meets a landmark."""
         from repro.core.paths import approximate_path_via_landmarks
 
-        return approximate_path_via_landmarks(self._graph, self._labelling, u, v)
+        return approximate_path_via_landmarks(self._graph, self.labelling, u, v)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -4,6 +4,10 @@ Section 3 of the paper: a highway consists of a set ``R`` of landmarks and a
 distance decoding function ``δ_H : R × R → N+`` with
 ``δ_H(r1, r2) = d_G(r1, r2)`` for *all* landmark pairs.  Distances are kept
 symmetric; unreachable pairs decode to infinity.
+
+This dict table is the reference kernels' highway.  A served oracle keeps
+none: its cells are the dense landmark rows at the other landmarks'
+columns (:meth:`repro.core.labelling.HighwayCoverLabelling.from_rows`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class Highway:
     0
     """
 
-    __slots__ = ("_landmarks", "_landmark_set", "_dist", "_shared")
+    __slots__ = ("_landmarks", "_landmark_set", "_dist")
 
     def __init__(self, landmarks: Iterable[int]) -> None:
         self._landmarks = list(landmarks)
@@ -38,30 +42,6 @@ class Highway:
         self._dist: dict[int, dict[int, float]] = {
             r: {r: 0} for r in self._landmarks
         }
-        # Rows shared with live snapshots (see :meth:`snapshot_state`);
-        # ``None`` until the first snapshot is taken.
-        self._shared: set[int] | None = None
-
-    def _cow(self, r: int) -> None:
-        """Detach the row of ``r`` from any live snapshot before mutating."""
-        shared = self._shared
-        if shared is not None and r in shared:
-            self._dist[r] = dict(self._dist[r])
-            shared.discard(r)
-
-    def snapshot_state(
-        self,
-    ) -> tuple[list[int], frozenset[int], dict[int, dict[int, float]]]:
-        """Freeze hook for :mod:`repro.serving.snapshot`.
-
-        Returns ``(landmarks, landmark_set, rows)``: a copy of the landmark
-        order, the (immutable) landmark set, and a *shallow* copy of the
-        distance table whose rows are shared copy-on-write — any later
-        in-place mutation copies the affected row first, so the returned
-        state is a stable point-in-time view.
-        """
-        self._shared = set(self._dist)
-        return list(self._landmarks), self._landmark_set, dict(self._dist)
 
     @property
     def landmarks(self) -> list[int]:
@@ -102,8 +82,6 @@ class Highway:
         if not distance > 0:
             # >= 1 on unweighted graphs; weighted highways may go below 1.
             raise ValueError(f"landmark distances must be positive, got {distance!r}")
-        self._cow(r1)
-        self._cow(r2)
         self._dist[r1][r2] = distance
         self._dist[r2][r1] = distance
 
@@ -115,10 +93,8 @@ class Highway:
         """
         if r not in self._landmark_set:
             raise NotALandmarkError(r)
-        self._cow(r)
         for other in list(self._dist[r]):
             if other != r:
-                self._cow(other)
                 del self._dist[r][other]
                 del self._dist[other][r]
 
@@ -136,8 +112,6 @@ class Highway:
             raise ValueError("the 0 diagonal cannot be removed")
         if r2 not in self._dist[r1]:
             return False
-        self._cow(r1)
-        self._cow(r2)
         del self._dist[r1][r2]
         del self._dist[r2][r1]
         return True

@@ -16,6 +16,10 @@ This module is the update-path counterpart of
   verified checkpoint, else one CSR BFS per landmark — and overwriting
   exactly the affected entries after each repair keeps them equal to
   what the dict kernels would derive from labels, at ``O(1)`` per lookup;
+* the labelling itself is those rows plus a per-landmark
+  label-membership mask: the engine keeps no dict labelling, and
+  :meth:`~repro.core.labelling.HighwayCoverLabelling.from_rows`
+  materializes one from the rows when a caller asks;
 * find and repair run as the hybrid scalar/numpy level kernels
   :func:`~repro.parallel.sweeps.csr_find_affected_mixed` /
   :func:`~repro.parallel.sweeps.csr_repair_affected`.
@@ -28,11 +32,11 @@ a mixed insert/delete batch alike — the BatchHL-style unified sweep of
 exact across every event kind.  Since the minimal labelling is a
 canonical function of the graph and landmark set, the result equals the
 sequential IncHL+/DecHL replay byte for byte — same affected sets, same
-new distances, same covered verdicts, same entry/highway mutations
+new distances, same covered verdicts, same entry/highway changes
 (``docs/DESIGN.md`` §8; asserted exhaustively by ``tests/proptest``).
 Every edge update of the owning :class:`~repro.core.dynamic.DynamicHCL`
-runs here; only landmark maintenance and vertex removal invalidate the
-engine, and the oracle drops it and rebuilds on the next update.
+runs here; landmark maintenance and vertex removal run the reference
+kernels on a materialized labelling and seed a new engine from it.
 """
 
 from __future__ import annotations
@@ -63,34 +67,39 @@ def _fit(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
 class FastUpdateEngine:
     """Per-oracle state of the vectorized update path.
 
-    Owns the :class:`DynCSR` overlay, the dense ``|R| x n`` old-distance
-    matrix and the reusable scratch buffers.  Create it from a graph and
-    labelling that are *in sync* (the labelling is valid and minimal for
-    the graph), plus ``rows=(overlay, dist, has_entry)`` when the dense
-    rows are already known exact for them; apply every subsequent edge
-    update through
-    :meth:`apply_mixed` — the caller mutates the owning
+    Owns the :class:`DynCSR` overlay, the dense ``|R| x n`` distance
+    matrix, the label-membership mask and the reusable scratch buffers.
+    The rows *are* the labelling (Eq. 1): ``(r, dist[k, v]) ∈ L(v)`` iff
+    ``has_entry[k, v]``, and the highway cells are the rows at the
+    landmark columns.  Create the engine from ``rows=(overlay, dist,
+    has_entry)`` known exact for ``graph``, or from the label store
+    ``labels`` of a labelling valid and minimal for ``graph`` (one BFS
+    per landmark seeds the distances).  Apply every subsequent edge
+    update through :meth:`apply_mixed` — the caller mutates the owning
     :class:`~repro.graph.dynamic_graph.DynamicGraph` first, the engine
-    mirrors the batch into its overlay and repairs the labelling.  Any
-    other mutation desynchronizes the engine: drop it and build a fresh
-    one (see :meth:`matches`).
+    mirrors the batch into its overlay and repairs the rows.  Vertices
+    registered on the graph without edges are picked up on their first
+    incident insertion; any other mutation of the graph around the
+    engine desynchronizes it.
 
     >>> from repro.core.construction import build_hcl
     >>> from repro.core.inchl import apply_edge_insertion
+    >>> from repro.core.labelling import HighwayCoverLabelling
     >>> from repro.graph.generators import grid_graph
     >>> g_fast, g_ref = grid_graph(3, 3), grid_graph(3, 3)
-    >>> hcl_fast = build_hcl(g_fast, [0, 8])
     >>> hcl_ref = build_hcl(g_ref, [0, 8])
-    >>> engine = FastUpdateEngine(g_fast, hcl_fast)
+    >>> engine = FastUpdateEngine(g_fast, [0, 8], labels=hcl_ref.labels)
     >>> g_fast.add_edge(0, 8); g_ref.add_edge(0, 8)
     >>> _ = engine.apply_mixed([(0, 8)], [])
     >>> _ = apply_edge_insertion(g_ref, hcl_ref, 0, 8)
-    >>> hcl_fast == hcl_ref
+    >>> rows = engine.owned_landmarks
+    >>> dist, entry = engine.rows(rows)
+    >>> HighwayCoverLabelling.from_rows(
+    ...     engine.landmarks, rows, engine.dyn.ids, dist, entry) == hcl_ref
     True
     """
 
     __slots__ = (
-        "_labelling",
         "_landmarks",
         "_full",
         "_dyn",
@@ -102,28 +111,27 @@ class FastUpdateEngine:
         "_del_mask",
         "_row_views",
         "_scratch_views",
+        "_cell_sources",
     )
 
     def __init__(
         self,
         graph,
-        labelling,
+        landmarks: Iterable[int],
         owned: Iterable[int] | None = None,
         rows: tuple[DynCSR, np.ndarray, np.ndarray] | None = None,
+        labels=None,
     ) -> None:
-        self._labelling = labelling
-        self._full = list(labelling.landmarks)
+        self._full = list(landmarks)
+        if len(set(self._full)) != len(self._full):
+            raise ValueError("duplicate landmarks")
         if owned is None:
             self._landmarks = self._full
         else:
             # Landmark-sharded mode: maintain only the owned landmarks'
-            # label rows and highway cells.  ``labelling`` must be the
-            # matching restricted labelling
-            # (:func:`repro.core.sharding.restrict_labelling`) — the
-            # kernels read/write exactly the owned rows, while the
-            # sparsifying ``is_landmark`` mask below still covers the
-            # FULL landmark set so repairs see the same pruned searches
-            # as the unsharded engine.
+            # rows, while the sparsifying ``is_landmark`` mask below still
+            # covers the FULL landmark set so repairs see the same pruned
+            # searches as the unsharded engine.
             self._landmarks = list(owned)
             full_set = set(self._full)
             for r in self._landmarks:
@@ -133,7 +141,7 @@ class FastUpdateEngine:
                     )
         if rows is None:
             self._dyn = DynCSR.from_graph(graph)
-            self._seed_rows()
+            self._seed_rows(labels)
         else:
             # Attach from known-exact rows (a construction sweep's BFS
             # distances, a verified checkpoint, or another engine's rows
@@ -160,9 +168,9 @@ class FastUpdateEngine:
         self._del_mask = np.zeros(capacity, dtype=np.uint8)
         self._rebuild_views()
 
-    def _seed_rows(self) -> None:
+    def _seed_rows(self, labels) -> None:
         """Seed the dense rows: one CSR BFS per landmark for the distances,
-        one scan of the label store for the membership mask
+        one scan of the label store ``labels`` for the membership mask
         (``has_entry[k][i] == 1`` iff the k-th landmark has an entry on
         vertex ``ids[i]``, kept true by the repair kernel from then on)."""
         dyn = self._dyn
@@ -176,10 +184,12 @@ class FastUpdateEngine:
         position = {r: k for k, r in enumerate(self._landmarks)}
         columns: list[list[int]] = [[] for _ in self._landmarks]
         index_of = dyn.index
-        for v, label in self._labelling.labels.items():
+        for v, label in labels.items():
             vi = index_of(v)
             for r in label:
-                columns[position[r]].append(vi)
+                k = position.get(r)
+                if k is not None:
+                    columns[k].append(vi)
         for k, column in enumerate(columns):
             if column:
                 self._has_entry[k, column] = 1
@@ -189,7 +199,10 @@ class FastUpdateEngine:
 
         ``_row_views[k]`` is ``(dist_row_mv, has_entry_row_mv)``;
         ``_scratch_views`` is ``(new_dist_mv, covered_mv, landmark_mv,
-        del_mask_mv)``.
+        del_mask_mv)``; ``_cell_sources[k]`` lists, per other landmark
+        ``w``, ``(column of w, view, index)`` such that ``view[index]`` is
+        the highway cell ``δ(r_k, w)``: ``w``'s own row at ``r_k``'s
+        column when this engine keeps it, else ``r_k``'s row at ``w``.
         Rebuilt whenever the backing arrays are re-allocated
         (:meth:`_ensure_capacity`).
         """
@@ -203,31 +216,21 @@ class FastUpdateEngine:
             memoryview(self._is_landmark),
             memoryview(self._del_mask),
         )
+        index = self._dyn.index
+        own = {r: views[0] for r, views in zip(self._landmarks, self._row_views)}
+        self._cell_sources = [
+            [
+                (index(w), own[w], index(r)) if w in own
+                else (index(w), self._row_views[k][0], index(w))
+                for w in self._full if w != r
+            ]
+            for k, r in enumerate(self._landmarks)
+        ]
 
-    # ------------------------------------------------------------------
-    # Sync
-    # ------------------------------------------------------------------
-    def matches(self, graph, labelling) -> bool:
-        """Whether this engine still mirrors ``graph``/``labelling``.
-
-        Cheap counters-only check: every mutation routed around the
-        engine (a reference kernel run on the same graph, landmark
-        maintenance, direct graph edits) changes the edge count, shrinks
-        the vertex count, or changes the landmark list, so the owning
-        oracle consults this
-        before reusing a cached engine.  The graph may have *more*
-        vertices than the overlay: vertices registered directly (the
-        serving writer pre-registers endpoints with ``add_vertex``) are
-        necessarily isolated — every edge mutation flows through the
-        oracle — and the overlay picks them up on their first incident
-        insertion.
-        """
-        return (
-            labelling is self._labelling
-            and self._dyn.num_edges == graph.num_edges
-            and self._dyn.num_vertices <= graph.num_vertices
-            and self._full == labelling.landmarks
-        )
+    @property
+    def landmarks(self) -> list[int]:
+        """The full landmark list ``R`` in selection order (read-only)."""
+        return self._full
 
     @property
     def owned_landmarks(self) -> list[int]:
@@ -235,17 +238,27 @@ class FastUpdateEngine:
         outside sharded mode)."""
         return list(self._landmarks)
 
-    def freeze_shard_rows(self) -> tuple[np.ndarray, DynCSR]:
+    def freeze_rows(self) -> tuple[np.ndarray, np.ndarray, DynCSR]:
         """Pinned copies of the dense rows and the overlay for queries.
 
-        Returns ``(dist, csr)``: an ``(num_owned, num_vertices)`` int32
-        copy of the distance rows and a :meth:`DynCSR.freeze` copy of the
-        overlay.  Kernels mutate both in place, so a published snapshot
+        Returns ``(dist, has_entry, csr)``: ``(num_owned, num_vertices)``
+        copies of the int32 distance rows and the bool label-membership
+        mask, and a :meth:`DynCSR.freeze` copy of the overlay.  Kernels
+        mutate all three in place, so a published snapshot
         (:meth:`repro.serving.snapshot.OracleSnapshot.capture`) must carry
         its own copies.
         """
         n = self._dyn.num_vertices
-        return self._dist[:, :n].copy(), self._dyn.freeze()
+        return (
+            self._dist[:, :n].copy(),
+            self._has_entry[:, :n].view(bool).copy(),
+            self._dyn.freeze(),
+        )
+
+    @property
+    def label_entries(self) -> int:
+        """``size(L)`` of the owned rows: the set bits of the mask."""
+        return int(np.count_nonzero(self._has_entry))
 
     def rows(self, landmarks: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the dense ``(dist, has_entry)`` rows of ``landmarks``
@@ -373,6 +386,10 @@ class FastUpdateEngine:
         new_mv, _, _, del_mv = self._scratch_views
         for k, ins_edges, del_seeds in plans:
             t0 = perf_counter()
+            # The highway cells of r_k as the dict kernels would read them:
+            # before the find overwrites the row's closure slots, after
+            # the earlier landmarks of this batch repaired their rows.
+            cells = {c: view[i] for c, view, i in self._cell_sources[k]}
             levels, removed = csr_find_affected_mixed(
                 dyn,
                 self._dist[k],
@@ -383,26 +400,30 @@ class FastUpdateEngine:
                 views=(self._row_views[k][0], new_mv, del_mv),
             )
             t1 = perf_counter()
-            self._repair_landmark(k, levels, removed, stats, union)
+            self._repair_landmark(k, levels, removed, stats, union, cells)
             find_s += t1 - t0
             repair_s += perf_counter() - t1
         stats.affected_union = len(union)
         stats.phases = {"find": find_s, "repair": repair_s}
         return stats
 
-    def _repair_landmark(self, k: int, levels, removed, stats, union) -> None:
+    def _repair_landmark(
+        self, k: int, levels, removed, stats, union, cells
+    ) -> None:
         """Phase C for the ``k``-th landmark: disconnect, repair, refresh
         the dense row, reset scratch, and record ``|Λ_r|`` (settled +
         disconnected) in ``stats``.
 
         Vertices the batch cut off from the landmark lose their entry
-        (or, for landmarks, their highway pair) outright — mirroring
+        (or, for landmarks, their highway cell) outright — mirroring
         :func:`repro.core.dechl.repair_affected_deletion` — and their
         dense slot goes to :data:`UNREACH` *before* the level sweep, so
         the parent predicate never reads a stale finite distance.  The
         level sweep is :func:`csr_repair_affected`: deletions flip cover
         verdicts in either direction, but the parent predicate
-        re-derives them from scratch anyway.
+        re-derives them from scratch anyway.  ``cells`` holds the
+        landmark's highway cells as they stood before its find, for the
+        ``highway_updates`` count.
         """
         r = self._landmarks[k]
         row = self._dist[k]
@@ -411,25 +432,19 @@ class FastUpdateEngine:
         row_mv, has_mv = self._row_views[k]
         new_mv, covered_mv, landmark_mv, _ = self._scratch_views
         if removed:
-            labels = self._labelling.labels
-            highway = self._labelling.highway
-            ids = self._dyn.ids
             unreachable = int(UNREACH)
             for v in removed:
-                vid = int(ids[v])
                 row_mv[v] = unreachable
                 if landmark_mv[v]:
-                    if highway.remove_distance(r, vid):
+                    if cells[v] != unreachable:
                         stats.highway_updates += 1
                 elif has_mv[v]:
-                    labels.remove_entry(vid, r)
                     has_mv[v] = 0
                     stats.entries_removed += 1
             stats.disconnected += len(removed)
             union.update(removed)
         csr_repair_affected(
             self._dyn,
-            self._labelling,
             r,
             levels,
             row,
@@ -439,6 +454,7 @@ class FastUpdateEngine:
             self._has_entry[k],
             stats,
             views=(row_mv, new_mv, landmark_mv, covered_mv, has_mv),
+            highway_cells=cells,
         )
         affected = len(removed)
         for depth, verts in levels:

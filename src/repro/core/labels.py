@@ -5,6 +5,12 @@ Section 3: the label of a vertex ``v`` is a set of distance entries
 ``size(L) = Σ_v |L(v)|`` is the quantity the paper's Table 1 reports (as
 bytes, at 8 bytes per entry in the authors' C++ layout: 32-bit landmark id +
 32-bit distance).
+
+This dict store is what the reference kernels read and mutate.  A served
+oracle keeps none: its entries are the update engine's dense distance rows
+under a label-membership mask, and
+:meth:`repro.core.labelling.HighwayCoverLabelling.from_rows` materializes
+a store from them on demand.
 """
 
 from __future__ import annotations
@@ -31,35 +37,11 @@ class LabelStore:
     1
     """
 
-    __slots__ = ("_labels", "_total", "_shared")
+    __slots__ = ("_labels", "_total")
 
     def __init__(self) -> None:
         self._labels: dict[int, dict[int, int]] = {}
         self._total = 0
-        # Vertices whose label dicts are shared with live snapshots (see
-        # :meth:`snapshot_rows`); ``None`` until the first snapshot, so the
-        # non-serving hot paths pay a single attribute test.
-        self._shared: set[int] | None = None
-
-    def _cow(self, v: int) -> None:
-        """Detach ``L(v)`` from any live snapshot before mutating it."""
-        shared = self._shared
-        if shared is not None and v in shared:
-            self._labels[v] = dict(self._labels[v])
-            shared.discard(v)
-
-    def snapshot_rows(self) -> tuple[dict[int, dict[int, int]], int]:
-        """Freeze hook for :mod:`repro.serving.snapshot`.
-
-        Returns ``(rows, total_entries)`` where ``rows`` is a *shallow* copy
-        of the vertex map: the per-vertex label dicts are shared with this
-        store, and every subsequent in-place mutation copies the affected
-        row first (copy-on-write at label-row granularity).  The returned
-        mapping is therefore a stable point-in-time view that later writes
-        can never tear, at pointer-copy cost instead of a deep copy.
-        """
-        self._shared = set(self._labels)
-        return dict(self._labels), self._total
 
     def label(self, v: int) -> dict[int, int]:
         """The label of ``v`` as ``{landmark: distance}``.
@@ -81,7 +63,6 @@ class LabelStore:
         """Add or modify the entry of landmark ``r`` in ``L(v)``."""
         if distance < 0:
             raise ValueError(f"distances must be non-negative, got {distance!r}")
-        self._cow(v)
         label = self._labels.get(v)
         if label is None:
             self._labels[v] = {r: distance}
@@ -104,74 +85,13 @@ class LabelStore:
         if distance < 0:
             raise ValueError(f"distances must be non-negative, got {distance!r}")
         labels = self._labels
-        shared = self._shared
         for v in vertices:
             label = labels.get(v)
             if label is None:
                 labels[v] = {r: distance}
-            elif shared is not None and v in shared:
-                label = dict(label)
-                label[r] = distance
-                labels[v] = label
-                shared.discard(v)
             else:
                 label[r] = distance
         self._total += len(vertices)
-
-    def bulk_set(self, r: int, vertices: list[int], distance: int) -> tuple[int, int]:
-        """Add or modify the entry ``(r, distance)`` on every vertex.
-
-        The update-path counterpart of :meth:`bulk_set_new`: vertices may
-        or may not already carry an ``r``-entry (RepairAffected both adds
-        and modifies), so the loop counts ``(added, modified)`` — one dict
-        probe per vertex instead of the ``has_entry`` + ``set_entry``
-        double lookup.  Copy-on-write safe.
-        """
-        if distance < 0:
-            raise ValueError(f"distances must be non-negative, got {distance!r}")
-        labels = self._labels
-        shared = self._shared
-        added = 0
-        for v in vertices:
-            label = labels.get(v)
-            if label is None:
-                labels[v] = {r: distance}
-                added += 1
-                continue
-            if shared is not None and v in shared:
-                label = dict(label)
-                labels[v] = label
-                shared.discard(v)
-            if r not in label:
-                added += 1
-            label[r] = distance
-        self._total += added
-        return added, len(vertices) - added
-
-    def bulk_remove(self, r: int, vertices: list[int]) -> int:
-        """Remove the ``r``-entry from every listed vertex that has one.
-
-        Returns the number of entries actually removed (RepairAffected
-        feeds it every *covered* vertex; some never carried an entry).
-        Copy-on-write safe.
-        """
-        labels = self._labels
-        shared = self._shared
-        removed = 0
-        for v in vertices:
-            label = labels.get(v)
-            if label is None or r not in label:
-                continue
-            if shared is not None and v in shared:
-                label = dict(label)
-                labels[v] = label
-                shared.discard(v)
-            del label[r]
-            removed += 1
-            if not label:
-                del labels[v]
-        self._total -= removed
-        return removed
 
     def remove_entry(self, v: int, r: int) -> bool:
         """Remove the entry of landmark ``r`` from ``L(v)`` if present.
@@ -183,8 +103,6 @@ class LabelStore:
         label = self._labels.get(v)
         if label is None or r not in label:
             return False
-        self._cow(v)
-        label = self._labels[v]
         del label[r]
         self._total -= 1
         if not label:
@@ -199,13 +117,8 @@ class LabelStore:
         """
         removed = 0
         empty: list[int] = []
-        shared = self._shared
         for v, label in self._labels.items():
             if r in label:
-                if shared is not None and v in shared:
-                    label = dict(label)
-                    self._labels[v] = label
-                    shared.discard(v)
                 del label[r]
                 removed += 1
                 if not label:

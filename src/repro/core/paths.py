@@ -14,6 +14,11 @@ Cost: ``O(d(u,v) · avg_deg · query)``.  For a cheaper but inexact
 alternative, :func:`approximate_path_via_landmarks` concatenates the two
 label-optimal landmark legs of Eq. (2), whose length equals the upper
 bound ``d⊤`` (exact whenever some shortest path meets a landmark).
+
+Both take a dict labelling.  A served snapshot has only dense rows; it
+takes the length from its own exact distance and walks one path of that
+length with :func:`bfs_leg`, one BFS bounded by the distance
+(:meth:`repro.serving.snapshot.OracleSnapshot.shortest_path`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from repro.core.query import landmark_distance, query_distance, upper_bound
 from repro.exceptions import InvariantViolationError
 from repro.graph.traversal import INF, bfs_distances_bounded
 
-__all__ = ["shortest_path", "approximate_path_via_landmarks"]
+__all__ = ["shortest_path", "approximate_path_via_landmarks", "bfs_leg"]
 
 
 def shortest_path(
@@ -98,7 +103,7 @@ def approximate_path_via_landmarks(
         )
         if total == INF:
             return None
-        return _bfs_leg(graph, u, v, int(total))
+        return bfs_leg(graph, u, v, int(total))
 
     best: tuple[float, int, int] | None = None
     labels = labelling.labels
@@ -118,14 +123,21 @@ def approximate_path_via_landmarks(
     if bound != upper_bound(labelling, u, v):  # pragma: no cover - sanity
         raise InvariantViolationError("label join disagrees with upper_bound")
 
-    first = _bfs_leg(graph, u, ri, labels.label(u)[ri])
-    middle = _bfs_leg(graph, ri, rj, int(highway.distance(ri, rj)))
-    last = _bfs_leg(graph, rj, v, labels.label(v)[rj])
+    first = bfs_leg(graph, u, ri, labels.label(u)[ri])
+    middle = bfs_leg(graph, ri, rj, int(highway.distance(ri, rj)))
+    last = bfs_leg(graph, rj, v, labels.label(v)[rj])
     return first + middle[1:] + last[1:]
 
 
-def _bfs_leg(graph, start: int, goal: int, length: int) -> list[int]:
-    """A path of exactly ``length`` edges from ``start`` to ``goal``."""
+def bfs_leg(graph, start: int, goal: int, length: int) -> list[int]:
+    """A path of exactly ``length`` edges from ``start`` to ``goal``, where
+    ``length`` must be ``d(start, goal)``: one BFS from ``goal`` bounded
+    by ``length``, then a walk that steps one level closer each time.
+
+    >>> from repro.graph.generators import grid_graph
+    >>> bfs_leg(grid_graph(3, 3), 0, 8, 4)
+    [0, 1, 2, 5, 8]
+    """
     if length == 0:
         return [start]
     dist = bfs_distances_bounded(graph, goal, bound=length)

@@ -50,7 +50,7 @@ class DynamicGraph:
         for v in vertices:
             self.add_vertex(v)
 
-    def _cow(self, v: int) -> None:
+    def _unshare_row(self, v: int) -> None:
         """Detach ``v``'s neighbour list from any live snapshot."""
         shared = self._shared
         if shared is not None and v in shared:
@@ -213,8 +213,8 @@ class DynamicGraph:
             raise VertexNotFoundError(v)
         if v in self._adj[u]:
             raise EdgeExistsError(u, v)
-        self._cow(u)
-        self._cow(v)
+        self._unshare_row(u)
+        self._unshare_row(v)
         self._adj[u].append(v)
         self._adj[v].append(u)
         self._num_edges += 1
@@ -262,8 +262,8 @@ class DynamicGraph:
             raise VertexNotFoundError(v)
         if v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
-        self._cow(u)
-        self._cow(v)
+        self._unshare_row(u)
+        self._unshare_row(v)
         self._adj[u].remove(v)
         self._adj[v].remove(u)
         self._num_edges -= 1
@@ -278,7 +278,7 @@ class DynamicGraph:
             raise VertexNotFoundError(v)
         removed = [(v, w) for w in self._adj[v]]
         for w in self._adj[v]:
-            self._cow(w)
+            self._unshare_row(w)
             self._adj[w].remove(v)
         self._num_edges -= len(removed)
         del self._adj[v]

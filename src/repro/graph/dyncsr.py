@@ -102,7 +102,7 @@ class DynCSR:
         self._delta_total = 0  # directed delta entries
         self._num_edges = 0  # undirected edges overall
         self._views = None  # cached scalar_views tuple
-        # Copy-on-write state of :meth:`freeze` (see :meth:`_cow_delta`).
+        # Copy-on-write state of :meth:`freeze` (see :meth:`_unshared_delta`).
         self._frozen_delta: dict[int, list[int]] = {}
         self._base_shared = False
 
@@ -267,7 +267,7 @@ class DynCSR:
         self._base_shared = True
         return frozen
 
-    def _cow_delta(self, vi: int) -> list[int]:
+    def _unshared_delta(self, vi: int) -> list[int]:
         """``vi``'s delta list (created if absent), detached from any
         :meth:`freeze` copy: lists older copies share are in the newest's."""
         extra = self._delta.setdefault(vi, [])
@@ -337,8 +337,8 @@ class DynCSR:
         for u, v in edges:
             ui = self.ensure_vertex(u)
             vi = self.ensure_vertex(v)
-            self._cow_delta(ui).append(vi)
-            self._cow_delta(vi).append(ui)
+            self._unshared_delta(ui).append(vi)
+            self._unshared_delta(vi).append(ui)
             self._delta_count[ui] += 1
             self._delta_count[vi] += 1
             self._delta_total += 2
@@ -355,7 +355,7 @@ class DynCSR:
         """
         extra = self._delta.get(ui)
         if extra is not None and vi in extra:
-            extra = self._cow_delta(ui)
+            extra = self._unshared_delta(ui)
             extra.remove(vi)
             if not extra:
                 del self._delta[ui]

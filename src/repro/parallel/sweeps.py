@@ -7,12 +7,14 @@ shared :class:`~repro.core.highway.Highway` / label store); the caller
 folds them back in with :func:`merge_sweep`, in landmark order
 (``docs/DESIGN.md`` §6).
 
-Two interchangeable kernels produce identical sweeps:
+Two kernels compute the same sweep:
 
 * :func:`landmark_sweep` — the reference pure-Python level-synchronous BFS
   with cover flags (Theorem 5.2's minimality characterization);
 * :func:`csr_landmark_sweep` — the numpy formulation over a
-  :class:`~repro.graph.csr.CSRGraph` snapshot.
+  :class:`~repro.graph.csr.CSRGraph` snapshot, which writes the sweep as
+  the dense distance row and label-membership mask the update engine
+  keeps.
 
 >>> adj = {0: [1], 1: [0, 2], 2: [1]}          # path 0 - 1 - 2
 >>> sweep = landmark_sweep(adj, 0, frozenset({0, 2}))
@@ -108,38 +110,32 @@ def landmark_sweep(
 
 
 def csr_landmark_sweep(
-    indptr, indices, ids, is_landmark, root_index: int, root_id: int,
-    dist=None, entry=None,
-) -> LandmarkSweep:
-    """The numpy formulation of :func:`landmark_sweep` over CSR arrays.
+    indptr, indices, is_landmark, root_index: int, dist, entry
+) -> None:
+    """The numpy formulation of :func:`landmark_sweep`, written as rows.
 
-    Identical output (cell for cell, level for level) to the reference
-    kernel; per BFS level the cover flag propagates as one scatter over the
-    frontier adjacency instead of a Python loop per edge.  Arguments are
-    the raw arrays of a :class:`~repro.graph.csr.CSRGraph`.
-
-    ``dist`` and ``entry``, when given, are caller-owned int32 and bool
-    rows of length ``n`` (``entry`` all false) that receive the sweep's
-    BFS distances (:data:`~repro.graph.dyncsr.UNREACH` when unreachable)
-    and its label-membership mask — the dense rows the update engine
-    keeps, so a construction hands them over instead of the engine
-    re-running the BFS.
+    Fills the caller-owned int32 row ``dist`` with the BFS distances from
+    ``root_index`` (:data:`~repro.graph.dyncsr.UNREACH` when unreachable)
+    and sets the bool row ``entry`` (all false on entry) at exactly the
+    vertices :func:`landmark_sweep` labels — the dense rows the update
+    engine keeps.  The sweep's highway cells are ``dist`` at the other
+    landmarks' columns
+    (:meth:`repro.core.labelling.HighwayCoverLabelling.from_rows`).  Per
+    BFS level the cover flag propagates as one scatter over the frontier
+    adjacency instead of a Python loop per edge.  ``indptr``/``indices``
+    are the raw arrays of a :class:`~repro.graph.csr.CSRGraph`.
     """
     import numpy as np
 
     from repro.graph.csr import _gather_neighbors
     from repro.graph.dyncsr import UNREACH
 
-    num_vertices = len(ids)
-    if dist is None:
-        dist = np.empty(num_vertices, dtype=np.int32)
+    num_vertices = len(dist)
     dist.fill(UNREACH)
     flag = np.zeros(num_vertices, dtype=np.uint8)
     member = np.zeros(num_vertices, dtype=bool)
     dist[root_index] = 0
     frontier = np.array([root_index], dtype=np.int64)
-    cells: list[tuple[int, int]] = []
-    levels: list[tuple[int, list[int]]] = []
     depth = 0
     while frontier.size:
         depth += 1
@@ -151,28 +147,19 @@ def csr_landmark_sweep(
         neighbours = neighbours[unseen]
         if neighbours.size == 0:
             break
-        # Mask-scatter dedup (cheaper than np.unique on heavy levels);
-        # nonzero returns the level sorted, matching the reference order.
+        # Mask-scatter dedup (cheaper than np.unique on heavy levels).
         member[neighbours] = True
         new_level = np.nonzero(member)[0]
         member[new_level] = False
         dist[new_level] = depth
         # OR of parent flags over every shortest-path (frontier -> new
         # level) edge: scatter 1 to every neighbour reached from a flagged
-        # parent.
+        # parent.  Landmarks on the level cover everything behind them.
         flag[neighbours[flag[sources] != 0]] = 1
-
         level_landmarks = new_level[is_landmark[new_level]]
-        cells.extend((v, depth) for v in ids[level_landmarks].tolist())
         flag[level_landmarks] = 1
-
-        uncovered = new_level[(flag[new_level] == 0) & ~is_landmark[new_level]]
-        if uncovered.size:
-            levels.append((depth, ids[uncovered].tolist()))
-            if entry is not None:
-                entry[uncovered] = True
+        entry[new_level[(flag[new_level] == 0) & ~is_landmark[new_level]]] = True
         frontier = new_level
-    return LandmarkSweep(root_id, cells, levels)
 
 
 def merge_sweep(highway, labels, sweep: LandmarkSweep) -> None:
@@ -428,7 +415,6 @@ def csr_find_affected_mixed(
 
 def csr_repair_affected(
     dyn,
-    labelling,
     r,
     levels,
     old_dist,
@@ -438,6 +424,7 @@ def csr_repair_affected(
     has_entry,
     stats=None,
     views=None,
+    highway_cells=None,
 ):
     """Level-order repair (Lemma 4.6) from kernel find results.
 
@@ -451,18 +438,22 @@ def csr_repair_affected(
     neighbours of the affected region with their unchanged distances;
     ``old_dist`` holds those same values for every unaffected vertex (the
     predicate never reads it at an affected one), so the parent sets
-    coincide and the two kernels issue the same entry
+    coincide and the two kernels reach the same entry
     additions/modifications/removals and highway updates.
 
     ``new_dist`` must hold the find results (affected index -> new depth,
     ``-1`` elsewhere); ``covered`` is a zeroed uint8 scratch.  Both are
     left populated at affected indices for the caller to reset.
     ``has_entry`` is the landmark's dense label-membership row (uint8:
-    ``has_entry[i] == 1`` iff ``(r, ·) ∈ L(ids[i])``) — the vectorized
-    stand-in for ``LabelStore.has_entry`` in the covered predicate; the
-    kernel keeps it true as it mutates labels, so the owning engine can
-    reuse it across updates.  Mutates ``labelling`` in place and updates
-    ``stats`` like the dict kernel.
+    ``has_entry[i] == 1`` iff ``(r, ·) ∈ L(ids[i])``); the kernel rewrites
+    it at the affected vertices, and with the caller's refresh of
+    ``old_dist`` to the new depths that *is* the repaired labelling of
+    ``r``.  ``stats`` counts the entry changes like the dict kernel, and
+    a highway cell ``δ(r, w)`` of an affected landmark ``w`` as updated
+    when it differs from the new depth; ``highway_cells`` (landmark
+    column -> current cell value, :data:`~repro.graph.dyncsr.UNREACH`
+    when unreachable) must then hold the cells as they stood before the
+    find overwrote ``old_dist``.
 
     Levels arrive in the hybrid representation of
     :func:`csr_find_affected_mixed` (lists for small levels, arrays for large
@@ -477,8 +468,6 @@ def csr_repair_affected(
 
     from repro.exceptions import InvariantViolationError
 
-    labels = labelling.labels
-    highway = labelling.highway
     ids = dyn.ids
     r_index = dyn.index(r)
     if views is None:
@@ -506,11 +495,8 @@ def csr_repair_affected(
             for v in verts:
                 if landmark_mv[v]:
                     covered_mv[v] = 1
-                    vid = int(ids[v])
-                    if highway.distance(r, vid) != depth:
-                        highway.set_distance(r, vid, depth)
-                        if stats is not None:
-                            stats.highway_updates += 1
+                    if stats is not None and highway_cells[v] != depth:
+                        stats.highway_updates += 1
                     continue
                 is_covered = False
                 has_parent = False
@@ -544,11 +530,9 @@ def csr_repair_affected(
                         f"(landmark {r}) has no shortest-path parent — "
                         f"labelling out of sync with graph"
                     )
-                vid = int(ids[v])
                 if is_covered:
                     covered_mv[v] = 1
                     if has_mv[v]:
-                        labels.remove_entry(vid, r)
                         has_mv[v] = 0
                         if stats is not None:
                             stats.entries_removed += 1
@@ -558,7 +542,6 @@ def csr_repair_affected(
                             stats.entries_modified += 1
                         else:
                             stats.entries_added += 1
-                    labels.set_entry(vid, r, depth)
                     has_mv[v] = 1
             continue
 
@@ -566,12 +549,10 @@ def csr_repair_affected(
         level_landmarks = verts[lm_mask]
         if level_landmarks.size:
             covered[level_landmarks] = 1
-            for v in level_landmarks.tolist():
-                vid = int(ids[v])
-                if highway.distance(r, vid) != depth:
-                    highway.set_distance(r, vid, depth)
-                    if stats is not None:
-                        stats.highway_updates += 1
+            if stats is not None:
+                stats.highway_updates += sum(
+                    highway_cells[v] != depth for v in level_landmarks.tolist()
+                )
         others = verts[~lm_mask]
         if others.size == 0:
             continue
@@ -603,16 +584,15 @@ def csr_repair_affected(
         covered_verts = others[covered_v]
         if covered_verts.size:
             covered[covered_verts] = 1
-            removed = labels.bulk_remove(r, ids[covered_verts].tolist())
-            has_entry[covered_verts] = 0
             if stats is not None:
-                stats.entries_removed += removed
+                stats.entries_removed += int(
+                    np.count_nonzero(has_entry[covered_verts])
+                )
+            has_entry[covered_verts] = 0
         uncovered_verts = others[~covered_v]
         if uncovered_verts.size:
-            added, modified = labels.bulk_set(
-                r, ids[uncovered_verts].tolist(), depth
-            )
-            has_entry[uncovered_verts] = 1
             if stats is not None:
-                stats.entries_added += added
+                modified = int(np.count_nonzero(has_entry[uncovered_verts]))
+                stats.entries_added += uncovered_verts.size - modified
                 stats.entries_modified += modified
+            has_entry[uncovered_verts] = 1

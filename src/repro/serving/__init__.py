@@ -5,7 +5,8 @@ exact distance queries *while the graph changes*; this package is the
 layer that actually serves that workload (docs/DESIGN.md §7):
 
 * :mod:`repro.serving.snapshot` — cheap immutable point-in-time read
-  views of an oracle (epoch-versioned, copy-on-write against the writer);
+  views of an oracle (epoch-versioned: copies of the dense rows plus a
+  copy-on-write freeze of the graph);
 * :mod:`repro.serving.service` — :class:`OracleService`, a single-writer
   update loop draining :class:`~repro.workloads.streams.UpdateEvent`
   streams while any number of reader threads query published snapshots;

@@ -5,24 +5,24 @@ repairs the labelling: a reader pins an :class:`OracleSnapshot` and every
 query against it sees the graph and labelling exactly as they stood at the
 snapshot's epoch — never a half-applied batch.
 
-The mechanism is copy-on-write at row granularity (docs/DESIGN.md §7).
-Capturing a snapshot shallow-copies the three outer maps (adjacency,
-label rows, highway rows) — a pointer-level copy, not a deep copy — and
-marks every inner row as shared via the freeze hooks
+The labelling is pinned as arrays (docs/DESIGN.md §7).  By Eq. (1) the
+update engine's dense ``d(r, ·)`` rows plus its label-membership mask
+*are* the labelling, so capturing a snapshot copies those two arrays of
+the landmarks the oracle maintains, and pins the landmark list, a frozen
+copy of the engine's CSR overlay and the graph's adjacency.  The graph
+parts are copy-on-write at row granularity
 (:meth:`~repro.graph.dynamic_graph.DynamicGraph.snapshot_adjacency`,
-:meth:`~repro.core.labelling.HighwayCoverLabelling.freeze`).  The writer
-then copies any shared row before mutating it in place, so the rows a
-snapshot references are physically immutable for its whole lifetime.
-Under CPython's GIL each published reference is observed atomically, so
-readers on other threads never block and never tear.
+:meth:`~repro.graph.dyncsr.DynCSR.freeze`): the writer copies any shared
+row before mutating it, so what a snapshot references is physically
+immutable for its whole lifetime.  Under CPython's GIL each published
+reference is observed atomically, so readers on other threads never
+block and never tear.
 
-A snapshot also pins a copy of the engine's dense ``d(r, ·)`` rows and a
-frozen copy of its CSR overlay, and answers distances through the one
-kernel, :func:`repro.core.sharding.shard_query_distance`, sharded or not.
-A landmark shard runs the bounded search only for the pairs it owns
-(:func:`repro.core.sharding.pair_owners`).
-The ``Frozen*`` views duck-type the read surface of the graph and
-labelling, so path extraction (:mod:`repro.core.paths`) and
+A snapshot answers distances through the one kernel,
+:func:`repro.core.sharding.shard_query_distance`, sharded or not.  A
+landmark shard runs the bounded search only for the pairs it owns
+(:func:`repro.core.sharding.pair_owners`).  :class:`FrozenGraph`
+duck-types the read surface of the graph, so traversals and
 ``save_oracle`` read a snapshot as they read the live oracle.
 """
 
@@ -32,18 +32,12 @@ from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from repro.core.paths import shortest_path as _shortest_path
-from repro.core.sharding import pair_owners
-from repro.exceptions import NotALandmarkError, VertexNotFoundError
+from repro.core.paths import bfs_leg
+from repro.core.sharding import bfs_shortest_path, pair_owners, shard_min_distance
+from repro.exceptions import VertexNotFoundError
 from repro.graph.traversal import INF
 
-__all__ = [
-    "FrozenGraph",
-    "FrozenHighway",
-    "FrozenLabels",
-    "FrozenLabelling",
-    "OracleSnapshot",
-]
+__all__ = ["FrozenGraph", "OracleSnapshot"]
 
 
 class FrozenGraph:
@@ -127,131 +121,6 @@ class FrozenGraph:
         return f"FrozenGraph(|V|={len(self._adj)}, |E|={self._num_edges})"
 
 
-class FrozenLabels:
-    """Read-only point-in-time view of a :class:`LabelStore`."""
-
-    __slots__ = ("_labels", "_total")
-
-    _EMPTY: dict[int, int] = {}
-
-    def __init__(self, rows: dict[int, dict[int, int]], total: int) -> None:
-        self._labels = rows
-        self._total = total
-
-    def label(self, v: int) -> dict[int, int]:
-        return self._labels.get(v, self._EMPTY)
-
-    def entry(self, v: int, r: int) -> int | None:
-        return self._labels.get(v, self._EMPTY).get(r)
-
-    def has_entry(self, v: int, r: int) -> bool:
-        return r in self._labels.get(v, self._EMPTY)
-
-    def label_size(self, v: int) -> int:
-        return len(self._labels.get(v, self._EMPTY))
-
-    @property
-    def total_entries(self) -> int:
-        return self._total
-
-    def size_bytes(self, bytes_per_entry: int = 8) -> int:
-        return self._total * bytes_per_entry
-
-    def vertices_with_labels(self) -> Iterator[int]:
-        return iter(self._labels)
-
-    def items(self) -> Iterator[tuple[int, dict[int, int]]]:
-        return iter(self._labels.items())
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FrozenLabels(vertices={len(self._labels)}, entries={self._total})"
-
-
-class FrozenHighway:
-    """Read-only point-in-time view of a :class:`Highway`."""
-
-    __slots__ = ("_landmarks", "_landmark_set", "_dist")
-
-    def __init__(
-        self,
-        landmarks: list[int],
-        landmark_set: frozenset[int],
-        rows: dict[int, dict[int, float]],
-    ) -> None:
-        self._landmarks = landmarks
-        self._landmark_set = landmark_set
-        self._dist = rows
-
-    @property
-    def landmarks(self) -> list[int]:
-        return self._landmarks
-
-    @property
-    def landmark_set(self) -> frozenset[int]:
-        return self._landmark_set
-
-    def __contains__(self, r: int) -> bool:
-        return r in self._landmark_set
-
-    def __len__(self) -> int:
-        return len(self._landmarks)
-
-    def distance(self, r1: int, r2: int) -> float:
-        try:
-            row = self._dist[r1]
-        except KeyError:
-            raise NotALandmarkError(r1) from None
-        if r2 not in self._landmark_set:
-            raise NotALandmarkError(r2)
-        return row.get(r2, INF)
-
-    def row(self, r: int) -> dict[int, float]:
-        try:
-            return self._dist[r]
-        except KeyError:
-            raise NotALandmarkError(r) from None
-
-    def as_dict(self) -> dict[int, dict[int, float]]:
-        """Raw per-landmark distance rows (read-only), the same read
-        surface as :meth:`repro.core.highway.Highway.as_dict`."""
-        return self._dist
-
-    def size_bytes(self, bytes_per_distance: int = 4) -> int:
-        n = len(self._landmarks)
-        return n * (n - 1) // 2 * bytes_per_distance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FrozenHighway(|R|={len(self._landmarks)})"
-
-
-class FrozenLabelling:
-    """Read-only ``Γ = (H, L)`` duck-typing :class:`HighwayCoverLabelling`."""
-
-    __slots__ = ("highway", "labels")
-
-    def __init__(self, highway: FrozenHighway, labels: FrozenLabels) -> None:
-        self.highway = highway
-        self.labels = labels
-
-    @property
-    def landmarks(self) -> list[int]:
-        return self.highway.landmarks
-
-    @property
-    def landmark_set(self) -> frozenset[int]:
-        return self.highway.landmark_set
-
-    @property
-    def label_entries(self) -> int:
-        return self.labels.total_entries
-
-    def size_bytes(self) -> int:
-        return self.labels.size_bytes() + self.highway.size_bytes()
-
-
 class OracleSnapshot:
     """One immutable epoch of a :class:`~repro.core.dynamic.DynamicHCL`.
 
@@ -269,70 +138,66 @@ class OracleSnapshot:
     """
 
     __slots__ = (
-        "epoch", "graph", "labelling", "shard_rows", "row_landmarks", "owners",
+        "epoch", "graph", "landmarks", "landmark_set", "shard_rows", "entry",
+        "row_landmarks", "owners",
     )
 
     def __init__(
         self,
         epoch: int,
         graph: FrozenGraph,
-        labelling: FrozenLabelling,
+        landmarks: list[int],
+        landmark_set: frozenset[int],
         shard_rows,
+        entry: np.ndarray,
         row_landmarks: list[int],
     ):
         self.epoch = epoch
         self.graph = graph
-        self.labelling = labelling
+        #: The full landmark list ``R`` in selection order, and as a set.
+        self.landmarks = landmarks
+        self.landmark_set = landmark_set
         #: The landmarks of the rows of ``shard_rows[0]``, in row order.
         self.row_landmarks = row_landmarks
         #: ``(dist, index_of)``: the dense rows of the landmarks the oracle
-        #: maintains (:meth:`repro.core.dynamic.DynamicHCL.shard_rows`)
+        #: maintains (:meth:`repro.core.dynamic.DynamicHCL.frozen_rows`)
         #: and their column map — the kernel's bound ``d⊤``.  Fewer rows
         #: than landmarks means a landmark shard: answers are exact
         #: through the owned landmarks, with the scatter-gather min over
         #: all shards globally exact (:mod:`repro.core.sharding`).
         self.shard_rows = shard_rows
+        #: The label-membership mask of the same rows and columns.
+        self.entry = entry
         #: Which pairs this snapshot searches (all of them unsharded);
         #: on a shard, the others are searched by their owning shard.
-        self.owners = pair_owners(labelling.landmarks, row_landmarks)
+        self.owners = pair_owners(landmarks, row_landmarks)
 
     @classmethod
     def capture(cls, oracle) -> "OracleSnapshot":
         """Freeze ``oracle`` at its current version (single-writer only:
         must be called from the thread that applies updates)."""
-        adjacency = oracle.graph.snapshot_adjacency()
-        num_edges = oracle.graph.num_edges
-        landmarks, landmark_set, highway_rows, label_rows, entries = (
-            oracle.labelling.freeze()
-        )
-        dist, csr = oracle.shard_rows()
+        graph = oracle.graph
+        adjacency = graph.snapshot_adjacency()
+        landmarks = list(oracle.landmarks)
+        landmark_set = frozenset(landmarks)
+        dist, entry, csr = oracle.frozen_rows()
         owned = oracle.owned_landmarks
         return cls(
             oracle.version,
-            FrozenGraph(adjacency, num_edges, csr, landmark_set),
-            FrozenLabelling(
-                FrozenHighway(landmarks, landmark_set, highway_rows),
-                FrozenLabels(label_rows, entries),
-            ),
+            FrozenGraph(adjacency, graph.num_edges, csr, landmark_set),
+            landmarks,
+            landmark_set,
             (dist, csr.index_of()),
+            entry,
             owned if owned is not None else landmarks,
         )
 
     def checkpoint_rows(self):
         """``(row_landmarks, overlay, dist, entry)`` at this epoch, as
         :meth:`repro.core.dynamic.DynamicHCL.checkpoint_rows` returns them
-        for the live oracle: the pinned dense rows over the frozen
-        overlay's columns, plus the label-membership mask, which a
-        snapshot does not pin and so is rebuilt from the frozen labels."""
-        dist, index_of = self.shard_rows
-        width = dist.shape[1]
-        offset = {r: k * width for k, r in enumerate(self.row_landmarks)}
-        entry = np.zeros(dist.shape, dtype=bool)
-        entry.flat[
-            [offset[r] + index_of[v]
-             for v, label in self.labelling.labels.items() for r in label]
-        ] = True
-        return self.row_landmarks, self.graph.csr, dist, entry
+        for the live oracle: the pinned dense rows and label mask over
+        the frozen overlay's columns."""
+        return self.row_landmarks, self.graph.csr, self.shard_rows[0], self.entry
 
     # -- read API ------------------------------------------------------
     @property
@@ -345,7 +210,8 @@ class OracleSnapshot:
 
     @property
     def label_entries(self) -> int:
-        return self.labelling.label_entries
+        """``size(L)`` of the pinned rows: the set bits of the mask."""
+        return int(np.count_nonzero(self.entry))
 
     def query(self, u: int, v: int) -> float:
         """Exact ``d(u, v)`` at this snapshot's epoch (``inf`` when
@@ -359,21 +225,33 @@ class OracleSnapshot:
 
         dist, index_of = self.shard_rows
         return shard_query_distances_many(
-            self.graph, self.labelling.landmark_set, dist, index_of, pairs,
-            self.owners,
+            self.graph, self.landmark_set, dist, index_of, pairs, self.owners,
         )
+
+    def distance_bound(self, u: int, v: int) -> float:
+        """The upper bound ``d⊤`` (Eq. 2) at this epoch from the pinned
+        rows, ``min_r d(r, u) + d(r, v)`` over the held rows — equal to
+        the label join of Eq. (2) on a minimal labelling."""
+        if u == v:
+            return 0
+        dist, index_of = self.shard_rows
+        return shard_min_distance(dist, index_of, u, v)
 
     def shortest_path(self, u: int, v: int) -> list[int] | None:
         """One exact shortest path at this epoch (``None`` if disconnected).
 
-        Landmark shards answer by plain BFS on the (full) frozen graph —
-        the greedy label walk needs the full label slice.
+        Unsharded, the snapshot's own distance fixes the length and a
+        bounded BFS walks one path of it
+        (:func:`repro.core.paths.bfs_leg`).  A landmark shard's distance
+        is not exact for every pair, so shards answer by plain BFS on
+        the (full) frozen graph.
         """
-        if len(self.shard_rows[0]) < len(self.labelling.landmarks):
-            from repro.core.sharding import bfs_shortest_path
-
+        if len(self.row_landmarks) < len(self.landmarks):
             return bfs_shortest_path(self.graph, u, v)
-        return _shortest_path(self.graph, self.labelling, u, v)
+        total = self.query(u, v)
+        if total == INF:
+            return None
+        return bfs_leg(self.graph, u, v, int(total))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,8 +21,6 @@ __all__ = ["read_oracle_meta"]
 
 #: First line of a ``repro-oracle-v2`` file.
 MAGIC = b"repro-oracle-v2\n"
-#: The ``format`` field of a legacy JSON ``repro-oracle-v1`` file.
-ORACLE_V1 = "repro-oracle-v1"
 #: Longest header line a loader accepts.
 HEADER_LIMIT = 1 << 24
 #: What a truncated or corrupt (gzip) stream raises on read.
@@ -34,9 +32,7 @@ def read_oracle_meta(path: str | os.PathLike) -> dict:
     absent), read from the header without touching the arrays — the
     cluster supervisor calls this per checkpoint at start-up."""
     with open_binary(path) as handle:
-        head = read_magic(handle, path)
-        if head != MAGIC:
-            return dict(v1_payload(path, head + handle.read()).get("meta") or {})
+        read_magic(handle, path)
         return read_header(handle, path)[2]
 
 
@@ -50,16 +46,14 @@ def fail(path, check: str) -> NoReturn:
     raise ReproError(f"{path}: {check}")
 
 
-def read_magic(handle, path) -> bytes:
-    """The first ``len(MAGIC)`` bytes: the v2 magic, or the start of a
-    v1 JSON object (anything else is rejected)."""
+def read_magic(handle, path) -> None:
+    """Read the magic line; anything but :data:`MAGIC` is rejected."""
     try:
         head = handle.read(len(MAGIC))
     except STREAM_ERRORS as exc:
         fail(path, f"unreadable stream ({exc})")
-    if head != MAGIC and not head.lstrip().startswith(b"{"):
+    if head != MAGIC:
         fail(path, "bad magic: not a repro oracle file")
-    return head
 
 
 def read_header(handle, path) -> tuple[list[int], list[int], dict]:
@@ -89,15 +83,3 @@ def read_header(handle, path) -> tuple[list[int], list[int], dict]:
     if not isinstance(meta, dict):
         fail(path, "header meta must be an object")
     return landmarks, rows, meta
-
-
-def v1_payload(path, data: bytes) -> dict:
-    """The decoded JSON object of a v1 file, its ``format`` checked."""
-    try:
-        payload = json.loads(data)
-    except ValueError as exc:
-        fail(path, f"not a repro oracle file ({exc})")
-    found = payload.get("format") if isinstance(payload, dict) else None
-    if found != ORACLE_V1:
-        fail(path, f"not a repro oracle file (format={found!r})")
-    return payload

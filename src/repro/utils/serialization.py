@@ -12,8 +12,8 @@ restore it next to the query service (paper §1).  Two formats live here:
   CSR and each maintained landmark's dense distance row and
   label-membership mask (``docs/DESIGN.md`` §15).  Loading proves every
   row exact with vectorized checks and attaches the engine from the
-  stored rows: no JSON decode, no per-entry parsing, no landmark BFS.
-  ``repro-oracle-v1`` JSON files still load (read-only) and attach by BFS.
+  stored rows: no JSON decode, no per-entry parsing, no landmark BFS, no
+  dict labelling.
 
 Either format is gzip-wrapped when the file name ends in ``.gz``.
 Oracle writes are atomic: a temporary sibling is written, fsynced and
@@ -45,7 +45,6 @@ from repro.utils.oracle_header import (
     read_header,
     read_magic,
     read_oracle_meta,
-    v1_payload,
 )
 
 __all__ = [
@@ -161,10 +160,6 @@ def load_labelling(path: str | os.PathLike) -> HighwayCoverLabelling:
         raise ReproError(
             f"{path}: not a {_FORMAT} file (format={payload.get('format')!r})"
         )
-    return _labelling_from_payload(payload)
-
-
-def _labelling_from_payload(payload: dict) -> HighwayCoverLabelling:
     highway = Highway(payload["landmarks"])
     for r1, r2, d in payload["highway"]:
         if d != INF:
@@ -218,7 +213,7 @@ def save_oracle(oracle, path: str | os.PathLike, meta: dict | None = None) -> No
     out_entry = np.zeros(shape, dtype=bool)
     out_entry[:, col] = entry
     header = {
-        "landmarks": list(oracle.labelling.landmarks),
+        "landmarks": list(oracle.landmarks),
         "meta": meta or {},
         "rows": rows,
     }
@@ -270,7 +265,7 @@ def _write_atomic(path: Path, write) -> None:
 
 
 def load_oracle(path: str | os.PathLike):
-    """Read an oracle written by :func:`save_oracle` (or a v1 JSON file).
+    """Read an oracle written by :func:`save_oracle`.
 
     Round-trips graph, landmark order, highway and every label entry
     exactly; the restored oracle accepts updates immediately, its engine
@@ -301,11 +296,9 @@ def _read_record(handle, path, name: str, dtype: np.dtype) -> np.ndarray:
 
 
 def _load(path: str | os.PathLike):
-    """``(oracle, meta)`` from a v2 or v1 oracle file."""
+    """``(oracle, meta)`` from an oracle file."""
     with open_binary(path) as handle:
-        head = read_magic(handle, path)
-        if head != MAGIC:
-            return _oracle_from_v1(path, head + handle.read())
+        read_magic(handle, path)
         landmarks, rows, meta = read_header(handle, path)
         arrays = {
             name: _read_record(handle, path, name, dtype)
@@ -407,8 +400,8 @@ def _check_rows(path, rows, row_cols, sources, neighbours, dist, entry) -> None:
 
 
 def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry):
-    """Validate the decoded records, then build the oracle in bulk and
-    attach its engine from the stored rows."""
+    """Validate the decoded records, then build the graph and attach the
+    oracle's engine from the stored rows."""
     from repro.core.dynamic import DynamicHCL
     from repro.graph.dynamic_graph import DynamicGraph
     from repro.graph.dyncsr import DynCSR
@@ -426,52 +419,13 @@ def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry
     if entry[:, landmark_cols].any():
         fail(path, "label entry in a landmark's column")
     _check_rows(path, rows, row_cols, sources, neighbours, dist, entry)
-    del sources  # before the dict builds, which set the peak RSS
+    del sources  # before the graph build, which sets the peak RSS
 
-    ids_list = ids.tolist()
-    graph = DynamicGraph.from_csr(ids_list, indptr, indices)
-    highway = Highway(landmarks)
-    labels = LabelStore()
-    vertex = ids_list.__getitem__
-    for k, r in enumerate(rows):
-        row = dist[k]
-        # Highway cells: every pair with a stored endpoint, when finite.
-        for r2, d in zip(landmarks, row[landmark_cols].tolist()):
-            if r2 != r and d != UNREACH:
-                highway.set_distance(r, r2, d)
-        # Label entries, one bulk write per distance level.
-        cols = np.flatnonzero(entry[k])
-        if not cols.size:
-            continue
-        depths = row[cols]
-        order = np.argsort(depths, kind="stable")
-        depths = depths[order]
-        members = list(map(vertex, cols[order].tolist()))
-        cuts = [0, *(np.flatnonzero(depths[1:] != depths[:-1]) + 1).tolist(),
-                len(members)]
-        for a, b in zip(cuts, cuts[1:]):
-            labels.bulk_set_new(r, members[a:b], int(depths[a]))
+    graph = DynamicGraph.from_csr(ids.tolist(), indptr, indices)
     dyn = DynCSR.from_arrays(ids, indptr, neighbours)
-    return DynamicHCL(
+    return DynamicHCL.from_rows(
         graph,
-        HighwayCoverLabelling(highway, labels),
+        landmarks,
+        (dyn, dist, entry),
         owned_landmarks=None if rows == landmarks else rows,
-        rows=(dyn, dist, entry),
     )
-
-
-# ---------------------------------------------------------------------------
-# Oracles: read-only repro-oracle-v1
-# ---------------------------------------------------------------------------
-def _oracle_from_v1(path, data: bytes):
-    """``(oracle, meta)`` from a legacy JSON file; the engine attaches by
-    BFS on first use, as before v2."""
-    from repro.core.dynamic import DynamicHCL
-    from repro.graph.dynamic_graph import DynamicGraph
-
-    payload = v1_payload(path, data)
-    graph = DynamicGraph(payload["vertices"])
-    for u, v in payload["edges"]:
-        graph.add_edge(u, v)
-    oracle = DynamicHCL(graph, _labelling_from_payload(payload))
-    return oracle, dict(payload.get("meta") or {})

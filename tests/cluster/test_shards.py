@@ -105,6 +105,59 @@ def test_shard_memory_bounded_below_unsharded(tmp_path):
     assert sum(s.labelling.label_entries for s in shards) == total
 
 
+def _highway_cells(labelling) -> dict:
+    return {
+        (r, r2): d
+        for r, row in labelling.highway.as_dict().items()
+        for r2, d in row.items()
+        if r < r2
+    }
+
+
+def test_shard_rows_are_the_restriction_under_mixed_batches():
+    """A shard's rows materialize to the restriction of the full
+    labelling after every mixed batch, and its ``highway_updates`` count
+    the cells of that restriction that changed — including cells of
+    landmarks other shards own, whose row slots the deletion closure
+    overwrites before the repair reads them."""
+    import random
+
+    rng = random.Random(1)
+    full = DynamicHCL.build(
+        barabasi_albert(120, attach=2, rng=1), num_landmarks=6,
+        construction="csr",
+    )
+    plan = ShardPlan.for_landmarks(full.landmarks, 2)
+    shards = [make_shard_oracle(full, plan, i) for i in range(2)]
+    for _ in range(20):
+        present = set(full.graph.edges())
+        vertices = sorted(full.graph.vertices())
+        events = []
+        for _ in range(rng.randint(1, 10)):
+            if rng.random() < 0.45:
+                edge = rng.choice(sorted(present))
+                present.discard(edge)
+                events.append(("delete", edge))
+            else:
+                u, v = sorted(rng.sample(vertices, 2))
+                if (u, v) not in present:
+                    present.add((u, v))
+                    events.append(("insert", (u, v)))
+        full.apply_events_batch(events)
+        labelling = full.labelling
+        for i, shard in enumerate(shards):
+            before = _highway_cells(shard.labelling)
+            stats = shard.apply_events_batch(events)
+            after = shard.labelling
+            assert after == restrict_labelling(labelling, plan.owned(i))
+            cells = _highway_cells(after)
+            changed = {
+                key for key in before.keys() | cells.keys()
+                if before.get(key) != cells.get(key)
+            }
+            assert stats.highway_updates == len(changed)
+
+
 def test_shard_oracle_rejects_topology_ops(small_oracle):
     plan = ShardPlan.for_landmarks(small_oracle.landmarks, 2)
     shard = make_shard_oracle(small_oracle, plan, 0)

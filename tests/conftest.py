@@ -68,6 +68,18 @@ def random_connected_graph(
     return ensure_connected(graph, rng=rng)
 
 
+def engine_labelling(engine):
+    """The labelling a bare ``FastUpdateEngine``'s rows describe, as a
+    detached dict labelling to compare with the reference kernels'."""
+    from repro.core.labelling import HighwayCoverLabelling
+
+    rows = engine.owned_landmarks
+    dist, entry = engine.rows(rows)
+    return HighwayCoverLabelling.from_rows(
+        engine.landmarks, rows, engine.dyn.ids, dist, entry
+    )
+
+
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------

@@ -95,11 +95,15 @@ class TestRemoveEdge:
         check_matches_rebuild(oracle.graph, oracle.labelling)
 
     def test_rebuild_strategy(self):
-        """The coarse per-landmark rebuild kernel on the oracle's state."""
+        """The coarse per-landmark rebuild kernel, run on a copy of the
+        oracle's state, reaches the oracle's own deletion."""
         oracle = make_oracle(seed=72)
         edge = next(iter(oracle.graph.edges()))
-        apply_edge_deletion(oracle.graph, oracle.labelling, *edge)
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        graph, labelling = oracle.graph.copy(), oracle.labelling
+        apply_edge_deletion(graph, labelling, *edge)
+        check_matches_rebuild(graph, labelling)
+        oracle.remove_edge(*edge)
+        assert oracle.labelling == labelling
 
     def test_strategies_agree(self):
         """The oracle's deletion, DecHL and the coarse rebuild all land

@@ -2,9 +2,9 @@
 
 The contract under test is byte-identity: every insertion applied
 through ``FastUpdateEngine.apply_mixed`` (directly, or through
-``DynamicHCL``) must leave the labelling exactly equal to
-what the sequential Phase A/B/C implementation produces, including the
-update statistics.
+``DynamicHCL``) must leave the labelling its rows describe exactly equal
+to what the sequential Phase A/B/C implementation produces, including
+the update statistics.
 """
 
 import random
@@ -22,7 +22,7 @@ from repro.graph.generators import grid_graph, ring_of_cliques
 from repro.landmarks.maintenance import add_landmark
 from repro.landmarks.selection import top_degree_landmarks
 
-from tests.conftest import non_edges, random_connected_graph
+from tests.conftest import engine_labelling, non_edges, random_connected_graph
 
 
 def stats_tuple(stats):
@@ -42,44 +42,43 @@ class TestEngineDirect:
             g_fast = random_connected_graph(seed, n_min=15, n_max=22)
             g_ref = g_fast.copy()
             landmarks = top_degree_landmarks(g_fast, 4)
-            hcl_fast = build_hcl(g_fast, landmarks)
             hcl_ref = build_hcl(g_ref, landmarks)
-            engine = FastUpdateEngine(g_fast, hcl_fast)
+            engine = FastUpdateEngine(g_fast, landmarks, labels=hcl_ref.labels)
             for edge in non_edges(g_fast)[:8]:
                 g_fast.add_edge(*edge)
                 g_ref.add_edge(*edge)
                 fast_stats = engine.apply_mixed([edge], [])
                 ref_stats = apply_edge_insertion(g_ref, hcl_ref, *edge)
-                assert hcl_fast == hcl_ref
+                assert engine_labelling(engine) == hcl_ref
                 assert stats_tuple(fast_stats) == stats_tuple(ref_stats)
 
     def test_batch_insertion_matches_batch_reference(self):
         g_fast = random_connected_graph(5, n_min=14, n_max=20)
         g_ref = g_fast.copy()
         landmarks = top_degree_landmarks(g_fast, 4)
-        hcl_fast = build_hcl(g_fast, landmarks)
-        ref = DynamicHCL(g_ref, build_hcl(g_ref, landmarks))
-        engine = FastUpdateEngine(g_fast, hcl_fast)
+        hcl_ref = build_hcl(g_ref, landmarks)
+        engine = FastUpdateEngine(g_fast, landmarks, labels=hcl_ref.labels)
         batch = non_edges(g_fast)[:7]
         for edge in batch:
             g_fast.add_edge(*edge)
+            g_ref.add_edge(*edge)
         fast_stats = engine.apply_mixed(batch, [])
-        ref_stats = ref.insert_edges_batch(batch)
-        assert hcl_fast == ref.labelling
+        ref_stats = apply_edge_insertions_batch(g_ref, hcl_ref, batch)
+        assert engine_labelling(engine) == hcl_ref
         assert stats_tuple(fast_stats) == stats_tuple(ref_stats)
         assert fast_stats.batch_size == len(batch)
 
     def test_empty_batch_rejected(self):
         graph = grid_graph(3, 3)
         hcl = build_hcl(graph, [0, 8])
-        engine = FastUpdateEngine(graph, hcl)
+        engine = FastUpdateEngine(graph, hcl.landmarks, labels=hcl.labels)
         with pytest.raises(InvariantViolationError):
             engine.apply_mixed([], [])
 
     def test_old_distance_exposes_dense_rows(self):
         graph = grid_graph(3, 3)
         hcl = build_hcl(graph, [0])
-        engine = FastUpdateEngine(graph, hcl)
+        engine = FastUpdateEngine(graph, [0], labels=hcl.labels)
         assert engine.old_distance(0, 8) == 4
         assert engine.old_distance(0, 0) == 0
 
@@ -90,29 +89,40 @@ class TestEngineDirect:
         graph.add_edge(50, 51)
         g_ref = graph.copy()
         landmarks = top_degree_landmarks(graph, 2)
-        hcl_fast = build_hcl(graph, landmarks)
         hcl_ref = build_hcl(g_ref, landmarks)
-        engine = FastUpdateEngine(graph, hcl_fast)
+        engine = FastUpdateEngine(graph, landmarks, labels=hcl_ref.labels)
         assert engine.old_distance(landmarks[0], 50) == float("inf")
         graph.add_edge(0, 50)
         g_ref.add_edge(0, 50)
         engine.apply_mixed([(0, 50)], [])
         apply_edge_insertion(g_ref, hcl_ref, 0, 50)
+        hcl_fast = engine_labelling(engine)
         assert hcl_fast == hcl_ref
         check_query_exactness(graph, hcl_fast)
 
-    def test_matches_detects_staleness(self):
+    def test_pre_registered_isolated_vertex_is_picked_up(self):
+        # The serving writer registers endpoints with add_vertex before
+        # the batch; the overlay learns them on their first edge.
         graph = random_connected_graph(10, n_min=8, n_max=12)
-        hcl = build_hcl(graph, [0, 1])
-        engine = FastUpdateEngine(graph, hcl)
-        assert engine.matches(graph, hcl)
-        u, v = non_edges(graph)[0]
-        graph.add_edge(u, v)  # mutated around the engine
-        assert not engine.matches(graph, hcl)
-        # extra isolated vertices are tolerated (serving pre-registration)
-        graph.remove_edge(u, v)
+        g_ref = graph.copy()
+        hcl_ref = build_hcl(g_ref, [0, 1])
+        engine = FastUpdateEngine(graph, [0, 1], labels=hcl_ref.labels)
         graph.add_vertex(999)
-        assert engine.matches(graph, hcl)
+        g_ref.add_vertex(999)
+        graph.add_edge(0, 999)
+        g_ref.add_edge(0, 999)
+        fast_stats = engine.apply_mixed([(0, 999)], [])
+        ref_stats = apply_edge_insertion(g_ref, hcl_ref, 0, 999)
+        assert engine_labelling(engine) == hcl_ref
+        assert stats_tuple(fast_stats) == stats_tuple(ref_stats)
+
+    def test_seeding_labelling_is_not_kept(self):
+        graph = grid_graph(3, 3)
+        hcl = build_hcl(graph, [0, 8])
+        engine = FastUpdateEngine(graph, hcl.landmarks, labels=hcl.labels)
+        before = engine_labelling(engine)
+        hcl.labels.clear_landmark(0)
+        assert engine_labelling(engine) == before != hcl
 
 
 class TestOracleKnob:
@@ -133,14 +143,16 @@ class TestOracleKnob:
         assert oracle._engine is first  # vertex insertion too
         promoted = sorted(set(graph.vertices()) - set(oracle.landmarks))[0]
         oracle.add_landmark(promoted)
-        assert oracle._engine is None  # landmark maintenance invalidates
+        second = oracle._engine  # landmark maintenance seeds a new engine
+        assert second is not first
+        assert second.landmarks == oracle.landmarks
         oracle.insert_edge(*edges[2])
-        second = oracle._engine
-        assert second is not None and second is not first
+        assert oracle._engine is second
         oracle.remove_vertex(new_vertex)
-        assert oracle._engine is None  # vertex removal invalidates
+        third = oracle._engine  # so does vertex removal
+        assert third is not second
         oracle.insert_edge(*edges[3])
-        assert oracle._engine is not None
+        assert oracle._engine is third
         check_matches_rebuild(graph, oracle.labelling)
 
     def test_fast_after_landmark_maintenance(self):

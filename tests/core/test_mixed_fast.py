@@ -26,7 +26,7 @@ from repro.graph.generators import grid_graph, ring_of_cliques
 from repro.graph.traversal import bfs_distances
 from repro.landmarks.selection import top_degree_landmarks
 
-from tests.conftest import non_edges, random_connected_graph
+from tests.conftest import engine_labelling, non_edges, random_connected_graph
 
 UNREACH_SENTINEL = 2**30
 
@@ -62,16 +62,15 @@ class TestEngineMixed:
             g_fast = random_connected_graph(seed, n_min=14, n_max=22, density=2.2)
             g_ref = g_fast.copy()
             landmarks = top_degree_landmarks(g_fast, 4)
-            hcl_fast = build_hcl(g_fast, landmarks)
             hcl_ref = build_hcl(g_ref, landmarks)
-            engine = FastUpdateEngine(g_fast, hcl_fast)
+            engine = FastUpdateEngine(g_fast, landmarks, labels=hcl_ref.labels)
             rng = random.Random(seed)
             for _ in range(6):
                 u, v = rng.choice(sorted(g_fast.edges()))
                 g_fast.remove_edge(u, v)
                 engine.apply_mixed([], [(u, v)])
                 apply_edge_deletion_partial(g_ref, hcl_ref, u, v)
-                assert hcl_fast == hcl_ref
+                assert engine_labelling(engine) == hcl_ref
                 assert_rows_exact(engine, g_fast, landmarks)
 
     def test_mixed_batch_matches_sequential_reference(self):
@@ -79,8 +78,9 @@ class TestEngineMixed:
             g_fast = random_connected_graph(seed, n_min=16, n_max=24, density=2.0)
             g_ref = g_fast.copy()
             landmarks = top_degree_landmarks(g_fast, 4)
-            hcl_fast = build_hcl(g_fast, landmarks)
-            engine = FastUpdateEngine(g_fast, hcl_fast)
+            engine = FastUpdateEngine(
+                g_fast, landmarks, labels=build_hcl(g_fast, landmarks).labels
+            )
             rng = random.Random(seed)
             inserts = non_edges(g_fast)[:5]
             deletes = rng.sample(sorted(g_fast.edges()), 4)
@@ -90,6 +90,7 @@ class TestEngineMixed:
                 g_fast.remove_edge(u, v)
             stats = engine.apply_mixed(inserts, deletes)
             hcl_ref = sequential_reference(g_ref, landmarks, inserts, deletes)
+            hcl_fast = engine_labelling(engine)
             assert hcl_fast == hcl_ref
             assert stats.batch_size == len(inserts) + len(deletes)
             assert_rows_exact(engine, g_fast, landmarks)
@@ -101,12 +102,12 @@ class TestEngineMixed:
         from repro.core.query import query_distance
 
         graph = grid_graph(1, 8)
-        hcl = build_hcl(graph, [0])
-        engine = FastUpdateEngine(graph, hcl)
+        engine = FastUpdateEngine(graph, [0], labels=build_hcl(graph, [0]).labels)
         graph.remove_edge(3, 4)
         stats = engine.apply_mixed([], [(3, 4)])
         assert stats.disconnected == 4  # vertices 4..7 cut from landmark 0
         assert_rows_exact(engine, graph, [0])
+        hcl = engine_labelling(engine)
         table = bfs_distances(graph, 0)
         for v in graph.vertices():
             assert query_distance(graph, hcl, 0, v) == table.get(v, float("inf"))
@@ -114,7 +115,7 @@ class TestEngineMixed:
         graph.add_edge(3, 4)
         engine.apply_mixed([(3, 4)], [])
         assert_rows_exact(engine, graph, [0])
-        check_matches_rebuild(graph, hcl)
+        check_matches_rebuild(graph, engine_labelling(engine))
 
     def test_churn_batch_delete_then_reinsert_via_oracle(self):
         oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
@@ -181,7 +182,7 @@ class TestEngineMixed:
 
     def test_empty_mixed_batch_rejected(self):
         graph = grid_graph(3, 3)
-        engine = FastUpdateEngine(graph, build_hcl(graph, [4]))
+        engine = FastUpdateEngine(graph, [4], labels=build_hcl(graph, [4]).labels)
         with pytest.raises(InvariantViolationError):
             engine.apply_mixed([], [])
 

@@ -206,7 +206,7 @@ class TestBoundedSearchWork:
 
         monkeypatch.setattr(traversal, "NUMPY_FRONTIER", 0)
         monkeypatch.setattr(DynCSR, "gather_neighbours", counting_gather)
-        skip = snap.labelling.landmark_set
+        skip = snap.landmark_set
         got = bidirectional_bfs(snap.graph, 0, self.LENGTH, bound=bound, skip=skip)
         assert got == expected
         assert gathers == [1] * levels

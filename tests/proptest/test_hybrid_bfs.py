@@ -62,7 +62,7 @@ def _pairs(oracle, rng, count: int = 40):
 def test_hybrid_equals_scalar_loop(family, seed, numpy_everywhere):
     oracle, events, rng = _replayed_oracle(family, seed)
     snap = oracle.snapshot()
-    skip = snap.labelling.landmark_set
+    skip = snap.landmark_set
     for u, v in _pairs(oracle, rng):
         exact = bidirectional_bfs(oracle.graph, u, v, skip=skip)
         bounds = {0, 1, exact, exact + 1, INF}

@@ -1,10 +1,10 @@
 """Snapshot isolation: frozen views never observe later writer activity.
 
-The copy-on-write contract under test (docs/DESIGN.md §7): capturing a
-snapshot is a pointer-level copy, every class of subsequent mutation
-(IncHL+ insert, batch insert, DecHL partial delete, coarse rebuild
-delete, vertex ops, landmark resizing) copies shared rows before touching
-them, and a pinned snapshot keeps answering *exactly* as a deep copy of
+The contract under test (docs/DESIGN.md §7): capturing a snapshot copies
+the dense rows and label mask and freezes the graph copy-on-write, every
+class of subsequent mutation (IncHL+ insert, batch insert, deletion,
+vertex ops, landmark resizing) leaves the pinned arrays and graph rows
+alone, and a pinned snapshot keeps answering *exactly* as a deep copy of
 the oracle at capture time would.
 """
 
@@ -23,6 +23,7 @@ from repro.core.decremental import apply_edge_deletion
 from repro.core.dynamic import DynamicHCL
 from repro.graph.generators import barabasi_albert, grid_graph
 from repro.serving.snapshot import OracleSnapshot
+from repro.utils.serialization import save_oracle
 from tests.conftest import all_pairs_distances, random_connected_graph, reference_bfs
 from tests.proptest.strategies import mixed_event_stream
 
@@ -97,8 +98,9 @@ _DELETION_KERNELS = {
 
 @pytest.mark.parametrize("strategy", ["partial", "rebuild"])
 def test_snapshot_pinned_across_deletion(strategy):
-    """The oracle's own deletion, then the named deletion kernel (DecHL
-    or the coarse rebuild) run directly on the oracle's labelling."""
+    """The oracle's own deletions leave pinned snapshots alone, and the
+    named deletion kernel (DecHL or the coarse rebuild), run on a copy
+    of the graph and labelling, reaches the oracle's labelling."""
     oracle = _build(seed=17)
     frozen_copy = oracle.graph.copy()
     snap = oracle.snapshot()
@@ -108,10 +110,13 @@ def test_snapshot_pinned_across_deletion(strategy):
     mid_copy = oracle.graph.copy()
     mid = oracle.snapshot()
     _assert_matches_reference(mid, mid_copy)
-    _DELETION_KERNELS[strategy](oracle.graph, oracle.labelling, *next(edges))
+    edge = next(edges)
+    graph, labelling = oracle.graph.copy(), oracle.labelling
+    _DELETION_KERNELS[strategy](graph, labelling, *edge)
+    oracle.remove_edge(*edge)
+    assert oracle.labelling == labelling
     _assert_matches_reference(snap, frozen_copy)
     _assert_matches_reference(mid, mid_copy)
-    # The kernel bypassed the oracle's epoch, so capture afresh.
     _assert_matches_reference(OracleSnapshot.capture(oracle), oracle.graph)
 
 
@@ -130,13 +135,13 @@ def test_snapshot_pinned_across_landmark_resizing():
     oracle = _build(seed=23, num_landmarks=2)
     frozen_copy = oracle.graph.copy()
     snap = oracle.snapshot()
-    landmarks_before = list(snap.labelling.landmarks)
+    landmarks_before = list(snap.landmarks)
     promoted = next(
-        v for v in oracle.graph.vertices() if v not in oracle.labelling.landmark_set
+        v for v in oracle.graph.vertices() if v not in set(oracle.landmarks)
     )
     oracle.add_landmark(promoted)
     oracle.remove_landmark(oracle.landmarks[0])
-    assert snap.labelling.landmarks == landmarks_before
+    assert snap.landmarks == landmarks_before
     _assert_matches_reference(snap, frozen_copy)
     _assert_matches_reference(oracle.snapshot(), oracle.graph)
 
@@ -160,7 +165,8 @@ def test_snapshot_metadata_and_capture():
     assert snap.num_vertices == 9
     assert snap.num_edges == oracle.graph.num_edges
     assert snap.label_entries == oracle.label_entries
-    assert snap.labelling.landmark_set == frozenset([0, 8])
+    assert snap.landmarks == [0, 8]
+    assert snap.landmark_set == frozenset([0, 8])
     assert sorted(snap.graph.vertices()) == sorted(oracle.graph.vertices())
     assert sorted(snap.graph.edges()) == sorted(oracle.graph.edges())
 
@@ -188,17 +194,21 @@ def _csr_rows(csr) -> list[list[int]]:
     ]
 
 
-def test_later_batches_leave_pinned_rows_and_csr_unchanged():
-    """Copy-on-write of the frozen CSR and the dense-row copy: inserts
-    into live delta lists, swap-removals from base rows, delta removals
-    and a compaction after capture must not reach the pinned state."""
+def test_later_batches_leave_pinned_rows_and_csr_unchanged(tmp_path):
+    """Copy-on-write of the frozen CSR and the dense-row and mask copies:
+    inserts into live delta lists, swap-removals from base rows, delta
+    removals and a compaction after capture must not reach the pinned
+    state, which still saves to the bytes of the oracle at that epoch."""
     oracle = DynamicHCL.build(random_connected_graph(41, 30, 40), num_landmarks=3)
     missing = _non_edges(oracle.graph)
     oracle.insert_edges_batch(missing[:6])  # live delta lists at capture
     snap = oracle.snapshot()
     dist, index_of = snap.shard_rows
     pinned_dist = dist.copy()
+    pinned_entry = snap.entry.copy()
+    pinned_entries = snap.label_entries
     pinned_rows = _csr_rows(snap.graph.csr)
+    save_oracle(oracle, tmp_path / "epoch.bin")
     base_edges = [e for e in oracle.graph.edges() if e not in missing[:6]]
     oracle.apply_events_batch(
         [("insert", e) for e in missing[6:12]]
@@ -208,6 +218,12 @@ def test_later_batches_leave_pinned_rows_and_csr_unchanged():
     assert oracle.snapshot().graph.csr.num_delta_edges == 0
     assert (snap.shard_rows[0] == pinned_dist).all()
     assert _csr_rows(snap.graph.csr) == pinned_rows
+    assert (snap.entry == pinned_entry).all()
+    assert snap.label_entries == pinned_entries != oracle.label_entries
+    save_oracle(snap, tmp_path / "snap.bin")
+    assert (tmp_path / "snap.bin").read_bytes() == (
+        tmp_path / "epoch.bin"
+    ).read_bytes()
 
 
 def test_concurrent_readers_share_a_snapshot_exactly(monkeypatch):

@@ -1,12 +1,11 @@
-"""Snapshot copy-on-write isolation under fast-path (vectorized) writes.
+"""Snapshot isolation under fast-path (vectorized) writes.
 
-The fast update engine mutates the label store through ``bulk_set`` /
-``bulk_remove`` and the highway through ``set_distance`` — different
-entry points than the dict kernels — so these tests pin down that every
-one of them honours the row-freeze contract: a snapshot captured at
-epoch ``e`` must answer exactly as the graph stood at ``e``, no matter
-how many vectorized updates (or a concurrent writer thread) land after —
-or *while* — it is being read.
+The fast update engine repairs its dense rows and label mask in place,
+scalar and vectorized, and mutates the graph and its CSR overlay — so
+these tests pin down that a snapshot captured at epoch ``e`` answers
+exactly as the graph stood at ``e``, no matter how many vectorized
+updates (or a concurrent writer thread) land after — or *while* — it is
+being read.
 """
 
 import random
@@ -67,11 +66,11 @@ class TestSnapshotVsFastWrites:
         )
 
     def test_snapshot_between_engine_attach_and_batch(self):
-        """Capturing *after* the engine exists but before a batch: the
-        engine's bulk mutations must still copy shared rows first."""
+        """Capturing *after* some updates but before a batch: the
+        engine's in-place repairs must not reach the pinned copies."""
         graph = random_connected_graph(43, n_min=12, n_max=18)
         oracle = DynamicHCL.build(graph, num_landmarks=3)
-        oracle.insert_edge(*non_edges(graph)[0])  # engine attaches here
+        oracle.insert_edge(*non_edges(graph)[0])
         vertices = sorted(graph.vertices())
         pairs = [(vertices[0], v) for v in vertices[1:8]]
         snap = oracle.snapshot()

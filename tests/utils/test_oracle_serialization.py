@@ -94,12 +94,14 @@ class TestFormatGuard:
         oracle = build_oracle(seed=61)
         path = tmp_path / "labelling.json"
         save_labelling(oracle.labelling, path)
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="bad magic"):
             load_oracle(path)
+        with pytest.raises(ReproError, match="bad magic"):
+            read_oracle_meta(path)
 
 
 # ----------------------------------------------------------------------
-# repro-oracle-v2: layout, atomic writes, hostile files, legacy files
+# repro-oracle-v2: layout, atomic writes, hostile files, header
 # ----------------------------------------------------------------------
 MAGIC = b"repro-oracle-v2\n"
 RECORDS = ("ids", "indptr", "indices", "dist", "entry")
@@ -362,41 +364,7 @@ class TestHostileFiles:
             load_oracle(path)
 
 
-class TestLegacyV1:
-    def _write_v1(self, oracle, path, meta):
-        labelling = oracle.labelling
-        payload = {
-            "format": "repro-oracle-v1",
-            "vertices": sorted(oracle.graph.vertices()),
-            "edges": sorted(oracle.graph.edges()),
-            "landmarks": labelling.landmarks,
-            "highway": serialization._highway_cells(labelling),
-            "meta": meta,
-            "labels": [[v, r, d] for v, label in sorted(labelling.labels.items())
-                       for r, d in sorted(label.items())],
-        }
-        text = json.dumps(payload)
-        if str(path).endswith(".gz"):
-            path.write_bytes(gzip.compress(text.encode()))
-        else:
-            path.write_text(text)
-
-    @pytest.mark.parametrize("name", ["legacy.json", "legacy.json.gz"])
-    def test_v1_file_still_loads(self, tmp_path, name):
-        oracle = grid_oracle()
-        path = tmp_path / name
-        self._write_v1(oracle, path, {"log_seq": 4})
-        restored, meta = load_oracle_with_meta(path)
-        assert meta == {"log_seq": 4}
-        assert read_oracle_meta(path) == {"log_seq": 4}
-        assert restored.labelling == oracle.labelling
-        assert restored.query(0, 15) == 1
-        # Re-saving upgrades it to the same bytes a v2 save writes.
-        upgraded, direct = tmp_path / "upgraded.json", tmp_path / "direct.json"
-        save_oracle(restored, upgraded, meta=meta)
-        save_oracle(oracle, direct, meta=meta)
-        assert upgraded.read_bytes() == direct.read_bytes()
-
+class TestHeader:
     def test_read_oracle_meta_reads_v2_header(self, tmp_path):
         path = tmp_path / "oracle.json.gz"
         save_oracle(grid_oracle(), path, meta={"log_seq": 9, "shard_index": 1})
