@@ -61,20 +61,20 @@ def main() -> None:
 
     # --- Vertex churn ---------------------------------------------------
     print("\nVertex churn: insert a hub, then retire an old vertex ...")
-    hub = graph.max_vertex_id() + 1
+    hub = max(oracle.graph.vertices()) + 1
     oracle.insert_vertex(hub, [0, 1, 2, 3, 4])
     print(f"  inserted vertex {hub} with 5 edges; "
           f"d({hub}, 100) = {oracle.query(hub, 100)}")
     landmarks = set(oracle.landmarks)
     victim = next(
-        v for v in sorted(graph.vertices())
+        v for v in sorted(oracle.graph.vertices())
         if v not in landmarks and v != hub
     )
     oracle.remove_vertex(victim)
-    print(f"  removed vertex {victim}; |V| = {graph.num_vertices:,}")
+    print(f"  removed vertex {victim}; |V| = {oracle.graph.num_vertices:,}")
 
     print("  final spot check:")
-    spot_check(oracle, sample_query_pairs(graph, 5, rng=8))
+    spot_check(oracle, sample_query_pairs(oracle.graph, 5, rng=8))
     print(f"\nsize(L) after all churn = {oracle.label_entries:,} entries "
           "(minimality preserved through inserts *and* deletes)")
 

@@ -63,7 +63,7 @@ def main() -> None:
           "unserved clients ...")
     for c in unserved[:10]:
         target = rng.choice(replicas)
-        if not graph.has_edge(c, target):
+        if not oracle.graph.has_edge(c, target):
             stats = oracle.insert_edge(c, target)
             print(f"  link {c} <-> {target}: affected {stats.affected_union} routers")
 
@@ -71,7 +71,7 @@ def main() -> None:
     print(f"Coverage after provisioning: {coverage(assignment):.1f}%")
 
     # Decommission a link (decremental future-work extension).
-    u, v = next(iter(graph.edges()))
+    u, v = next(iter(oracle.graph.edges()))
     print(f"\nDecommissioning link {u} <-> {v} ...")
     oracle.remove_edge(u, v)
     d = oracle.query(u, v)

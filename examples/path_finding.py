@@ -69,7 +69,7 @@ def main() -> None:
     print(f"  the exact route uses shortcut endpoints: {used}")
 
     # Verify every consecutive pair is an edge and the length is optimal.
-    assert all(graph.has_edge(u, v) for u, v in zip(path, path[1:]))
+    assert all(oracle.graph.has_edge(u, v) for u, v in zip(path, path[1:]))
     assert len(path) - 1 == exact
 
     print("\nRouting around damage: deleting a shortcut re-routes exactly ...")

@@ -40,7 +40,7 @@ def main() -> None:
               f"affected vertices: {stats.affected_union}")
 
     # A vertex insertion (the paper's node-insertion operation).
-    newcomer = graph.max_vertex_id() + 1
+    newcomer = max(oracle.graph.vertices()) + 1
     oracle.insert_vertex(newcomer, [0, 1, 2])
     print(f"\nInserted vertex {newcomer} with 3 edges; "
           f"d({newcomer}, 9999) = {oracle.query(newcomer, 9999)}")

@@ -47,11 +47,11 @@ def main() -> None:
         if step % 5 == 4:
             # A new member joins and befriends 3 existing members,
             # preferring well-connected ones (rich get richer).
-            newcomer = graph.max_vertex_id() + 1
+            newcomer = max(members) + 1
             friends = set()
             while len(friends) < 3:
                 candidate = rng.choice(members)
-                if rng.random() < 0.7 or graph.degree(candidate) > 20:
+                if rng.random() < 0.7 or oracle.graph.degree(candidate) > 20:
                     friends.add(candidate)
             start = time.perf_counter()
             oracle.insert_vertex(newcomer, sorted(friends))
@@ -61,7 +61,7 @@ def main() -> None:
             # A friendship forms between two random members.
             while True:
                 u, v = rng.choice(members), rng.choice(members)
-                if u != v and not graph.has_edge(u, v):
+                if u != v and not oracle.graph.has_edge(u, v):
                     break
             start = time.perf_counter()
             oracle.insert_edge(u, v)
@@ -73,8 +73,8 @@ def main() -> None:
         oracle.query(u, v)
         query_times.append(time.perf_counter() - start)
 
-    print(f"  members now: {graph.num_vertices:,}; "
-          f"friendships: {graph.num_edges:,}")
+    print(f"  members now: {oracle.graph.num_vertices:,}; "
+          f"friendships: {oracle.graph.num_edges:,}")
     print(f"  mean update latency: {1e3 * sum(update_times) / len(update_times):.3f} ms")
     print(f"  mean query  latency: {1e3 * sum(query_times) / len(query_times):.3f} ms")
     print(f"  size(L) stayed minimal: {oracle.label_entries:,} entries")

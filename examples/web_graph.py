@@ -52,12 +52,12 @@ def main() -> None:
     print("\nCrawler discovers 100 new pages and 150 new cross-links ...")
     update_times = []
     for i in range(100):
-        new_page = graph.max_vertex_id() + 1
+        new_page = max(pages) + 1
         # a discovered page links to 2-4 known pages, usually same-site
         anchor = rng.choice(pages)
         site = anchor - anchor % 300
         local = [site + rng.randrange(300) for _ in range(3)]
-        targets = {p for p in local if graph.has_vertex(p)} or {anchor}
+        targets = {p for p in local if oracle.graph.has_vertex(p)} or {anchor}
         start = time.perf_counter()
         oracle.insert_vertex(new_page, sorted(targets))
         update_times.append(time.perf_counter() - start)
@@ -65,7 +65,7 @@ def main() -> None:
     for i in range(150):
         while True:
             u, v = rng.choice(pages), rng.choice(pages)
-            if u != v and not graph.has_edge(u, v):
+            if u != v and not oracle.graph.has_edge(u, v):
                 break
         start = time.perf_counter()
         stats = oracle.insert_edge(u, v)

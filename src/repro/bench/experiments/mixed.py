@@ -65,7 +65,7 @@ def replay_fallback(oracle: DynamicHCL, events, batch: int):
     serving behaviour.  Returns ``(seconds, oracle)``: the time summed
     over the ``batch``-event chunks, and the oracle holding the result.
     """
-    graph = oracle.graph
+    graph = oracle.graph.copy()  # the DecHL kernel's graph, kept in step
     pending = None  # the dict labelling deletions changed since the attach
 
     def insert_run(run):
@@ -73,6 +73,8 @@ def replay_fallback(oracle: DynamicHCL, events, batch: int):
         if pending is not None:
             oracle, pending = DynamicHCL(graph, pending), None
         oracle.insert_edges_batch(run)
+        for u, v in run:
+            graph.add_edge(u, v)
 
     total = 0.0
     for chunk in _chunks(events, batch):

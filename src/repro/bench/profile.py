@@ -37,9 +37,6 @@ class BenchProfile:
     pll_budget_s: float  # construction gate for IncPLL
     ablation_updates: int
     ablation_queries: int
-    # Serving benchmark (benchmarks/bench_serving.py): the update-stream
-    # length fed to the service writer.
-    serving_updates: int
     # Cluster experiment (reproduction extra): closed-loop read duration
     # per replica count, the replica counts swept, concurrent client
     # threads, pairs per query_many frame, how many frames get BFS-checked,
@@ -67,7 +64,6 @@ _PROFILES = {
         pll_budget_s=30.0,
         ablation_updates=8,
         ablation_queries=40,
-        serving_updates=24,
         cluster_duration_s=1.0,
         cluster_replica_counts=(1, 2),
         cluster_clients=2,
@@ -92,7 +88,6 @@ _PROFILES = {
         pll_budget_s=90.0,
         ablation_updates=60,
         ablation_queries=400,
-        serving_updates=120,
         cluster_duration_s=3.0,
         cluster_replica_counts=(1, 2, 4),
         cluster_clients=6,
@@ -114,7 +109,6 @@ _PROFILES = {
         pll_budget_s=600.0,
         ablation_updates=200,
         ablation_queries=2000,
-        serving_updates=600,
         cluster_duration_s=6.0,
         cluster_replica_counts=(1, 2, 4),
         cluster_clients=8,

@@ -101,17 +101,17 @@ def build_oracles(
 
 
 class PaperInsert:
-    """The paper's IncHL+ on an oracle's graph and a detached labelling.
+    """The paper's IncHL+ on a detached graph and labelling.
 
-    Each call adds the edge to the oracle's graph, then runs
-    :func:`repro.core.inchl.apply_edge_insertion` on :attr:`labelling`, a
-    copy materialized from the oracle once.  The oracle itself does not
-    see these insertions: once the stream is done, :meth:`oracle` seeds
-    a new oracle from the kernel's labelling.
+    Each call adds the edge to :attr:`graph`, then runs
+    :func:`repro.core.inchl.apply_edge_insertion` on :attr:`labelling`;
+    both are copies materialized from the oracle once.  The oracle itself
+    does not see these insertions: once the stream is done,
+    :meth:`oracle` seeds a new oracle from the kernel's result.
     """
 
     def __init__(self, oracle: DynamicHCL) -> None:
-        self.graph = oracle.graph
+        self.graph = oracle.graph.copy()
         self.labelling = oracle.labelling
 
     def __call__(self, u: int, v: int):

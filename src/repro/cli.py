@@ -326,7 +326,7 @@ def _cmd_stats(args) -> int:
     hstats = highway_stats(labelling)
     counts = landmark_entry_counts(labelling)
     print(f"graph      |V|={graph.num_vertices:,} |E|={graph.num_edges:,} "
-          f"avg deg={graph.average_degree():.2f}")
+          f"avg deg={2 * graph.num_edges / max(graph.num_vertices, 1):.2f}")
     print(f"landmarks  |R|={hstats.num_landmarks} "
           f"highway connectivity={hstats.connectivity:.0%} "
           f"mean highway dist={hstats.mean_distance:.2f}")

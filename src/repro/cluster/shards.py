@@ -122,12 +122,12 @@ def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool =
     checkpoint and replaying the same WAL suffix reaches the same state
     regardless of process or host.  The shard's engine attaches from
     the source engine's rows sliced to the owned landmarks, so a replica
-    warm start runs no BFS; its labelling is the restricted one
-    (:func:`~repro.core.sharding.restrict_labelling`).
-    ``copy_graph=False`` reuses the oracle's graph and overlay by
-    reference — only safe when the source oracle is discarded (the
+    warm start runs no BFS; its labelling keeps only the owned
+    landmarks' entries and the highway cells with an owned endpoint.
+    ``copy_graph=False`` reuses the oracle's CSR overlay, its one graph,
+    by reference — only safe when the source oracle is discarded (the
     replica warm-start path); in-process multi-shard setups must keep the
-    default so each shard mutates its own graph.
+    default so each shard mutates its own overlay.
     """
     from repro.core.dynamic import DynamicHCL
 
@@ -138,9 +138,7 @@ def make_shard_oracle(oracle, plan: ShardPlan, index: int, *, copy_graph: bool =
     owned = plan.owned(index)
     _, dyn, dist, entry = oracle.checkpoint_rows(owned)
     if copy_graph:
-        graph, dyn = oracle.graph.copy(), dyn.copy()
-    else:
-        graph = oracle.graph
+        dyn = dyn.copy()
     return DynamicHCL.from_rows(
-        graph, oracle.landmarks, (dyn, dist, entry), owned_landmarks=owned
+        oracle.landmarks, (dyn, dist, entry), owned_landmarks=owned
     )

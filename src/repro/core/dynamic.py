@@ -1,8 +1,9 @@
 """DynamicHCL — the user-facing dynamic distance oracle.
 
-Couples a :class:`~repro.graph.dynamic_graph.DynamicGraph` with the
-vectorized update engine (:class:`~repro.core.inchl_fast.FastUpdateEngine`)
-and keeps the two in sync through the paper's update operations plus this
+Wraps the vectorized update engine
+(:class:`~repro.core.inchl_fast.FastUpdateEngine`), whose CSR overlay is
+the oracle's one graph and whose dense rows are its one labelling, and
+maintains both through the paper's update operations plus this
 repository's extensions:
 
 * :meth:`DynamicHCL.insert_edge` — IncHL+ edge insertion (Section 4);
@@ -28,18 +29,25 @@ The engine's dense rows are the oracle's only labelling: by Eq. (1) the
 distance rows ``d(r, ·)`` plus a label-membership mask determine
 ``Γ = (H, L)``.  :attr:`DynamicHCL.labelling` materializes a detached
 :class:`~repro.core.labelling.HighwayCoverLabelling` from them on demand.
-Every edge update goes through one private helper into
-:meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.  The
+Likewise the engine's :class:`~repro.graph.dyncsr.DynCSR` is the oracle's
+only graph: a :class:`~repro.graph.dynamic_graph.DynamicGraph` is an
+input (:meth:`DynamicHCL.build`, the constructor), which updates do not
+mutate, and :attr:`DynamicHCL.graph` is a read-only
+:class:`~repro.serving.snapshot.FrozenGraph` over the CSR, whose
+``copy()`` detaches a dict graph.
+
+Every edge update is validated once (:meth:`DynamicHCL.check_events`,
+one edge-state lookup per event) and goes through one private helper
+into :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.  The
 labelling it maintains is byte-identical to the paper's Python kernels
 (IncHL+ in :mod:`repro.core.inchl`, batch IncHL+ in
 :mod:`repro.core.batch`, DecHL in :mod:`repro.core.dechl`), which stay
-plain functions over dict labellings: the test oracle and the timed
-reproduction call them directly (:func:`repro.core.batch.replay_events`
-replays a mixed stream through them).  The operations that only the
-reference kernels implement — vertex removal and landmark maintenance —
-materialize the labelling, run the kernel on it and seed a new engine
-from the result.  Mutating the graph around the oracle is not
-supported: the engine would not see it.
+plain functions over dict graphs and labellings: the test oracle and the
+timed reproduction call them directly
+(:func:`repro.core.batch.replay_events` replays a mixed stream through
+them).  The operations that only the reference kernels implement —
+vertex removal and landmark maintenance — run the kernel on a detached
+dict graph and labelling and seed a new engine from the result.
 """
 
 from __future__ import annotations
@@ -51,11 +59,37 @@ from repro.core.construction import build_hcl
 from repro.core.inchl import UpdateStats
 from repro.core.inchl_fast import FastUpdateEngine
 from repro.core.labelling import HighwayCoverLabelling
-from repro.exceptions import GraphError
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.exceptions import (
+    EdgeExistsError,
+    EdgeNotFoundError,
+    GraphError,
+    SelfLoopError,
+)
+from repro.graph.dynamic_graph import DynamicGraph, check_vertex_insertion
 from repro.landmarks.selection import select_landmarks
+from repro.workloads.streams import valid_vertex_id
 
-__all__ = ["DynamicHCL"]
+__all__ = ["CheckedEvents", "DynamicHCL"]
+
+
+class CheckedEvents(list):
+    """The events of one batch that :meth:`DynamicHCL.check_events`
+    accepted, as ``(kind, (u, v))`` pairs in order, plus what the check
+    found: ``errors`` (one :class:`GraphError` per rejected event), the
+    endpoints of accepted inserts the graph does not hold yet
+    (``new_vertices``), and the net edge sets ``inserts``/``deletes`` of
+    the accepted events.  It stays valid for the oracle that checked it
+    while that oracle's version does not move.
+    """
+
+    def __init__(self, oracle, version: int) -> None:
+        super().__init__()
+        self.oracle = oracle
+        self.version = version
+        self.errors: list[GraphError] = []
+        self.new_vertices: dict[int, None] = {}
+        self.inserts: list[tuple[int, int]] = []
+        self.deletes: list[tuple[int, int]] = []
 
 
 class DynamicHCL:
@@ -76,10 +110,11 @@ class DynamicHCL:
         labelling: HighwayCoverLabelling,
         owned_landmarks: Sequence[int] | None = None,
     ) -> None:
-        """Wrap ``graph`` and a labelling valid and minimal for it.
+        """An oracle for ``graph`` and a labelling valid and minimal for it.
 
-        The engine seeds its rows from ``labelling`` (one BFS per
-        landmark, one scan of the labels) and keeps no reference to it.
+        The engine copies ``graph`` into its CSR overlay and seeds its
+        rows from ``labelling`` (one BFS per landmark, one scan of the
+        labels); it keeps no reference to either.
         With ``owned_landmarks`` the oracle is a landmark shard
         (:mod:`repro.core.sharding`): it maintains only those landmarks'
         rows, its queries are shard-local (exact through owned
@@ -88,32 +123,32 @@ class DynamicHCL:
         owned rows.
         """
         owned = list(owned_landmarks) if owned_landmarks is not None else None
-        self._setup(graph, owned, FastUpdateEngine(
+        self._setup(owned, FastUpdateEngine(
             graph, labelling.landmarks, owned=owned, labels=labelling.labels
         ))
 
     @classmethod
     def from_rows(
         cls,
-        graph: DynamicGraph,
         landmarks: Sequence[int],
         rows: tuple,
         owned_landmarks: Sequence[int] | None = None,
     ) -> "DynamicHCL":
         """An oracle attached from dense rows: ``rows=(overlay, dist,
-        has_entry)`` known exact for ``graph`` and ``landmarks`` — the
-        construction sweeps, a verified checkpoint, or an engine's rows
-        sliced to a shard.  No BFS runs and no dict labelling is built.
+        has_entry)`` known exact for the overlay's graph and
+        ``landmarks`` — the construction sweeps, a verified checkpoint,
+        or an engine's rows sliced to a shard.  The overlay becomes the
+        oracle's graph.  No BFS runs and no dict graph or labelling is
+        built.
         """
         oracle = cls.__new__(cls)
         owned = list(owned_landmarks) if owned_landmarks is not None else None
-        oracle._setup(graph, owned, FastUpdateEngine(
-            graph, landmarks, owned=owned, rows=rows
+        oracle._setup(owned, FastUpdateEngine(
+            None, landmarks, owned=owned, rows=rows
         ))
         return oracle
 
-    def _setup(self, graph, owned, engine) -> None:
-        self._graph = graph
+    def _setup(self, owned, engine) -> None:
         self._owned = owned
         self._engine = engine
         self._version = 0
@@ -136,8 +171,9 @@ class DynamicHCL:
 
         Either pass explicit ``landmarks`` or let the named selection
         ``strategy`` pick ``num_landmarks`` of them (paper default: the 20
-        highest-degree vertices).  The graph is used *by reference*: updates
-        through the oracle mutate it.
+        highest-degree vertices).  ``graph`` is only read: the oracle keeps
+        its own copy of it as a CSR, and updates through the oracle leave
+        ``graph`` as it was.
 
         ``construction`` selects the builder: ``"python"`` (reference) or
         ``"csr"`` (the numpy fast path of
@@ -156,7 +192,7 @@ class DynamicHCL:
 
             csr, dist, entry = build_hcl_fast_rows(graph, landmarks)
             dyn = DynCSR.from_arrays(csr.ids, csr.indptr, csr.indices)
-            return cls.from_rows(graph, landmarks, (dyn, dist, entry))
+            return cls.from_rows(landmarks, (dyn, dist, entry))
         raise ValueError(
             f"unknown construction {construction!r}; use 'python' or 'csr'"
         )
@@ -165,16 +201,21 @@ class DynamicHCL:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def graph(self) -> DynamicGraph:
-        """The underlying graph (mutate only through the oracle)."""
-        return self._graph
+    def graph(self):
+        """The graph at the current :attr:`version`: the read-only
+        :class:`~repro.serving.snapshot.FrozenGraph` of :meth:`snapshot`
+        (so, like it, read only from the thread that applies updates).
+        Its ``copy()`` is a detached, mutable
+        :class:`~repro.graph.dynamic_graph.DynamicGraph`."""
+        return self.snapshot().graph
 
     @property
     def labelling(self) -> HighwayCoverLabelling:
         """The maintained labelling ``Γ = (H, L)``, materialized from the
         engine's rows as a fresh, detached copy: mutating it does not
-        touch the oracle.  On a landmark shard it is the restricted
-        labelling (:func:`~repro.core.sharding.restrict_labelling`)."""
+        touch the oracle.  On a landmark shard it keeps the full landmark
+        list but only the owned landmarks' label entries and the highway
+        cells with an owned endpoint (:mod:`repro.core.sharding`)."""
         engine = self._engine
         rows = engine.owned_landmarks
         dist, entry = engine.rows(rows)
@@ -218,7 +259,7 @@ class DynamicHCL:
 
         Returns an :class:`repro.serving.snapshot.OracleSnapshot` pinned to
         the current :attr:`version`.  Snapshots are cheap (copies of the
-        dense rows, a copy-on-write freeze of the graph) and never
+        dense rows, a copy-on-write freeze of the CSR) and never
         block or observe later updates — the serving layer's readers query
         snapshots while the single writer mutates the oracle.  Repeated
         calls between updates return the same cached snapshot object.
@@ -311,27 +352,24 @@ class DynamicHCL:
     def _apply(self, inserts, deletes, events: int):
         """The one update route every edge mutator takes.
 
-        Applies the net edge sets ``inserts``/``deletes`` to the graph,
-        stamps ``events`` epochs and repairs through
-        :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`.
+        Stamps ``events`` epochs and hands the net edge sets
+        ``inserts``/``deletes`` (already validated) to
+        :meth:`~repro.core.inchl_fast.FastUpdateEngine.apply_mixed`,
+        which applies them to the CSR and repairs the rows.
         """
-        graph = self._graph
-        for u, v in inserts:
-            graph.add_edge(u, v)
-        for u, v in deletes:
-            graph.remove_edge(u, v)
         self._version += events
         return self._engine.apply_mixed(inserts, deletes)
 
     def _run_reference(self, kernel, *args):
         """Run a reference ``kernel(graph, labelling, *args)`` on a
-        materialized labelling, then seed a new engine from its result
-        (one BFS per landmark)."""
+        detached dict graph and labelling, then seed a new engine from
+        its result (one BFS per landmark)."""
+        graph = self.graph.copy()
         labelling = self.labelling
+        result = kernel(graph, labelling, *args)
         self._version += 1
-        result = kernel(self._graph, labelling, *args)
         self._engine = FastUpdateEngine(
-            self._graph, labelling.landmarks, owned=self._owned,
+            graph, labelling.landmarks, owned=self._owned,
             labels=labelling.labels,
         )
         return result
@@ -346,9 +384,11 @@ class DynamicHCL:
     def insert_edge(self, u: int, v: int) -> UpdateStats:
         """Insert edge ``(u, v)`` and repair the labelling (IncHL+).
 
-        Returns the update statistics (affected counts per landmark).
+        Raises like :meth:`apply_events_batch`; an endpoint the graph
+        does not hold yet is registered.  Returns the update statistics
+        (affected counts per landmark).
         """
-        return self._apply([(u, v)], [], 1)
+        return self.apply_events_batch([("insert", (u, v))])
 
     def insert_vertex(self, v: int, neighbors: Iterable[int]) -> list[UpdateStats]:
         """The paper's vertex insertion: new vertex ``v`` plus edges to
@@ -360,8 +400,10 @@ class DynamicHCL:
         """
         self._require_unsharded("insert_vertex")
         neighbor_list = list(neighbors)
-        self._graph.check_vertex_insertion(v, neighbor_list)
-        self._graph.add_vertex(v)
+        check_vertex_insertion(self._engine.dyn, v, neighbor_list)
+        if not valid_vertex_id(v):
+            raise ValueError(f"invalid vertex id {v!r}")
+        self._engine.add_vertex(v)
         self._version += 1
         return [self._apply([(v, w)], [], 1) for w in neighbor_list]
 
@@ -395,9 +437,10 @@ class DynamicHCL:
 
         Deletes edge ``(u, v)`` and repairs the labelling to the exact
         minimal labelling of the new graph — the same result as the
-        fine-grained DecHL of :mod:`repro.core.dechl`.
+        fine-grained DecHL of :mod:`repro.core.dechl`.  Raises like
+        :meth:`apply_events_batch`.
         """
-        return self._apply([], [(u, v)], 1)
+        return self.apply_events_batch([("delete", (u, v))])
 
     def remove_edges_batch(self, edges: Iterable[tuple[int, int]]):
         """Delete a burst of edges with one combined sweep per landmark.
@@ -408,65 +451,97 @@ class DynamicHCL:
         """
         return self.apply_events_batch([("delete", (u, v)) for u, v in edges])
 
+    def check_events(self, events) -> CheckedEvents:
+        """Validate an event batch, rejecting instead of raising; mutates
+        nothing.
+
+        Each event (an :class:`~repro.workloads.streams.UpdateEvent` or a
+        ``(kind, (u, v))`` pair) is checked against the edge state its
+        accepted predecessors produce, with at most one edge-state lookup
+        per event.  It is rejected for an invalid id
+        (:func:`~repro.workloads.streams.valid_vertex_id`) or kind, a
+        self-loop, an insert of a present edge or a delete of an absent
+        one.  Inserts may name new vertices, which applying registers
+        even when a later delete cancels the edge.
+        """
+        dyn = self._engine.dyn
+        has_edge = dyn.has_edge
+        checked = CheckedEvents(self, self._version)
+        state: dict[tuple[int, int], list] = {}
+        for event in events:
+            kind, (u, v) = (
+                (event.kind, event.edge) if hasattr(event, "kind") else event
+            )
+            error: GraphError | None = None
+            if not (valid_vertex_id(u) and valid_vertex_id(v)):
+                error = GraphError(f"{kind} {event!r} names an invalid vertex id")
+            elif kind not in ("insert", "delete"):
+                error = GraphError(f"unknown event kind {kind!r}")
+            elif kind == "insert" and u == v:
+                error = SelfLoopError(u)
+            else:
+                key = (u, v) if u < v else (v, u)
+                entry = state.get(key)
+                if entry is None:
+                    present = has_edge(u, v)
+                    # [present before the batch, present now, last edge]
+                    entry = state[key] = [present, present, (u, v)]
+                if kind == "insert" and entry[1]:
+                    error = EdgeExistsError(u, v)
+                elif kind == "delete" and not entry[1]:
+                    error = EdgeNotFoundError(u, v)
+                else:
+                    entry[1] = kind == "insert"
+                    entry[2] = (u, v)
+                    if entry[1]:
+                        for x in (u, v):
+                            if x not in dyn:
+                                checked.new_vertices[x] = None
+            if error is None:
+                checked.append((kind, (u, v)))
+            else:
+                checked.errors.append(error)
+        for before, after, edge in state.values():
+            if before != after:
+                (checked.inserts if after else checked.deletes).append(edge)
+        return checked
+
     def apply_events_batch(self, events):
         """Apply a mixed insert/delete event batch in one combined repair.
 
         ``events`` is a sequence of
         :class:`~repro.workloads.streams.UpdateEvent` (or plain
-        ``(kind, (u, v))`` pairs) applied *as if sequentially*: every
-        event is validated against the graph state its predecessors
-        produce, and :attr:`version` advances by ``len(events)`` — the
-        same epochs a one-at-a-time replay would stamp.  Invalid
-        transitions (inserting a present edge, deleting an absent one,
-        self-loops, unknown endpoints) raise :class:`GraphError` before
-        anything is mutated.
+        ``(kind, (u, v))`` pairs) applied *as if sequentially*, and
+        :attr:`version` advances by ``len(events)`` — the same epochs a
+        one-at-a-time replay would stamp.  The batch is validated as a
+        whole by :meth:`check_events`; the first invalid transition
+        (inserting a present edge, deleting an absent one, a self-loop,
+        an invalid id or kind) raises its :class:`GraphError` before
+        anything is mutated.  A :class:`CheckedEvents` this oracle
+        returned at its current version is applied as it stands, without
+        a second check: its rejected events are simply not in it.
 
-        The batch is then collapsed to its *net* edge sets — an
-        insert-then-delete (or delete-then-reinsert) pair cancels outright
-        — and handed to the engine as one BatchHL-style sweep per
-        landmark.  The result equals the one-at-a-time IncHL+/DecHL
-        replay (:func:`repro.core.batch.replay_events`) byte for byte.
+        The batch's net edge sets are handed to the engine as one
+        BatchHL-style sweep per landmark.  The result equals the
+        one-at-a-time IncHL+/DecHL replay
+        (:func:`repro.core.batch.replay_events`) byte for byte.
         Returns a :class:`~repro.core.batch.MixedUpdateStats`.
         """
         from repro.core.batch import MixedUpdateStats
 
-        graph = self._graph
-        count = 0
-        state: dict[tuple[int, int], bool] = {}
-        for event in events:
-            kind, edge = (
-                (event.kind, event.edge) if hasattr(event, "kind") else event
-            )
-            u, v = int(edge[0]), int(edge[1])
-            key = (u, v) if u <= v else (v, u)
-            present = state.get(key)
-            if present is None:
-                present = graph.has_edge(u, v) if u in graph and v in graph else False
-            if kind == "insert":
-                if u == v:
-                    raise GraphError(f"self-loop insert ({u}, {v}) in event batch")
-                if u not in graph or v not in graph:
-                    raise GraphError(
-                        f"insert ({u}, {v}) references an unknown vertex"
-                    )
-                if present:
-                    raise GraphError(f"insert of already-present edge ({u}, {v})")
-                state[key] = True
-            elif kind == "delete":
-                if not present:
-                    raise GraphError(f"delete of absent edge ({u}, {v})")
-                state[key] = False
-            else:
-                raise GraphError(f"unknown event kind {kind!r}")
-            count += 1
-        net_inserts: list[tuple[int, int]] = []
-        net_deletes: list[tuple[int, int]] = []
-        for key, final in state.items():
-            if final != graph.has_edge(*key):
-                (net_inserts if final else net_deletes).append(key)
-        if net_inserts or net_deletes:
-            return self._apply(net_inserts, net_deletes, count)
-        self._version += count
+        if not (
+            isinstance(events, CheckedEvents)
+            and events.oracle is self
+            and events.version == self._version
+        ):
+            events = self.check_events(events)
+            if events.errors:
+                raise events.errors[0]
+        for v in events.new_vertices:
+            self._engine.add_vertex(v)
+        if events.inserts or events.deletes:
+            return self._apply(events.inserts, events.deletes, len(events))
+        self._version += len(events)
         return MixedUpdateStats([], [])
 
     def remove_vertex(self, v: int) -> None:
@@ -517,12 +592,13 @@ class DynamicHCL:
         whenever some shortest path meets a landmark."""
         from repro.core.paths import approximate_path_via_landmarks
 
-        return approximate_path_via_landmarks(self._graph, self.labelling, u, v)
+        return approximate_path_via_landmarks(self.graph, self.labelling, u, v)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        dyn = self._engine.dyn
         return (
-            f"DynamicHCL(|V|={self._graph.num_vertices}, "
-            f"|E|={self._graph.num_edges}, |R|={len(self.landmarks)}, "
+            f"DynamicHCL(|V|={dyn.num_vertices}, "
+            f"|E|={dyn.num_edges}, |R|={len(self.landmarks)}, "
             f"size(L)={self.label_entries})"
         )

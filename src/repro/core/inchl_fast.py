@@ -36,7 +36,8 @@ new distances, same covered verdicts, same entry/highway changes
 (``docs/DESIGN.md`` §8; asserted exhaustively by ``tests/proptest``).
 Every edge update of the owning :class:`~repro.core.dynamic.DynamicHCL`
 runs here; landmark maintenance and vertex removal run the reference
-kernels on a materialized labelling and seed a new engine from it.
+kernels on a detached dict graph and labelling and seed a new engine
+from them.
 """
 
 from __future__ import annotations
@@ -72,15 +73,14 @@ class FastUpdateEngine:
     The rows *are* the labelling (Eq. 1): ``(r, dist[k, v]) ∈ L(v)`` iff
     ``has_entry[k, v]``, and the highway cells are the rows at the
     landmark columns.  Create the engine from ``rows=(overlay, dist,
-    has_entry)`` known exact for ``graph``, or from the label store
-    ``labels`` of a labelling valid and minimal for ``graph`` (one BFS
-    per landmark seeds the distances).  Apply every subsequent edge
-    update through :meth:`apply_mixed` — the caller mutates the owning
-    :class:`~repro.graph.dynamic_graph.DynamicGraph` first, the engine
-    mirrors the batch into its overlay and repairs the rows.  Vertices
-    registered on the graph without edges are picked up on their first
-    incident insertion; any other mutation of the graph around the
-    engine desynchronizes it.
+    has_entry)`` known exact for the overlay's graph (``graph`` is then
+    unused), or from a dict ``graph`` and the label store ``labels`` of a
+    labelling valid and minimal for it (the overlay copies the graph, one
+    BFS per landmark seeds the distances).  The overlay is the graph from
+    then on: apply every subsequent edge update through
+    :meth:`apply_mixed`, which applies the batch to the overlay and
+    repairs the rows, and register an isolated vertex with
+    :meth:`add_vertex`.
 
     >>> from repro.core.construction import build_hcl
     >>> from repro.core.inchl import apply_edge_insertion
@@ -89,7 +89,7 @@ class FastUpdateEngine:
     >>> g_fast, g_ref = grid_graph(3, 3), grid_graph(3, 3)
     >>> hcl_ref = build_hcl(g_ref, [0, 8])
     >>> engine = FastUpdateEngine(g_fast, [0, 8], labels=hcl_ref.labels)
-    >>> g_fast.add_edge(0, 8); g_ref.add_edge(0, 8)
+    >>> g_ref.add_edge(0, 8)
     >>> _ = engine.apply_mixed([(0, 8)], [])
     >>> _ = apply_edge_insertion(g_ref, hcl_ref, 0, 8)
     >>> rows = engine.owned_landmarks
@@ -314,6 +314,12 @@ class FastUpdateEngine:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
+    def add_vertex(self, v: int) -> None:
+        """Register ``v`` as an isolated vertex: unreachable from every
+        landmark and without label entries, so no row changes."""
+        self._dyn.ensure_vertex(v)
+        self._ensure_capacity()
+
     def apply_mixed(
         self,
         inserts: Iterable[tuple[int, int]],
@@ -321,8 +327,8 @@ class FastUpdateEngine:
     ) -> MixedUpdateStats:
         """BatchHL-style repair for an insert/delete batch of any shape.
 
-        The owning graph must already reflect the whole batch (inserts
-        present, deletes gone); the engine's overlay must not.  The two
+        The batch must be valid for the overlay (inserts absent, deletes
+        present, no self-loops; new endpoints are registered).  The two
         edge sets must be disjoint and *net* — the caller
         (:meth:`repro.core.dynamic.DynamicHCL.apply_events_batch`)
         collapses insert-then-delete churn before calling in.  Phase A

@@ -51,8 +51,10 @@ class HighwayCoverLabelling:
         holds ``(rows[k], dist[k, v])`` iff ``entry[k, v]``.  By Eq. (1)
         that is the whole labelling: highway cells ``δ(rows[k], r2)`` are
         the finite row values at the columns of the other landmarks.
-        With ``rows`` a subset of ``landmarks`` the result equals
-        :func:`~repro.core.sharding.restrict_labelling` of the full one.
+        With ``rows`` a subset of ``landmarks`` the result is a landmark
+        shard's labelling: the full landmark list, the label entries of
+        ``rows`` and the highway cells with an endpoint in ``rows``
+        (:mod:`repro.core.sharding`).
 
         >>> from repro.core.construction import build_hcl
         >>> from repro.core.construction_fast import build_hcl_fast_rows

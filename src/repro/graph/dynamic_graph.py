@@ -12,6 +12,10 @@ Vertices are non-negative integers.  Adjacency is a ``dict[int, list[int]]``
 algorithm in this library is BFS-bound.  Hot loops may obtain the raw
 adjacency mapping via :meth:`DynamicGraph.adjacency`; it must be treated as
 read-only.
+
+A served oracle keeps no such graph (its graph is a CSR): this one is the
+input of :meth:`repro.core.dynamic.DynamicHCL.build` and of the reference
+kernels, and the detached copy of an oracle's graph.
 """
 
 from __future__ import annotations
@@ -25,7 +29,24 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 
-__all__ = ["DynamicGraph"]
+__all__ = ["DynamicGraph", "check_vertex_insertion"]
+
+
+def check_vertex_insertion(graph, v: int, neighbor_list: list[int]) -> None:
+    """Raise unless inserting vertex ``v`` with edges to ``neighbor_list``
+    is valid for ``graph`` (any graph that answers ``in``); mutates
+    nothing, so a caller can reject a bad insertion up front."""
+    if v in graph:
+        raise ValueError(
+            f"vertex {v!r} already exists; vertex insertion requires a new vertex"
+        )
+    if v in neighbor_list:
+        raise SelfLoopError(v)
+    for w in neighbor_list:
+        if w not in graph:
+            raise VertexNotFoundError(w)
+    if len(set(neighbor_list)) != len(neighbor_list):
+        raise ValueError("duplicate neighbours in vertex insertion")
 
 
 class DynamicGraph:
@@ -39,34 +60,13 @@ class DynamicGraph:
     [1, 2]
     """
 
-    __slots__ = ("_adj", "_num_edges", "_shared")
+    __slots__ = ("_adj", "_num_edges")
 
     def __init__(self, vertices: Iterable[int] = ()) -> None:
         self._adj: dict[int, list[int]] = {}
         self._num_edges = 0
-        # Vertices whose neighbour lists are shared with live snapshots
-        # (see :meth:`snapshot_adjacency`); ``None`` until first snapshot.
-        self._shared: set[int] | None = None
         for v in vertices:
             self.add_vertex(v)
-
-    def _unshare_row(self, v: int) -> None:
-        """Detach ``v``'s neighbour list from any live snapshot."""
-        shared = self._shared
-        if shared is not None and v in shared:
-            self._adj[v] = list(self._adj[v])
-            shared.discard(v)
-
-    def snapshot_adjacency(self) -> dict[int, list[int]]:
-        """Freeze hook for :mod:`repro.serving.snapshot`.
-
-        Returns a *shallow* copy of the adjacency mapping whose neighbour
-        lists are shared copy-on-write: later updates through this graph
-        copy an affected list before mutating it, so the returned mapping
-        is a stable point-in-time view at pointer-copy cost.
-        """
-        self._shared = set(self._adj)
-        return dict(self._adj)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -213,8 +213,6 @@ class DynamicGraph:
             raise VertexNotFoundError(v)
         if v in self._adj[u]:
             raise EdgeExistsError(u, v)
-        self._unshare_row(u)
-        self._unshare_row(v)
         self._adj[u].append(v)
         self._adj[v].append(u)
         self._num_edges += 1
@@ -227,32 +225,13 @@ class DynamicGraph:
         with a set of edge insertions that connect v to existing vertices".
         """
         neighbor_list = list(neighbors)
-        self.check_vertex_insertion(v, neighbor_list)
+        check_vertex_insertion(self, v, neighbor_list)
         self.add_vertex(v)
         inserted = []
         for w in neighbor_list:
             self.add_edge(v, w)
             inserted.append((v, w))
         return inserted
-
-    def check_vertex_insertion(self, v: int, neighbor_list: list[int]) -> None:
-        """Raise unless :meth:`insert_vertex` ``(v, neighbor_list)`` is valid.
-
-        Checks the whole neighbour list without mutating anything, so a
-        caller that applies the edges itself can reject a bad insertion
-        up front.
-        """
-        if v in self._adj:
-            raise ValueError(
-                f"vertex {v!r} already exists; vertex insertion requires a new vertex"
-            )
-        if v in neighbor_list:
-            raise SelfLoopError(v)
-        for w in neighbor_list:
-            if w not in self._adj:
-                raise VertexNotFoundError(w)
-        if len(set(neighbor_list)) != len(neighbor_list):
-            raise ValueError("duplicate neighbours in vertex insertion")
 
     def remove_edge(self, u: int, v: int) -> None:
         """Remove the undirected edge ``(u, v)`` (decremental extension)."""
@@ -262,8 +241,6 @@ class DynamicGraph:
             raise VertexNotFoundError(v)
         if v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
-        self._unshare_row(u)
-        self._unshare_row(v)
         self._adj[u].remove(v)
         self._adj[v].remove(u)
         self._num_edges -= 1
@@ -278,12 +255,9 @@ class DynamicGraph:
             raise VertexNotFoundError(v)
         removed = [(v, w) for w in self._adj[v]]
         for w in self._adj[v]:
-            self._unshare_row(w)
             self._adj[w].remove(v)
         self._num_edges -= len(removed)
         del self._adj[v]
-        if self._shared is not None:
-            self._shared.discard(v)
         return removed
 
     # ------------------------------------------------------------------

@@ -161,22 +161,18 @@ class DynCSR:
         clone._num_edges = self._num_edges
         return clone
 
-    def canonical(
-        self, ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """This overlay as a canonical CSR: ``(ids, col, indptr, indices)``.
 
-        Rows follow ``ids`` (default: the registered ids, sorted; a sorted
-        superset adds isolated vertices) and each row's neighbours are
-        sorted, so equal graphs give equal arrays whatever their update
-        history — append order, delta lists and swap-removals all wash
-        out.  ``col[i]`` is the canonical position of compact index ``i``,
-        the permutation that carries per-vertex side arrays (the update
-        engine's dense rows) into the same order.
+        Rows follow the registered ids, sorted, and each row's neighbours
+        are sorted, so equal graphs give equal arrays whatever their
+        update history — append order, delta lists and swap-removals all
+        wash out.  ``col[i]`` is the canonical position of compact index
+        ``i``, the permutation that carries per-vertex side arrays (the
+        update engine's dense rows) into the same order.
         """
         own = self._ids[: self._n]
-        if ids is None:
-            ids = np.sort(own)
+        ids = np.sort(own)
         col = np.searchsorted(ids, own)
         sources, neighbours = self.gather(np.arange(self._n, dtype=np.int64))
         width = len(ids)
@@ -243,7 +239,25 @@ class DynCSR:
         return int(self._ids[i])
 
     def __contains__(self, v: int) -> bool:
-        return v in self._index_of
+        index = self._index_of.get(v)
+        return index is not None and index < self._n
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether the undirected edge ``(u, v)`` is present (``False``
+        when an endpoint is not registered).  Scans the row of the
+        endpoint with the smaller degree."""
+        index_of = self._index_of
+        ui = index_of.get(u)
+        vi = index_of.get(v)
+        if ui is None or vi is None or max(ui, vi) >= self._n:
+            return False
+        indptr, base_len, indices, delta, delta_count = self.scalar_views()
+        if base_len[vi] + delta_count[vi] < base_len[ui] + delta_count[ui]:
+            ui, vi = vi, ui
+        start = indptr[ui]
+        return vi in indices[start : start + base_len[ui]] or (
+            delta_count[ui] > 0 and vi in delta[ui]
+        )
 
     def __len__(self) -> int:
         return self._n
@@ -253,9 +267,8 @@ class DynCSR:
 
         The copy shares the id map, the base arrays and the delta lists;
         this overlay then copies the base arrays before a swap-removal
-        and a delta list before it changes, as
-        :meth:`DynamicGraph.snapshot_adjacency` does for its rows.  Only
-        the delta counts are copied eagerly.
+        and a delta list before it changes.  Only the delta counts are
+        copied eagerly.
         """
         frozen = DynCSR()
         n = frozen._n = self._n
@@ -325,9 +338,9 @@ class DynCSR:
         """Insert the undirected edge ``(u, v)`` (by original id).
 
         Endpoints are registered on demand; duplicate edges and self-loops
-        are the caller's responsibility (the owning
-        :class:`~repro.graph.dynamic_graph.DynamicGraph` already rejects
-        them).  Triggers compaction when the delta outgrows the base.
+        are the caller's responsibility (the owning oracle validates each
+        batch first, :meth:`repro.core.dynamic.DynamicHCL.check_events`).
+        Triggers compaction when the delta outgrows the base.
         """
         self.insert_edges_batch(((u, v),))
 
@@ -382,9 +395,9 @@ class DynCSR:
         """Remove the undirected edge ``(u, v)`` (by original id).
 
         Both endpoints must be registered and the edge present — the
-        owning :class:`~repro.graph.dynamic_graph.DynamicGraph` validates
-        first, but the overlay re-raises :class:`GraphError` on a missing
-        entry so a desynchronized caller fails loudly.  Vertices are never
+        owning oracle validates first, but the overlay re-raises
+        :class:`GraphError` on a missing entry so a desynchronized caller
+        fails loudly.  Vertices are never
         unregistered: an isolated index simply reads empty slices.
         """
         self.remove_edges_batch(((u, v),))

@@ -1,13 +1,18 @@
 """Graph traversal primitives: BFS, bounded/bidirectional searches, Dijkstra.
 
-Everything in this library is traversal-bound, so these functions operate on
-the raw adjacency mapping (``graph.adjacency()``) and use flat ``dict``-based
-distance maps.  ``float("inf")`` (exported as :data:`INF`) denotes
-unreachable, matching the paper's ``d_G(u, v) = ∞`` convention.
+Everything in this library is traversal-bound, so these functions use flat
+``dict``-based distance maps and read neighbour lists straight from the raw
+adjacency mapping of a :class:`~repro.graph.dynamic_graph.DynamicGraph`
+(``graph.adjacency()``); a served oracle's read-only
+:class:`~repro.serving.snapshot.FrozenGraph` keeps no adjacency dict and is
+read through ``graph.neighbors``.  ``float("inf")`` (exported as
+:data:`INF`) denotes unreachable, matching the paper's ``d_G(u, v) = ∞``
+convention.
 
 The bounded bidirectional searches implement the paper's query step: an exact
 distance search over the *sparsified* graph ``G[V \\ R]`` (landmarks excluded
 from path interiors) under the labelling-derived upper bound ``d⊤`` (Eq. 2).
+On a ``FrozenGraph`` the search runs over the columns of its frozen CSR.
 """
 
 from __future__ import annotations
@@ -36,15 +41,21 @@ __all__ = [
 _EMPTY: frozenset[int] = frozenset()
 
 
+def _neighbour_lookup(graph):
+    """``v -> neighbours of v`` for ``graph``: its adjacency mapping's
+    lookup when it has one, else its ``neighbors`` method."""
+    adjacency = getattr(graph, "adjacency", None)
+    return adjacency().__getitem__ if adjacency is not None else graph.neighbors
+
+
 def bfs_distances(graph, source: int) -> dict[int, int]:
     """Exact BFS distances from ``source`` to every reachable vertex.
 
-    Works on :class:`~repro.graph.dynamic_graph.DynamicGraph`; unreachable
-    vertices are absent from the result.
+    Unreachable vertices are absent from the result.
     """
-    adj = graph.adjacency()
-    if source not in adj:
+    if not graph.has_vertex(source):
         raise VertexNotFoundError(source)
+    neighbours = _neighbour_lookup(graph)
     dist = {source: 0}
     frontier = [source]
     depth = 0
@@ -52,7 +63,7 @@ def bfs_distances(graph, source: int) -> dict[int, int]:
         depth += 1
         next_frontier = []
         for v in frontier:
-            for w in adj[v]:
+            for w in neighbours(v):
                 if w not in dist:
                     dist[w] = depth
                     next_frontier.append(w)
@@ -68,9 +79,9 @@ def bfs_distances_bounded(
     Vertices in ``skip`` are treated as deleted (never discovered nor
     expanded), except ``source`` itself, which is always seeded.
     """
-    adj = graph.adjacency()
-    if source not in adj:
+    if not graph.has_vertex(source):
         raise VertexNotFoundError(source)
+    neighbours = _neighbour_lookup(graph)
     dist = {source: 0}
     frontier = [source]
     depth = 0
@@ -78,7 +89,7 @@ def bfs_distances_bounded(
         depth += 1
         next_frontier = []
         for v in frontier:
-            for w in adj[v]:
+            for w in neighbours(v):
                 if w not in dist and w not in skip:
                     dist[w] = depth
                     next_frontier.append(w)
@@ -96,9 +107,9 @@ def bfs_with_parents(
     across all shortest paths from ``source``.  Used by the validation module
     to reason about the set ``P_G(source, v)`` of all shortest paths.
     """
-    adj = graph.adjacency()
-    if source not in adj:
+    if not graph.has_vertex(source):
         raise VertexNotFoundError(source)
+    neighbours = _neighbour_lookup(graph)
     dist = {source: 0}
     parents: dict[int, list[int]] = {source: []}
     frontier = [source]
@@ -107,7 +118,7 @@ def bfs_with_parents(
         depth += 1
         next_frontier = []
         for v in frontier:
-            for w in adj[v]:
+            for w in neighbours(v):
                 if w not in dist:
                     dist[w] = depth
                     parents[w] = [v]
@@ -139,22 +150,32 @@ def bidirectional_bfs(
     the first edge that reaches the other side closes a path of length
     exactly ``k + 1``: the search returns it at once.  It gives up once
     ``k + 1`` reaches ``bound``, and the level that would bring it there
-    only checks for a meeting, recording nothing.  On a snapshot graph
-    (which carries a frozen CSR and a ``skip`` mask), a frontier larger
-    than :data:`NUMPY_FRONTIER` switches the search for good to
-    level-synchronous numpy (:func:`_numpy_levels`).
+    only checks for a meeting, recording nothing.  A dict graph is
+    searched over its adjacency mapping.  A snapshot graph, which carries
+    a frozen CSR, is searched over the CSR's columns, and a frontier
+    larger than :data:`NUMPY_FRONTIER` switches that search for good to
+    level-synchronous numpy (:func:`_numpy_levels`), which takes over its
+    column sets as they are.
     """
-    adj = graph.adjacency()
-    if source not in adj:
-        raise VertexNotFoundError(source)
-    if target not in adj:
-        raise VertexNotFoundError(target)
+    csr = getattr(graph, "csr", None)
+    if csr is None:
+        adj = graph.adjacency()
+        if source not in adj:
+            raise VertexNotFoundError(source)
+        if target not in adj:
+            raise VertexNotFoundError(target)
+        mask = None
+    else:
+        # Search the columns instead: ids map to them, ``skip`` too.
+        adj = None
+        source, target = graph.column(source), graph.column(target)
+        mask, skip = graph.skip_columns(skip)
+        indptr, base_len, indices, delta, delta_count = graph.views
     if source == target:
         return 0 if bound > 0 else INF
     if bound <= 1:
         return INF
 
-    mask = graph.skip_mask(skip) if hasattr(graph, "skip_mask") else None
     seen_s = {source}
     seen_t = {target}
     frontier_s = [source]
@@ -168,22 +189,34 @@ def bidirectional_bfs(
             frontier, seen_own, seen_other = frontier_t, seen_t, seen_s
         if mask is not None and len(frontier) > NUMPY_FRONTIER:
             return _numpy_levels(
-                graph.csr, mask, bound, radius,
+                csr, mask, bound, radius,
                 [seen_s, seen_t], [frontier_s, frontier_t],
             )
         radius += 1
-        if radius + 1 >= bound:
-            # The last level: only a meeting can still beat ``bound``.
-            met = any(not seen_other.isdisjoint(adj[v]) for v in frontier)
-            return radius if met else INF
+        # The last level: only a meeting can still beat ``bound``.
+        last = radius + 1 >= bound
         next_frontier = []
         for v in frontier:
-            for w in adj[v]:
+            if adj is None:
+                # A column's live base slice, plus its delta list.
+                start = indptr[v]
+                row = indices[start : start + base_len[v]]
+                if delta_count[v]:
+                    row = [*row, *delta[v]]
+            else:
+                row = adj[v]
+            if last:
+                if not seen_other.isdisjoint(row):
+                    return radius
+                continue
+            for w in row:
                 if w in seen_other:
                     return radius
                 if w not in seen_own and w not in skip:
                     seen_own.add(w)
                     next_frontier.append(w)
+        if last:
+            return INF
         if seen_own is seen_s:
             frontier_s = next_frontier
         else:
@@ -192,8 +225,8 @@ def bidirectional_bfs(
     return INF
 
 
-#: Frontier size past which :func:`bidirectional_bfs` leaves its dict loop
-#: for numpy (64–128 measured safe on a web and a social graph).
+#: Frontier size past which :func:`bidirectional_bfs` leaves its column
+#: loop for numpy (64–128 measured safe on a web and a social graph).
 NUMPY_FRONTIER = 64
 
 _per_thread = threading.local()
@@ -218,15 +251,15 @@ def _numpy_levels(csr, mask, bound, radius, visited, frontiers) -> float:
     """The numpy phase of :func:`bidirectional_bfs`, from radius sum
     ``radius``; returns its answer.
 
-    Takes over the dict loop's per-side visited sets and frontiers
-    (source side first) and expands the side with the smaller degree
-    sum, under the same stopping rule; a position scatter drops
+    Takes over the scalar loop's per-side visited sets and frontiers of
+    columns (source side first) and expands the side with the smaller
+    degree sum, under the same stopping rule; a position scatter drops
     duplicates in linear time.
     """
     stamp, seen, position = _stamp_buffers(csr.num_vertices)
     for side in (0, 1):
-        seen[side][csr.indices(visited[side])] = stamp
-        frontiers[side] = csr.indices(frontiers[side])
+        seen[side][np.fromiter(visited[side], np.int64, len(visited[side]))] = stamp
+        frontiers[side] = np.array(frontiers[side], dtype=np.int64)
     while frontiers[0].size and frontiers[1].size:
         own = int(csr.degree_sum(frontiers[1]) < csr.degree_sum(frontiers[0]))
         neighbours = csr.gather_neighbours(frontiers[own])

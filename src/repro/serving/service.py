@@ -36,7 +36,7 @@ from repro.obs.log import get_logger, slow_threshold_ms
 from repro.obs.trace import obs_enabled, record_span
 from repro.serving.metrics import ServiceMetrics
 from repro.serving.snapshot import OracleSnapshot
-from repro.workloads.streams import UpdateEvent, valid_vertex_id
+from repro.workloads.streams import UpdateEvent
 
 __all__ = ["OracleService"]
 
@@ -329,18 +329,19 @@ class OracleService:
     def _apply_chunk(self, events: list[UpdateEvent]) -> bool:
         """Apply one drained chunk as a single engine batch.
 
-        Every event is validated once, against the edge state its
-        accepted predecessors in the chunk produce — the sequential
-        semantics of :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch`
-        — but rejected instead of raised: a delete of an edge inserted
-        earlier in the chunk is accepted (an insert-delete churn pair
-        cancels inside the engine), while a duplicate insert, self-loop,
+        The chunk is validated once, by
+        :meth:`~repro.core.dynamic.DynamicHCL.check_events`: every event
+        is checked against the edge state its accepted predecessors in
+        the chunk produce — the sequential semantics of
+        :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch` — but
+        rejected instead of raised: a delete of an edge inserted earlier
+        in the chunk is accepted (an insert-delete churn pair cancels
+        inside the engine), while a duplicate insert, self-loop,
         absent-edge delete or invalid vertex id is counted as rejected
-        *before* any graph mutation, so a wire client can never kill the
-        writer or leave side effects behind a rejected event.  Endpoints
-        of accepted inserts are registered up front because the batch
-        call validates against the live graph.  The accepted events then
-        go through exactly one ``apply_events_batch`` call.
+        *before* any mutation, so a wire client can never kill the
+        writer or leave side effects behind a rejected event.  The
+        accepted events then go through exactly one
+        ``apply_events_batch`` call, which does not check them again.
 
         If that call raises, graph and labelling may be out of sync: the
         service degrades (no further updates, last good snapshot keeps
@@ -351,36 +352,10 @@ class OracleService:
             self.metrics.count_rejected(len(events))
             return False
         oracle = self._oracle
-        graph = oracle.graph
         coalesce_start = perf_counter()
-        accepted: list[tuple[str, tuple[int, int]]] = []
-        state: dict[tuple[int, int], bool] = {}
-        rejected = 0
-        for event in events:
-            u, v = event.edge
-            if not valid_vertex_id(u) or not valid_vertex_id(v) or u == v:
-                rejected += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            present = state.get(key)
-            if present is None:
-                present = graph.has_edge(u, v)
-            if event.is_insert:
-                if present:
-                    rejected += 1
-                    continue
-                graph.add_vertex(u)
-                graph.add_vertex(v)
-                state[key] = True
-                accepted.append(("insert", (u, v)))
-            else:
-                if not present:
-                    rejected += 1
-                    continue
-                state[key] = False
-                accepted.append(("delete", (u, v)))
-        if rejected:
-            self.metrics.count_rejected(rejected)
+        accepted = oracle.check_events(events)
+        if accepted.errors:
+            self.metrics.count_rejected(len(accepted.errors))
         if not accepted:
             return True
         start = perf_counter()

@@ -5,16 +5,15 @@ repairs the labelling: a reader pins an :class:`OracleSnapshot` and every
 query against it sees the graph and labelling exactly as they stood at the
 snapshot's epoch — never a half-applied batch.
 
-The labelling is pinned as arrays (docs/DESIGN.md §7).  By Eq. (1) the
-update engine's dense ``d(r, ·)`` rows plus its label-membership mask
-*are* the labelling, so capturing a snapshot copies those two arrays of
-the landmarks the oracle maintains, and pins the landmark list, a frozen
-copy of the engine's CSR overlay and the graph's adjacency.  The graph
-parts are copy-on-write at row granularity
-(:meth:`~repro.graph.dynamic_graph.DynamicGraph.snapshot_adjacency`,
-:meth:`~repro.graph.dyncsr.DynCSR.freeze`): the writer copies any shared
-row before mutating it, so what a snapshot references is physically
-immutable for its whole lifetime.  Under CPython's GIL each published
+The labelling and the graph are pinned as arrays (docs/DESIGN.md §7).
+By Eq. (1) the update engine's dense ``d(r, ·)`` rows plus its
+label-membership mask *are* the labelling, so capturing a snapshot
+copies those two arrays of the landmarks the oracle maintains, and pins
+the landmark list and a frozen copy of the engine's CSR overlay, the
+oracle's one graph.  The frozen overlay is copy-on-write
+(:meth:`~repro.graph.dyncsr.DynCSR.freeze`): the writer copies a shared
+base array or delta list before mutating it, so what a snapshot
+references is physically immutable for its whole lifetime.  Under CPython's GIL each published
 reference is observed atomically, so readers on other threads never
 block and never tear.
 
@@ -22,8 +21,8 @@ A snapshot answers distances through the one kernel,
 :func:`repro.core.sharding.shard_query_distance`, sharded or not.  A
 landmark shard runs the bounded search only for the pairs it owns
 (:func:`repro.core.sharding.pair_owners`).  :class:`FrozenGraph`
-duck-types the read surface of the graph, so traversals and
-``save_oracle`` read a snapshot as they read the live oracle.
+answers the read surface of a graph from the frozen CSR, so traversals
+and ``save_oracle`` read a snapshot as they read the live oracle.
 """
 
 from __future__ import annotations
@@ -41,84 +40,98 @@ __all__ = ["FrozenGraph", "OracleSnapshot"]
 
 
 class FrozenGraph:
-    """Read-only point-in-time view of a :class:`DynamicGraph`.
+    """Read-only point-in-time view of an oracle's graph.
 
-    Duck-types the read surface of the graph (``adjacency``, ``neighbors``,
-    ``has_vertex``, …); offers no mutators.  ``csr`` is the frozen
-    :class:`~repro.graph.dyncsr.DynCSR` of the same epoch, which the
-    bounded search reads in its numpy phase.
+    Answers the read surface of a graph (``has_vertex``, ``has_edge``,
+    ``neighbors``, ``vertices``, ``edges``, ``degree``) from ``csr``, a
+    frozen :class:`~repro.graph.dyncsr.DynCSR`; offers no mutators.  The
+    bounded search reads the CSR's columns directly, and :meth:`copy`
+    detaches a :class:`~repro.graph.dynamic_graph.DynamicGraph` for the
+    reference kernels.
     """
 
-    __slots__ = ("_adj", "_num_edges", "csr", "_landmark_set", "_mask")
+    __slots__ = ("csr", "views", "_index_of", "_n", "_landmark_set", "_skip")
 
-    def __init__(
-        self,
-        adjacency: dict[int, list[int]],
-        num_edges: int,
-        csr,
-        landmark_set: frozenset[int],
-    ) -> None:
-        self._adj = adjacency
-        self._num_edges = num_edges
+    def __init__(self, csr, landmark_set: frozenset[int]) -> None:
         self.csr = csr
+        #: The CSR's scalar views, which the bounded search reads
+        #: (:meth:`~repro.graph.dyncsr.DynCSR.scalar_views`).
+        self.views = csr.scalar_views()
+        # The live, append-only id map: a column ``>= n`` is a vertex
+        # added after this view.
+        self._index_of = csr.index_of()
+        self._n = csr.num_vertices
         self._landmark_set = landmark_set
-        mask = np.zeros(csr.num_vertices, dtype=bool)
-        mask[csr.indices(landmark_set)] = True
-        self._mask = mask
+        self._skip = self._columns(landmark_set)
 
-    def skip_mask(self, skip) -> np.ndarray | None:
-        """Bool mask of ``skip`` over the columns of :attr:`csr` if ``skip``
-        is the landmark set it was built for, else ``None``."""
-        return self._mask if skip is self._landmark_set else None
+    def skip_columns(self, skip) -> tuple[np.ndarray, frozenset[int]]:
+        """``skip`` over the columns of :attr:`csr`, as a bool mask and as
+        a set: kept for the landmark set, built for any other ``skip``."""
+        if skip is self._landmark_set:
+            return self._skip
+        return self._columns(skip)
+
+    def _columns(self, vertices) -> tuple[np.ndarray, frozenset[int]]:
+        columns = frozenset(self.column(v) for v in vertices if self.has_vertex(v))
+        mask = np.zeros(self._n, dtype=bool)
+        mask[list(columns)] = True
+        return mask, columns
+
+    def column(self, v: int) -> int:
+        """The CSR column of vertex ``v``."""
+        i = self._index_of.get(v, self._n)
+        if i >= self._n:
+            raise VertexNotFoundError(v)
+        return i
 
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return self.csr.num_vertices
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return self.csr.num_edges
 
     def has_vertex(self, v: int) -> bool:
-        return v in self._adj
+        return self._index_of.get(v, self._n) < self._n
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self._adj.get(u)
-        return nbrs is not None and v in nbrs
+        return self.csr.has_edge(u, v)
 
     def vertices(self) -> Iterator[int]:
-        return iter(self._adj)
+        return iter(self.csr.ids.tolist())
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in self._adj.items():
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        """Each edge once, as ``(u, v)`` with ``u < v``."""
+        csr = self.csr
+        ids = csr.ids
+        sources, targets = csr.gather(np.arange(csr.num_vertices))
+        us, vs = ids[sources], ids[targets]
+        keep = us < vs
+        return zip(us[keep].tolist(), vs[keep].tolist())
 
     def neighbors(self, v: int) -> list[int]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise VertexNotFoundError(v) from None
+        csr = self.csr
+        return csr.ids[csr.neighbors_compact(self.column(v))].tolist()
 
     def degree(self, v: int) -> int:
-        try:
-            return len(self._adj[v])
-        except KeyError:
-            raise VertexNotFoundError(v) from None
+        return len(self.csr.neighbors_compact(self.column(v)))
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Raw adjacency mapping (read-only) for the traversal hot loops."""
-        return self._adj
+    def copy(self):
+        """A detached, mutable :class:`~repro.graph.dynamic_graph.DynamicGraph`
+        of this view (vertices and neighbour lists in sorted order)."""
+        from repro.graph.dynamic_graph import DynamicGraph
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
+        ids, _, indptr, indices = self.csr.canonical()
+        return DynamicGraph.from_csr(ids.tolist(), indptr, indices)
+
+    __contains__ = has_vertex
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return self.csr.num_vertices
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FrozenGraph(|V|={len(self._adj)}, |E|={self._num_edges})"
+        return f"FrozenGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
 
 
 class OracleSnapshot:
@@ -176,15 +189,13 @@ class OracleSnapshot:
     def capture(cls, oracle) -> "OracleSnapshot":
         """Freeze ``oracle`` at its current version (single-writer only:
         must be called from the thread that applies updates)."""
-        graph = oracle.graph
-        adjacency = graph.snapshot_adjacency()
         landmarks = list(oracle.landmarks)
         landmark_set = frozenset(landmarks)
         dist, entry, csr = oracle.frozen_rows()
         owned = oracle.owned_landmarks
         return cls(
             oracle.version,
-            FrozenGraph(adjacency, graph.num_edges, csr, landmark_set),
+            FrozenGraph(csr, landmark_set),
             landmarks,
             landmark_set,
             (dist, csr.index_of()),

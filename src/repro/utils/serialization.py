@@ -200,13 +200,7 @@ def save_oracle(oracle, path: str | os.PathLike, meta: dict | None = None) -> No
     leaves the previous file intact and no temporary behind.
     """
     rows, csr, dist, entry = oracle.checkpoint_rows()
-    graph = oracle.graph
-    ids = None
-    if graph.num_vertices != csr.num_vertices:
-        # Vertices registered on the graph but not yet on the overlay
-        # (isolated ones pre-registered by the service): UNREACH, no entry.
-        ids = np.array(sorted(graph.vertices()), dtype=np.int64)
-    ids, col, indptr, indices = csr.canonical(ids)
+    ids, col, indptr, indices = csr.canonical()
     shape = (len(rows), len(ids))
     out_dist = np.full(shape, UNREACH, dtype=np.int32)
     out_dist[:, col] = dist
@@ -400,10 +394,9 @@ def _check_rows(path, rows, row_cols, sources, neighbours, dist, entry) -> None:
 
 
 def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry):
-    """Validate the decoded records, then build the graph and attach the
-    oracle's engine from the stored rows."""
+    """Validate the decoded records, then attach the oracle's engine from
+    the stored rows over the stored CSR, which becomes its graph."""
     from repro.core.dynamic import DynamicHCL
-    from repro.graph.dynamic_graph import DynamicGraph
     from repro.graph.dyncsr import DynCSR
 
     sources, neighbours = _check_graph(path, ids, indptr, indices)
@@ -419,12 +412,10 @@ def _oracle_from_arrays(path, landmarks, rows, ids, indptr, indices, dist, entry
     if entry[:, landmark_cols].any():
         fail(path, "label entry in a landmark's column")
     _check_rows(path, rows, row_cols, sources, neighbours, dist, entry)
-    del sources  # before the graph build, which sets the peak RSS
+    del sources
 
-    graph = DynamicGraph.from_csr(ids.tolist(), indptr, indices)
     dyn = DynCSR.from_arrays(ids, indptr, neighbours)
     return DynamicHCL.from_rows(
-        graph,
         landmarks,
         (dyn, dist, entry),
         owned_landmarks=None if rows == landmarks else rows,

@@ -48,9 +48,10 @@ DELETE = "delete"
 
 
 def valid_vertex_id(x) -> bool:
-    """Whether ``x`` may name a vertex (checked *before* any graph
+    """Whether ``x`` may name a vertex: an int in ``[0, 2**63)``, the
+    range of the int64 ids the graph stores (checked *before* any graph
     mutation, so a half-valid event can never leave side effects)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2**63
 
 
 @dataclass(frozen=True)

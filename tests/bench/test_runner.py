@@ -71,8 +71,8 @@ class TestTiming:
         for u, v in sample_edge_insertions(graph, 3, rng=2):
             stats = insert(u, v)
             assert stats.phases == {}  # only the engine reports phases
-            assert hl.graph.has_edge(u, v)
-        assert engine.dyn.num_edges < hl.graph.num_edges  # never ran
-        check_matches_rebuild(hl.graph, insert.labelling)
+            assert insert.graph.has_edge(u, v)
+        assert engine.dyn.num_edges < insert.graph.num_edges  # never ran
+        check_matches_rebuild(insert.graph, insert.labelling)
         updated = insert.oracle()
         assert updated.labelling == insert.labelling

@@ -109,6 +109,25 @@ def test_invalid_writes_never_reach_the_log(cluster):
     assert fleet.log.head == 0  # the partially-bad batch appended nothing
 
 
+def test_vertex_id_beyond_int64_never_reaches_the_log(cluster):
+    """Replicas store ids as int64, so a larger id is refused before the
+    WAL append: logged, it would degrade every replica on apply and again
+    on every replay."""
+    fleet, client = cluster
+    for u, v in ((0, 2**63), (2**64 + 1, 3)):
+        response = client.request(
+            {"op": "update", "kind": "insert", "u": u, "v": v}
+        )
+        assert not response["ok"]
+        assert response["error"] == (
+            f"invalid edge ({u!r}, {v!r}); nothing was logged"
+        )
+    assert fleet.log.head == 0
+    assert client.update("insert", 0, 15)["ok"]
+    _drain(client)
+    assert client.query(0, 15) == 1
+
+
 @pytest.mark.parametrize(
     "request_",
     [

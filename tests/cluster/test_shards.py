@@ -25,7 +25,6 @@ from repro.cluster import (
     write_checkpoint,
 )
 from repro.core.dynamic import DynamicHCL
-from repro.core.sharding import reassemble_labellings, restrict_labelling
 from repro.exceptions import ReproError
 from repro.graph.generators import barabasi_albert, ring_of_cliques
 from repro.graph.traversal import bfs_distances
@@ -38,6 +37,7 @@ from tests.cluster.test_mixed_convergence import (
     labelling_bytes,
     sequential_replay,
 )
+from tests.shard_labellings import reassemble_labellings, restrict_labelling
 
 
 # ----------------------------------------------------------------------

@@ -30,10 +30,24 @@ class TestBuild:
         with pytest.raises(GraphError):
             DynamicHCL.build(grid_graph(2, 2), num_landmarks=1, strategy="nope")
 
-    def test_graph_is_shared_by_reference(self):
+    def test_build_input_graph_is_not_mutated(self):
+        """The oracle's graph is its engine's CSR: updates leave the
+        graph passed to ``build`` as it was, ``oracle.graph`` is a
+        read-only view at the current version, and its ``copy()`` is a
+        detached dict graph."""
         g = grid_graph(3, 3)
         oracle = DynamicHCL.build(g, num_landmarks=1)
-        assert oracle.graph is g
+        oracle.insert_edge(0, 8)
+        oracle.remove_edge(0, 1)
+        assert g.has_edge(0, 1) and not g.has_edge(0, 8)
+        view = oracle.graph
+        assert view.has_edge(0, 8) and not view.has_edge(0, 1)
+        assert not hasattr(view, "add_edge")
+        detached = view.copy()
+        assert isinstance(detached, DynamicGraph)
+        assert sorted(detached.edges()) == sorted(view.edges())
+        detached.add_edge(0, 1)
+        assert not oracle.graph.has_edge(0, 1)
 
 
 class TestQueries:
@@ -71,13 +85,13 @@ class TestUpdates:
         stats_list = oracle.insert_vertex(100, [0, 8])
         assert len(stats_list) == 2
         assert oracle.query(100, 4) == 3  # 100-0-1-4 (or 100-8-5-4)
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_insert_isolated_vertex(self):
         oracle = DynamicHCL.build(grid_graph(2, 2), landmarks=[0])
         oracle.insert_vertex(50, [])
         assert oracle.query(50, 0) == INF
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     @pytest.mark.parametrize("neighbors", [[1, 1], [1, 99], [100]])
     def test_bad_vertex_insertion_is_atomic(self, neighbors):
@@ -103,7 +117,7 @@ class TestUpdates:
         assert oracle.query(2, 6) == 1
         oracle.remove_edge(2, 6)
         assert oracle.query(2, 6) == d_before
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_size_accounting_stable_under_updates(self):
         """IncHL+ keeps sizes minimal: after random updates, size equals
@@ -113,7 +127,7 @@ class TestUpdates:
 
         rng = random.Random(5)
         g = random_connected_graph(77, n_max=20)
-        oracle = DynamicHCL.build(g, num_landmarks=3)
+        oracle = DynamicHCL.build(g.copy(), num_landmarks=3)
         for _ in range(10):
             candidates = [
                 (u, v)
@@ -125,6 +139,7 @@ class TestUpdates:
                 break
             u, v = rng.choice(candidates)
             oracle.insert_edge(u, v)
+            g.add_edge(u, v)
         from repro.core.construction import build_hcl
 
         fresh = build_hcl(g, oracle.landmarks)
@@ -136,11 +151,12 @@ class TestUpdates:
 
         rng = random.Random(17)
         g = random_connected_graph(123, n_max=18)
-        oracle = DynamicHCL.build(g, num_landmarks=2)
+        oracle = DynamicHCL.build(g.copy(), num_landmarks=2)
         for step in range(12):
             if step % 3 == 2 and g.num_edges > 1:
                 u, v = rng.choice(list(g.edges()))
                 oracle.remove_edge(u, v)
+                g.remove_edge(u, v)
             else:
                 candidates = [
                     (u, v)
@@ -152,4 +168,5 @@ class TestUpdates:
                     continue
                 u, v = rng.choice(candidates)
                 oracle.insert_edge(u, v)
+                g.add_edge(u, v)
         check_query_exactness(g, oracle.labelling, num_pairs=60, rng=rng)

@@ -42,14 +42,14 @@ class TestBatchInsert:
         for a, b in batch:
             assert oracle.graph.has_edge(a, b)
             assert oracle.query(a, b) == 1
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_batch_equals_sequential_facade(self):
         seed = 61
         batch_oracle = make_oracle(seed)
         seq_oracle = DynamicHCL(
             batch_oracle.graph.copy(),
-            build_hcl(batch_oracle.graph, batch_oracle.landmarks),
+            build_hcl(batch_oracle.graph.copy(), batch_oracle.landmarks),
         )
         g_ref = batch_oracle.graph.copy()
         reference = build_hcl(g_ref, batch_oracle.landmarks)
@@ -92,7 +92,7 @@ class TestRemoveEdge:
         stats = oracle.remove_edge(*edge)
         assert not oracle.graph.has_edge(*edge)
         assert hasattr(stats, "affected_per_landmark")
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_rebuild_strategy(self):
         """The coarse per-landmark rebuild kernel, run on a copy of the
@@ -132,7 +132,7 @@ class TestRemoveVertex:
         )
         oracle.remove_vertex(victim)
         assert not oracle.graph.has_vertex(victim)
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_remove_landmark_vertex_requires_demotion(self):
         oracle = make_oracle(seed=82, num_landmarks=2)
@@ -142,7 +142,7 @@ class TestRemoveVertex:
         oracle.remove_landmark(landmark)
         oracle.remove_vertex(landmark)
         assert not oracle.graph.has_vertex(landmark)
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
 
 class TestLandmarkMaintenance:
@@ -156,7 +156,7 @@ class TestLandmarkMaintenance:
         )
         oracle.add_landmark(extra)
         assert extra in oracle.labelling.landmark_set
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
         oracle.remove_landmark(extra)
         assert oracle.labelling == snapshot
 

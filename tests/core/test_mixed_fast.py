@@ -127,7 +127,7 @@ class TestEngineMixed:
         assert stats.batch_size == 0
         assert oracle.version == version + 2
         assert oracle.graph.has_edge(0, 1)
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_oracle_mixed_batch_matches_slow_route(self):
         for seed in (11, 12):
@@ -200,7 +200,7 @@ class TestEngineMixed:
             oracle.apply_events_batch([("frob", (0, 1))])  # kind
         assert sorted(oracle.graph.edges()) == edges_before
         assert oracle.version == version
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
     def test_long_churn_stream_stays_exact(self):
         graph = random_connected_graph(99, n_min=18, n_max=26, density=2.0)

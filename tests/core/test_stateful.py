@@ -24,7 +24,11 @@ from tests.conftest import reference_bfs
 
 
 class DynamicOracleMachine(RuleBasedStateMachine):
-    """The oracle must behave exactly like BFS on the evolving graph."""
+    """The oracle must behave exactly like BFS on the evolving graph.
+
+    ``self.graph`` is a reference dict graph that every rule mutates
+    alongside the oracle, which keeps its own graph as a CSR.
+    """
 
     @initialize(seed=st.integers(0, 10_000))
     def setup(self, seed):
@@ -36,7 +40,7 @@ class DynamicOracleMachine(RuleBasedStateMachine):
         )
         self.rng = rng
         k = rng.randint(1, 3)
-        self.oracle = DynamicHCL.build(self.graph, num_landmarks=k)
+        self.oracle = DynamicHCL.build(self.graph.copy(), num_landmarks=k)
         self.next_vertex = n
         self.steps = 0
 
@@ -56,6 +60,7 @@ class DynamicOracleMachine(RuleBasedStateMachine):
             return
         u, v = self.rng.choice(candidates)
         self.oracle.insert_edge(u, v)
+        self.graph.add_edge(u, v)
         self.steps += 1
 
     @rule()
@@ -65,6 +70,7 @@ class DynamicOracleMachine(RuleBasedStateMachine):
             return
         u, v = self.rng.choice(edges)
         self.oracle.remove_edge(u, v)
+        self.graph.remove_edge(u, v)
         self.steps += 1
 
     @rule(degree=st.integers(1, 3))
@@ -72,6 +78,7 @@ class DynamicOracleMachine(RuleBasedStateMachine):
         vs = list(self.graph.vertices())
         neighbors = self.rng.sample(vs, min(degree, len(vs)))
         self.oracle.insert_vertex(self.next_vertex, neighbors)
+        self.graph.insert_vertex(self.next_vertex, neighbors)
         self.next_vertex += 1
         self.steps += 1
 
@@ -82,6 +89,8 @@ class DynamicOracleMachine(RuleBasedStateMachine):
             return
         batch = self.rng.sample(candidates, count)
         self.oracle.insert_edges_batch(batch)
+        for u, v in batch:
+            self.graph.add_edge(u, v)
         self.steps += 1
 
     @rule()
@@ -93,7 +102,9 @@ class DynamicOracleMachine(RuleBasedStateMachine):
         ]
         if len(candidates) <= 3:
             return
-        self.oracle.remove_vertex(self.rng.choice(candidates))
+        v = self.rng.choice(candidates)
+        self.oracle.remove_vertex(v)
+        self.graph.remove_vertex(v)
         self.steps += 1
 
     @rule()
@@ -141,6 +152,8 @@ class DynamicOracleMachine(RuleBasedStateMachine):
     @invariant()
     def labelling_is_canonical(self):
         if getattr(self, "steps", 0) > 0:
+            assert sorted(self.oracle.graph.edges()) == sorted(self.graph.edges())
+            assert self.oracle.graph.num_vertices == self.graph.num_vertices
             check_matches_rebuild(self.graph, self.oracle.labelling)
             self.steps = 0  # only re-verify after mutations
 

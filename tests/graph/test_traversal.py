@@ -169,7 +169,7 @@ class TestBoundedSearchWork:
     an inclusive search, which had to expand the level holding the paths
     of length exactly ``bound``.  On a path the search reads one row (or
     gathers one frontier vertex) per level, so the counts pin the
-    stopping rule of the dict loop and of the numpy phase."""
+    stopping rule of the dict loop, the column loop and the numpy phase."""
 
     LENGTH = 8
 
@@ -187,6 +187,24 @@ class TestBoundedSearchWork:
         graph = _CountingGraph(long_path)
         assert bidirectional_bfs(graph, 0, self.LENGTH, bound=bound) == expected
         assert graph.adj.reads == levels
+
+    @pytest.mark.parametrize(
+        "bound, expected, levels",
+        [(LENGTH, INF, LENGTH - 1), (LENGTH + 1, LENGTH, LENGTH)],
+    )
+    def test_column_loop_levels(self, long_path, bound, expected, levels):
+        from repro.core.dynamic import DynamicHCL
+
+        snap = DynamicHCL.build(long_path, landmarks=[9]).snapshot()
+        graph = snap.graph
+        indptr, *rest = graph.views
+        reads = _RowCounter(enumerate(indptr))
+        graph.views = (reads, *rest)
+        got = bidirectional_bfs(
+            graph, 0, self.LENGTH, bound=bound, skip=snap.landmark_set
+        )
+        assert got == expected
+        assert reads.reads == levels
 
     @pytest.mark.parametrize(
         "bound, expected, levels",

@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster.shards import ShardPlan, make_shard_oracle
 from repro.core.dynamic import DynamicHCL
-from repro.core.sharding import reassemble_labellings
 from repro.graph.traversal import bfs_distances
 from repro.landmarks.selection import top_degree_landmarks
 from repro.utils.serialization import save_labelling
@@ -29,6 +28,7 @@ from tests.proptest.strategies import (
     mixed_event_stream,
     random_graph,
 )
+from tests.shard_labellings import reassemble_labellings
 
 FAMILIES = sorted(GRAPH_FAMILIES)
 SEEDS = [101, 202]

@@ -215,6 +215,82 @@ def test_mixed_chunk_rejects_without_side_effects():
         assert service.snapshot.query(4, v) == table.get(v, INF)
 
 
+def test_chunk_is_validated_once(monkeypatch):
+    """A chunk holding a duplicate insert, an absent delete, a self-loop,
+    an invalid id and an insert-then-delete pair: the rejected events are
+    counted, the accepted ones reach ``apply_events_batch`` in one call
+    whose ``len`` is the accepted count, the published snapshot equals a
+    reference graph replayed from the accepted events, and the whole
+    chunk costs one edge-state lookup per distinct edge, never more than
+    one per event."""
+    from repro.graph.dyncsr import DynCSR
+
+    oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
+    events = [
+        UpdateEvent("insert", (0, 8)),
+        UpdateEvent("insert", (8, 0)),         # duplicate insert
+        UpdateEvent("delete", (0, 7)),         # absent delete
+        UpdateEvent("insert", (3, 3)),         # self-loop
+        UpdateEvent("insert", (2, 2**63)),     # invalid id
+        UpdateEvent("insert", (2, 6)),
+        UpdateEvent("delete", (6, 2)),         # cancels the insert above
+        UpdateEvent("delete", (0, 1)),
+    ]
+    lookups = []
+    has_edge = DynCSR.has_edge
+
+    def counting_has_edge(self, u, v):
+        lookups.append((u, v))
+        return has_edge(self, u, v)
+
+    monkeypatch.setattr(DynCSR, "has_edge", counting_has_edge)
+    batches = []
+    apply = oracle.apply_events_batch
+
+    def recording_apply(batch):
+        batches.append(len(batch))
+        return apply(batch)
+
+    oracle.apply_events_batch = recording_apply
+    service = OracleService(oracle, max_batch=32)
+    service.submit_many(events)
+    with service:
+        service.flush()
+        stats = service.stats()
+    assert stats["events_applied"] == 4
+    assert stats["events_rejected"] == 4
+    assert batches == [4]
+    assert len(lookups) == 4 <= len(events)  # (0,8), (0,7), (2,6), (0,1)
+    reference = grid_graph(3, 3)
+    reference.add_edge(0, 8)
+    reference.remove_edge(0, 1)
+    snap = service.snapshot
+    assert snap.epoch == 4
+    assert sorted(snap.graph.edges()) == sorted(reference.edges())
+    assert snap.num_vertices == reference.num_vertices
+    for u in reference.vertices():
+        table = bfs_distances(reference, u)
+        for v in reference.vertices():
+            assert snap.query(u, v) == table.get(v, INF), (u, v)
+
+
+def test_vertex_id_beyond_int64_is_rejected_and_service_stays_healthy():
+    """The graph stores ids as int64: an id of 2**63 or more is rejected
+    up front like any invalid id, and the service keeps applying."""
+    oracle = DynamicHCL.build(grid_graph(3, 3), landmarks=[4])
+    with OracleService(oracle) as service:
+        service.submit(UpdateEvent("insert", (0, 2**63)))
+        service.flush()
+        service.submit(UpdateEvent("insert", (0, 8)))
+        service.flush()
+        assert service.degraded is None
+        stats = service.stats()
+        assert service.query(0, 8) == 1
+    assert stats["events_rejected"] == 1
+    assert stats["events_applied"] == 1
+    assert not oracle.graph.has_vertex(2**63)
+
+
 def test_chunk_boundary_epochs_advance_by_accepted_events():
     """Epoch bookkeeping across chunk boundaries: every *accepted* event
     advances the published epoch by exactly one (mixed batches stamp

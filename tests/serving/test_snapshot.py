@@ -124,7 +124,7 @@ def test_snapshot_pinned_across_vertex_insertion():
     oracle = _build(seed=19)
     frozen_copy = oracle.graph.copy()
     snap = oracle.snapshot()
-    fresh = oracle.graph.max_vertex_id() + 1
+    fresh = max(oracle.graph.vertices()) + 1
     oracle.insert_vertex(fresh, list(oracle.graph.vertices())[:2])
     assert not snap.graph.has_vertex(fresh)
     _assert_matches_reference(snap, frozen_copy)

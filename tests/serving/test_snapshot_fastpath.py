@@ -75,7 +75,7 @@ class TestSnapshotVsFastWrites:
         pairs = [(vertices[0], v) for v in vertices[1:8]]
         snap = oracle.snapshot()
         before = frozen_answers(snap, pairs)
-        oracle.insert_edges_batch(non_edges(graph)[:8])
+        oracle.insert_edges_batch(non_edges(oracle.graph)[:8])
         assert frozen_answers(snap, pairs) == before
 
     def test_multiple_epochs_stay_independent(self):
@@ -141,7 +141,7 @@ class TestWriterInterleaving:
         final = oracle.snapshot()
         verts = sorted(graph.vertices())
         u = verts[0]
-        ref = bfs_distances(graph, u)
+        ref = bfs_distances(oracle.graph, u)
         for v in verts[1:10]:
             assert final.query(u, v) == ref.get(v, float("inf"))
 

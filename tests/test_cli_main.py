@@ -104,7 +104,7 @@ class TestUpdates:
         assert not restored.graph.has_edge(u, v)
         from repro.core.validation import check_matches_rebuild
 
-        check_matches_rebuild(restored.graph, restored.labelling)
+        check_matches_rebuild(restored.graph.copy(), restored.labelling)
 
 
 class TestStats:

@@ -95,7 +95,7 @@ class TestMixedStream:
         records = replay(oracle, events)
         assert len(records) == 8
         assert all(r.seconds >= 0 for r in records)
-        check_matches_rebuild(oracle.graph, oracle.labelling)
+        check_matches_rebuild(oracle.graph.copy(), oracle.labelling)
 
 
 class TestDensificationStream:

@@ -10,7 +10,9 @@ reference labelling maintained by calling the paper's kernels directly
 after every op:
 
 * oracle labelling == reference labelling (byte-identity);
-* sampled distance queries == BFS ground truth;
+* the oracle's graph (its engine's CSR) has exactly the reference
+  graph's edges;
+* sampled distance queries == BFS ground truth on the reference graph;
 * the labelling equals a from-scratch minimal rebuild at the end.
 
 Every round also replays the same op sequence through an
@@ -185,7 +187,7 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
     ref_graph = base_graph.copy()
     ref = build_hcl(ref_graph, list(landmarks))
     for step, op in enumerate(ops):
-        if not _applicable(fast.graph, set(fast.landmarks), op):
+        if not _applicable(ref_graph, set(fast.landmarks), op):
             continue
         kind = op[0]
         if kind == "insert":
@@ -198,20 +200,20 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
                 ref_graph.add_edge(u, v)
             apply_edge_insertions_batch(ref_graph, ref, edges)
         elif kind == "delete":
-            if fast.graph.has_edge(op[1], op[2]):
+            if ref_graph.has_edge(op[1], op[2]):
                 fast.remove_edge(op[1], op[2])
                 replay_events(ref_graph, ref, [("delete", (op[1], op[2]))])
             else:
                 # Delete of a non-existent edge: both sides must raise a
                 # clean library error, leaving graph + labelling untouched
-                # (the oracle raises GraphError from the graph, DecHL
-                # InvariantViolationError).
+                # (the oracle raises EdgeNotFoundError from its batch
+                # check, DecHL InvariantViolationError).
                 for name, graph, delete in (
-                    ("oracle", fast.graph, fast.remove_edge),
-                    ("DecHL", ref_graph,
+                    ("oracle", lambda: fast.graph, fast.remove_edge),
+                    ("DecHL", lambda: ref_graph,
                      lambda u, v: apply_edge_deletion_partial(ref_graph, ref, u, v)),
                 ):
-                    edges_before = graph.num_edges
+                    edges_before = graph().num_edges
                     try:
                         delete(op[1], op[2])
                     except ReproError:
@@ -221,7 +223,7 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
                             f"{name}: absent-edge delete did not raise at "
                             f"step {step}: {op}"
                         )
-                    if graph.num_edges != edges_before:
+                    if graph().num_edges != edges_before:
                         raise FuzzFailure(
                             f"{name}: absent-edge delete mutated the graph "
                             f"at step {step}: {op}"
@@ -235,17 +237,21 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
             add_landmark(ref_graph, ref, op[1])
         if fast.labelling != ref:
             raise FuzzFailure(f"oracle != paper kernels after step {step}: {op}")
-        vertices = sorted(fast.graph.vertices())
+        if sorted(fast.graph.edges()) != sorted(ref_graph.edges()):
+            raise FuzzFailure(
+                f"oracle graph != reference graph after step {step}: {op}"
+            )
+        vertices = sorted(ref_graph.vertices())
         for _ in range(query_samples):
             u, v = rng.sample(vertices, 2)
-            expected = bfs_distances(fast.graph, u).get(v, float("inf"))
+            expected = bfs_distances(ref_graph, u).get(v, float("inf"))
             got = fast.query(u, v)
             if got != expected:
                 raise FuzzFailure(
                     f"query({u}, {v}) = {got} != BFS {expected} after step "
                     f"{step}: {op}"
                 )
-    rebuilt = build_hcl(fast.graph, fast.landmarks)
+    rebuilt = build_hcl(ref_graph, fast.landmarks)
     if fast.labelling != rebuilt:
         raise FuzzFailure("final labelling differs from from-scratch rebuild")
 
