@@ -4,14 +4,14 @@ A full reproduction of *"Efficient Maintenance of Distance Labelling for
 Incremental Updates in Large Dynamic Graphs"* (Farhan & Wang, EDBT 2021):
 
 * :class:`~repro.core.dynamic.DynamicHCL` — the maintained highway cover
-  labelling with IncHL+ edge/vertex insertions and exact queries;
+  labelling with IncHL+ edge/vertex insertions and exact queries; its
+  construction sweeps and landmark-stacked update kernels live in
+  :mod:`repro.core.sweeps`;
 * :mod:`repro.baselines` — IncPLL (Akiba et al. 2014), IncFD (Hayashi et
   al. 2016) and online BFS comparators;
 * :mod:`repro.graph` — the dynamic graph substrate and synthetic network
   generators standing in for the paper's 12 datasets;
 * :mod:`repro.workloads` — update/query workloads and the dataset registry;
-* :mod:`repro.parallel` — the per-landmark sweep kernels behind
-  construction, batch updates and rebuilds;
 * :mod:`repro.serving` — the snapshot-isolated concurrent query service
   (single-writer update loop, epoch-versioned read snapshots, TCP
   front-end via ``python -m repro serve``);

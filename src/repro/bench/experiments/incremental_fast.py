@@ -11,7 +11,7 @@ oracles over identical graph copies:
   (DynCSR overlay + dense old-distance rows + numpy level kernels);
 
 plus a third **fast-batch** replay applying the same stream in Figure-4
-batch chunks through one kernel sweep per landmark.  Every replay's final
+batch chunks through one stacked kernel sweep per chunk.  Every replay's final
 labelling is checked for equality against the python reference before
 timings are accepted (the fast path's byte-identity contract), and the
 per-update latency distribution (mean / p50 / p95) is recorded so tail

@@ -164,6 +164,9 @@ class ClusterRouter(LineServer):
         )
         self._log = log
         self._links: dict[str, _ReplicaLink] = {}
+        #: The links by name, per shard group and under ``-1`` for all of
+        #: them; rebuilt whenever ``_links`` gains or loses a member.
+        self._members: dict[int, list[_ReplicaLink]] = {}
         self._fanout_batch = fanout_batch
         self._read_timeout = read_timeout
         self._apply_timeout = apply_timeout
@@ -341,6 +344,7 @@ class ClusterRouter(LineServer):
             return
         link = _ReplicaLink(name, host, port, shard=shard)
         self._links[name] = link
+        self._rebuild_members()
         link.pump_task = asyncio.get_running_loop().create_task(
             self._pump(link, link.generation), name=f"pump-{name}"
         )
@@ -363,7 +367,14 @@ class ClusterRouter(LineServer):
         link = self._links.pop(name, None)
         if link is None:
             return
+        self._rebuild_members()
         await self._retire_link(link)
+
+    def _rebuild_members(self) -> None:
+        ordered = sorted(self._links.values(), key=lambda link: link.name)
+        self._members = {-1: ordered}
+        for link in ordered:
+            self._members.setdefault(link.shard, []).append(link)
 
     async def _readdress(self, link: _ReplicaLink, host: str, port: int) -> None:
         await self._retire_link(link)
@@ -622,12 +633,12 @@ class ClusterRouter(LineServer):
                 "distance": _min_distance([r.get("distance") for r in responses]),
                 "epoch": epoch,
             }
-        columns = zip(*(r.get("distances") or [] for r in responses))
-        return {
-            "ok": True,
-            "distances": [_min_distance(column) for column in columns],
-            "epoch": epoch,
-        }
+        rows = [r.get("distances") or [] for r in responses]
+        if any(None in row for row in rows):
+            distances = [_min_distance(column) for column in zip(*rows)]
+        else:
+            distances = list(map(min, *rows))
+        return {"ok": True, "distances": distances, "epoch": epoch}
 
     async def _read(
         self, line: bytes, min_epoch: int, deadline: float, groups
@@ -731,20 +742,13 @@ class ClusterRouter(LineServer):
         """The next caught-up healthy replica (of one shard group when
         ``shard`` is given), parking until a pump ack when none is; the
         caller's deadline bounds the wait."""
+        cursor_key = -1 if shard is None else shard
         while True:
-            members = sorted(
-                (
-                    link
-                    for link in self._links.values()
-                    if shard is None or link.shard == shard
-                ),
-                key=lambda link: link.name,
-            )
             # Fair rotation: the cursor names a position in the *stable*
             # sorted membership, not an offset into the per-call eligible
             # subset — so replicas that flicker in and out of eligibility
             # no longer skew selection toward their neighbours.
-            cursor_key = -1 if shard is None else shard
+            members = self._members.get(cursor_key, ())
             cursor = self._rr.get(cursor_key, 0)
             head = self._log.head
             picked = None

@@ -16,7 +16,7 @@ depends only on the DAG, not on processing order) — matching the labelling's
 order-independence property.
 
 The per-landmark BFS kernel itself lives in
-:func:`repro.parallel.sweeps.landmark_sweep`; each sweep is merged into the
+:func:`repro.core.sweeps.landmark_sweep`; each sweep is merged into the
 shared stores in landmark order.
 """
 
@@ -28,7 +28,7 @@ from repro.core.highway import Highway
 from repro.core.labelling import HighwayCoverLabelling
 from repro.core.labels import LabelStore
 from repro.exceptions import GraphError, VertexNotFoundError
-from repro.parallel.sweeps import landmark_sweep, merge_sweep
+from repro.core.sweeps import landmark_sweep, merge_sweep
 
 __all__ = ["build_hcl"]
 

@@ -9,7 +9,7 @@ implementation builds billion-edge labellings offline, and this module is
 what lets the Python reproduction build its scaled stand-ins (tens of
 thousands of vertices, |R| up to 60) in seconds rather than minutes.
 
-The numpy kernel lives in :func:`repro.parallel.sweeps.csr_landmark_sweep`
+The numpy kernel lives in :func:`repro.core.sweeps.csr_landmark_sweep`
 (cover flags propagate as a scatter over the frontier adjacency); each
 sweep writes one landmark's dense distance row and label-membership mask,
 and :meth:`~repro.core.labelling.HighwayCoverLabelling.from_rows` turns
@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.labelling import HighwayCoverLabelling
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.csr import CSRGraph
-from repro.parallel.sweeps import csr_landmark_sweep
+from repro.core.sweeps import csr_landmark_sweep
 
 __all__ = ["build_hcl_fast", "build_hcl_fast_rows"]
 

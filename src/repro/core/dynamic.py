@@ -9,21 +9,20 @@ repository's extensions:
 * :meth:`DynamicHCL.insert_edge` — IncHL+ edge insertion (Section 4);
 * :meth:`DynamicHCL.insert_vertex` — vertex insertion, decomposed into edge
   insertions (Section 3);
-* :meth:`DynamicHCL.insert_edges_batch` — one find/repair sweep per
-  landmark for a whole burst of insertions;
+* :meth:`DynamicHCL.insert_edges_batch` — one find and one repair
+  pass, over every landmark at once, for a whole burst of insertions;
 * :meth:`DynamicHCL.remove_edge` / :meth:`DynamicHCL.remove_vertex` — the
   decremental extension (paper's future work);
 * :meth:`DynamicHCL.remove_edges_batch` / :meth:`DynamicHCL.apply_events_batch`
-  — fully-dynamic mixed insert/delete batches, one BatchHL-style combined
-  sweep per landmark (``docs/DESIGN.md`` §10);
+  — fully-dynamic mixed insert/delete batches, one BatchHL-style
+  combined sweep stacked over the landmarks (``docs/DESIGN.md`` §10);
 * :meth:`DynamicHCL.add_landmark` / :meth:`DynamicHCL.remove_landmark` —
   online landmark-set resizing (:mod:`repro.landmarks.maintenance`);
 * :meth:`DynamicHCL.shortest_path` — path extraction on top of the
   distance oracle.
 
-Queries are answered exactly at any point between updates.  Every
-per-landmark sweep (construction and updates alike) runs in the calling
-process, one landmark after another.
+Queries are answered exactly at any point between updates.  Every sweep
+(construction and updates alike) runs in the calling process.
 
 The engine's dense rows are the oracle's only labelling: by Eq. (1) the
 distance rows ``d(r, ·)`` plus a label-membership mask determine
@@ -412,7 +411,7 @@ class DynamicHCL:
 
         The paper's model is strictly online (one repair per change), so
         this simply loops :meth:`insert_edge`; it exists so workloads can be
-        replayed in one call.  For one *combined* sweep per landmark use
+        replayed in one call.  For one *combined* sweep of the whole burst use
         :meth:`insert_edges_batch` instead.
         """
         return [self.insert_edge(u, v) for u, v in edges]
@@ -421,7 +420,7 @@ class DynamicHCL:
         self,
         edges: Iterable[tuple[int, int]],
     ) -> UpdateStats:
-        """Insert a burst of edges with one find/repair sweep per landmark.
+        """Insert a burst of edges with one combined find/repair sweep.
 
         Semantically identical to :meth:`insert_edges` (both end on the
         canonical minimal labelling of the final graph) but the affected
@@ -443,7 +442,7 @@ class DynamicHCL:
         return self.apply_events_batch([("delete", (u, v))])
 
     def remove_edges_batch(self, edges: Iterable[tuple[int, int]]):
-        """Delete a burst of edges with one combined sweep per landmark.
+        """Delete a burst of edges with one combined find/repair sweep.
 
         The decremental counterpart of :meth:`insert_edges_batch`, also
         validated as a whole before anything is mutated.  Returns a
@@ -522,7 +521,7 @@ class DynamicHCL:
         a second check: its rejected events are simply not in it.
 
         The batch's net edge sets are handed to the engine as one
-        BatchHL-style sweep per landmark.  The result equals the
+        BatchHL-style sweep stacked over the landmarks.  The result equals the
         one-at-a-time IncHL+/DecHL replay
         (:func:`repro.core.batch.replay_events`) byte for byte.
         Returns a :class:`~repro.core.batch.MixedUpdateStats`.

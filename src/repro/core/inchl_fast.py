@@ -1,4 +1,4 @@
-"""Vectorized update engine: one find/repair sweep per landmark, any batch.
+"""Vectorized update engine: one stacked find and one stacked repair per batch.
 
 The pure-Python implementation of Section 4 (:mod:`repro.core.inchl`,
 :mod:`repro.core.batch`, :mod:`repro.core.dechl`) recomputes every "old
@@ -20,9 +20,12 @@ This module is the update-path counterpart of
   label-membership mask: the engine keeps no dict labelling, and
   :meth:`~repro.core.labelling.HighwayCoverLabelling.from_rows`
   materializes one from the rows when a caller asks;
-* find and repair run as the hybrid scalar/numpy level kernels
-  :func:`~repro.parallel.sweeps.csr_find_affected_mixed` /
-  :func:`~repro.parallel.sweeps.csr_repair_affected`.
+* find and repair run once per batch for every landmark at once, as
+  the landmark-stacked level kernels
+  :func:`~repro.core.sweeps.stacked_find_affected` /
+  :class:`~repro.core.sweeps.StackedRepair` over the flat
+  index ``k * capacity + v`` of the dense rows: one numpy level per
+  BFS depth, not one scalar pass per landmark.
 
 :meth:`FastUpdateEngine.apply_mixed` is the engine's only update entry
 point.  It absorbs a single insertion, an insertion burst, a deletion or
@@ -50,7 +53,7 @@ import numpy as np
 from repro.core.batch import MixedUpdateStats
 from repro.exceptions import InvariantViolationError
 from repro.graph.dyncsr import UNREACH, DynCSR
-from repro.parallel.sweeps import csr_find_affected_mixed, csr_repair_affected
+from repro.core.sweeps import StackedRepair, stacked_find_affected
 
 __all__ = ["FastUpdateEngine"]
 
@@ -65,11 +68,17 @@ def _fit(rows: np.ndarray, capacity: int, fill) -> np.ndarray:
     return out
 
 
+def _compact_edges(dyn: DynCSR, edges: list[tuple[int, int]]) -> np.ndarray:
+    """``edges`` as an ``(m, 2)`` int64 array of compact indices."""
+    return dyn.indices([v for edge in edges for v in edge]).reshape(-1, 2)
+
+
 class FastUpdateEngine:
     """Per-oracle state of the vectorized update path.
 
     Owns the :class:`DynCSR` overlay, the dense ``|R| x n`` distance
-    matrix, the label-membership mask and the reusable scratch buffers.
+    matrix and the label-membership mask; an update keeps no other state
+    between batches.
     The rows *are* the labelling (Eq. 1): ``(r, dist[k, v]) ∈ L(v)`` iff
     ``has_entry[k, v]``, and the highway cells are the rows at the
     landmark columns.  Create the engine from ``rows=(overlay, dist,
@@ -106,12 +115,8 @@ class FastUpdateEngine:
         "_dist",
         "_is_landmark",
         "_has_entry",
-        "_new_dist",
-        "_covered",
-        "_del_mask",
-        "_row_views",
-        "_scratch_views",
-        "_cell_sources",
+        "_cell_columns",
+        "_cell_pairs",
     )
 
     def __init__(
@@ -159,14 +164,15 @@ class FastUpdateEngine:
             self._dist = _fit(dist, capacity, UNREACH)
             self._has_entry = _fit(has_entry.view(np.uint8), capacity, 0)
         dyn = self._dyn
-        capacity = dyn.capacity
-        self._is_landmark = np.zeros(capacity, dtype=bool)
-        for r in self._full:
-            self._is_landmark[dyn.index(r)] = True
-        self._new_dist = np.full(capacity, -1, dtype=np.int32)
-        self._covered = np.zeros(capacity, dtype=np.uint8)
-        self._del_mask = np.zeros(capacity, dtype=np.uint8)
-        self._rebuild_views()
+        self._cell_columns = dyn.indices(self._full)
+        self._is_landmark = np.zeros(dyn.capacity, dtype=bool)
+        self._is_landmark[self._cell_columns] = True
+        # The highway cells are the rows at the landmark columns.  An
+        # unordered pair {r, w} with r owned counts once: in r's row,
+        # unless w's row is kept here too and comes first.
+        rank = {r: k for k, r in enumerate(self._landmarks)}
+        order = np.array([rank.get(w, len(rank)) for w in self._full])
+        self._cell_pairs = order > np.arange(len(self._landmarks))[:, None]
 
     def _seed_rows(self, labels) -> None:
         """Seed the dense rows: one CSR BFS per landmark for the distances,
@@ -193,39 +199,6 @@ class FastUpdateEngine:
         for k, column in enumerate(columns):
             if column:
                 self._has_entry[k, column] = 1
-
-    def _rebuild_views(self) -> None:
-        """Cache the memoryviews the scalar kernel paths read.
-
-        ``_row_views[k]`` is ``(dist_row_mv, has_entry_row_mv)``;
-        ``_scratch_views`` is ``(new_dist_mv, covered_mv, landmark_mv,
-        del_mask_mv)``; ``_cell_sources[k]`` lists, per other landmark
-        ``w``, ``(column of w, view, index)`` such that ``view[index]`` is
-        the highway cell ``δ(r_k, w)``: ``w``'s own row at ``r_k``'s
-        column when this engine keeps it, else ``r_k``'s row at ``w``.
-        Rebuilt whenever the backing arrays are re-allocated
-        (:meth:`_ensure_capacity`).
-        """
-        self._row_views = [
-            (memoryview(self._dist[k]), memoryview(self._has_entry[k]))
-            for k in range(len(self._landmarks))
-        ]
-        self._scratch_views = (
-            memoryview(self._new_dist),
-            memoryview(self._covered),
-            memoryview(self._is_landmark),
-            memoryview(self._del_mask),
-        )
-        index = self._dyn.index
-        own = {r: views[0] for r, views in zip(self._landmarks, self._row_views)}
-        self._cell_sources = [
-            [
-                (index(w), own[w], index(r)) if w in own
-                else (index(w), self._row_views[k][0], index(w))
-                for w in self._full if w != r
-            ]
-            for k, r in enumerate(self._landmarks)
-        ]
 
     @property
     def landmarks(self) -> list[int]:
@@ -289,7 +262,8 @@ class FastUpdateEngine:
         return float("inf") if d == UNREACH else int(d)
 
     def _ensure_capacity(self) -> None:
-        """Grow the distance matrix and scratch to the overlay's capacity."""
+        """Grow the dense rows and the landmark mask to the overlay's
+        capacity."""
         capacity = self._dyn.capacity
         if self._dist.shape[1] >= capacity:
             return
@@ -302,14 +276,6 @@ class FastUpdateEngine:
         is_landmark = np.zeros(capacity, dtype=bool)
         is_landmark[: len(self._is_landmark)] = self._is_landmark
         self._is_landmark = is_landmark
-        new_dist = np.full(capacity, -1, dtype=np.int32)
-        new_dist[: len(self._new_dist)] = self._new_dist
-        self._new_dist = new_dist
-        covered = np.zeros(capacity, dtype=np.uint8)
-        covered[: len(self._covered)] = self._covered
-        self._covered = covered
-        self._del_mask = np.zeros(capacity, dtype=np.uint8)
-        self._rebuild_views()
 
     # ------------------------------------------------------------------
     # Updates
@@ -331,16 +297,15 @@ class FastUpdateEngine:
         present, no self-loops; new endpoints are registered).  The two
         edge sets must be disjoint and *net* — the caller
         (:meth:`repro.core.dynamic.DynamicHCL.apply_events_batch`)
-        collapses insert-then-delete churn before calling in.  Phase A
-        resolves the deletion orientations per landmark from the dense
-        rows (``|old(a) - old(b)| == 1`` is the only shape the old
-        shortest-path DAG admits; insertion orientations are
-        deletion-region-dependent and resolve inside the kernel) and
-        skips landmarks the batch cannot affect.  Phase B/C then run
-        find and repair one landmark at a time on the engine's own
-        scratch, in landmark order.  Repair folds the new distances —
-        including :data:`UNREACH` for disconnected vertices — back into
-        the dense rows.
+        collapses insert-then-delete churn before calling in.  One
+        stacked find (:func:`~repro.core.sweeps.stacked_find_affected`)
+        resolves the deletion orientations and insertion seeds of every
+        landmark with a vector compare on the dense rows, skipping the
+        landmarks the batch cannot affect, and writes the new distances —
+        :data:`UNREACH` for disconnected vertices — into the rows.  One
+        stacked repair then rewrites the label-membership mask.
+        ``highway_updates`` counts the unordered landmark pairs ``{r, w}``
+        (``r`` owned) whose cell differs before and after the batch.
         """
         ins_list = [(int(a), int(b)) for a, b in inserts]
         del_list = [(int(a), int(b)) for a, b in deletes]
@@ -353,128 +318,26 @@ class FastUpdateEngine:
         if del_list:
             dyn.remove_edges_batch(del_list)
         self._ensure_capacity()
-        index = dyn.index
-        ins_idx = [(index(a), index(b)) for a, b in ins_list]
-        del_idx = [(index(a), index(b)) for a, b in del_list]
-
+        cells = self._dist[:, self._cell_columns]
         stats = MixedUpdateStats(ins_list, del_list)
-        stats.affected_per_landmark = dict.fromkeys(self._landmarks, 0)
-        plans: list[tuple[int, list, list]] = []
-        for k, (row_mv, _) in enumerate(self._row_views):
-            if del_idx:
-                del_seeds: list[tuple[int, int]] = []
-                for ai, bi in del_idx:
-                    da = row_mv[ai]
-                    db = row_mv[bi]
-                    # |old(a) - old(b)| == 1 is the only orientation the
-                    # old SP DAG admits; both-unreachable fails it because
-                    # UNREACH + 1 != UNREACH (unlike inf + 1 == inf, see
-                    # dechl).
-                    if da + 1 == db:
-                        del_seeds.append((bi, db))
-                    elif db + 1 == da:
-                        del_seeds.append((ai, da))
-                if del_seeds:
-                    plans.append((k, ins_idx, del_seeds))
-                    continue
-            for ai, bi in ins_idx:
-                # Without a deletion region, an insertion matters to this
-                # landmark iff one endpoint is strictly closer.
-                if row_mv[ai] != row_mv[bi]:
-                    plans.append((k, ins_idx, []))
-                    break
-
-        union: set[int] = set()
-        find_s = perf_counter() - find_start
-        repair_s = 0.0
-        new_dist = self._new_dist
-        del_mask = self._del_mask
-        new_mv, _, _, del_mv = self._scratch_views
-        for k, ins_edges, del_seeds in plans:
-            t0 = perf_counter()
-            # The highway cells of r_k as the dict kernels would read them:
-            # before the find overwrites the row's closure slots, after
-            # the earlier landmarks of this batch repaired their rows.
-            cells = {c: view[i] for c, view, i in self._cell_sources[k]}
-            levels, removed = csr_find_affected_mixed(
-                dyn,
-                self._dist[k],
-                ins_edges,
-                del_seeds,
-                new_dist,
-                del_mask,
-                views=(self._row_views[k][0], new_mv, del_mv),
-            )
-            t1 = perf_counter()
-            self._repair_landmark(k, levels, removed, stats, union, cells)
-            find_s += t1 - t0
-            repair_s += perf_counter() - t1
-        stats.affected_union = len(union)
-        stats.phases = {"find": find_s, "repair": repair_s}
-        return stats
-
-    def _repair_landmark(
-        self, k: int, levels, removed, stats, union, cells
-    ) -> None:
-        """Phase C for the ``k``-th landmark: disconnect, repair, refresh
-        the dense row, reset scratch, and record ``|Λ_r|`` (settled +
-        disconnected) in ``stats``.
-
-        Vertices the batch cut off from the landmark lose their entry
-        (or, for landmarks, their highway cell) outright — mirroring
-        :func:`repro.core.dechl.repair_affected_deletion` — and their
-        dense slot goes to :data:`UNREACH` *before* the level sweep, so
-        the parent predicate never reads a stale finite distance.  The
-        level sweep is :func:`csr_repair_affected`: deletions flip cover
-        verdicts in either direction, but the parent predicate
-        re-derives them from scratch anyway.  ``cells`` holds the
-        landmark's highway cells as they stood before its find, for the
-        ``highway_updates`` count.
-        """
-        r = self._landmarks[k]
-        row = self._dist[k]
-        new_dist = self._new_dist
-        covered = self._covered
-        row_mv, has_mv = self._row_views[k]
-        new_mv, covered_mv, landmark_mv, _ = self._scratch_views
-        if removed:
-            unreachable = int(UNREACH)
-            for v in removed:
-                row_mv[v] = unreachable
-                if landmark_mv[v]:
-                    if cells[v] != unreachable:
-                        stats.highway_updates += 1
-                elif has_mv[v]:
-                    has_mv[v] = 0
-                    stats.entries_removed += 1
-            stats.disconnected += len(removed)
-            union.update(removed)
-        csr_repair_affected(
-            self._dyn,
-            r,
-            levels,
-            row,
-            new_dist,
+        repair = StackedRepair(
+            self._dist,
+            self._has_entry,
             self._is_landmark,
-            covered,
-            self._has_entry[k],
             stats,
-            views=(row_mv, new_mv, landmark_mv, covered_mv, has_mv),
-            highway_cells=cells,
+            self._landmarks,
+            dyn.ids,
         )
-        affected = len(removed)
-        for depth, verts in levels:
-            if isinstance(verts, list):
-                affected += len(verts)
-                union.update(verts)
-                for v in verts:
-                    row_mv[v] = depth
-                    new_mv[v] = -1
-                    covered_mv[v] = 0
-            else:
-                affected += verts.size
-                union.update(verts.tolist())
-                row[verts] = depth
-                new_dist[verts] = -1
-                covered[verts] = 0
-        stats.affected_per_landmark[r] = affected
+        removed = stacked_find_affected(
+            dyn,
+            self._dist,
+            _compact_edges(dyn, ins_list),
+            _compact_edges(dyn, del_list),
+            repair.repair_level,
+        )
+        repair.repair_removed(removed)
+        changed = self._dist[:, self._cell_columns] != cells
+        stats.highway_updates = int(np.count_nonzero(changed & self._cell_pairs))
+        elapsed = perf_counter() - find_start
+        stats.phases = {"find": elapsed - repair.seconds, "repair": repair.seconds}
+        return stats

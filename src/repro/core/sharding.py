@@ -73,7 +73,7 @@ def shard_min_distance(
     iv = index_of.get(v)
     if iu is None or iv is None or max(iu, iv) >= dist.shape[1] or not len(dist):
         return INF
-    best = int((dist[:, iu].astype(np.int64) + dist[:, iv]).min())
+    best = int(np.minimum.reduce(np.add(dist[:, iu], dist[:, iv], dtype=np.int64)))
     return INF if best >= UNREACH else best
 
 

@@ -42,6 +42,7 @@ number of ``insert_edge`` / ``insert_edges_batch`` calls in between.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain
 
 import numpy as np
 
@@ -580,18 +581,18 @@ class DynCSR:
         if self._delta_total:
             mask = self._delta_count[frontier] > 0
             if mask.any():
+                # The update kernels gather hundreds of delta rows per
+                # call: one list of lists and one fromiter beat a Python
+                # loop that extends two lists per row.
+                rows = np.flatnonzero(mask)
+                counts = self._delta_count[frontier[rows]]
                 delta = self._delta
-                extra_pos: list[int] = []
-                extra_nbr: list[int] = []
-                for position in np.nonzero(mask)[0].tolist():
-                    nbrs = delta[int(frontier[position])]
-                    extra_pos.extend([position] * len(nbrs))
-                    extra_nbr.extend(nbrs)
-                positions = np.concatenate(
-                    [positions, np.array(extra_pos, dtype=np.int64)]
+                extra = chain.from_iterable(
+                    [delta[vi] for vi in frontier[rows].tolist()]
                 )
+                positions = np.concatenate([positions, np.repeat(rows, counts)])
                 neighbours = np.concatenate(
-                    [neighbours, np.array(extra_nbr, dtype=np.int64)]
+                    [neighbours, np.fromiter(extra, np.int64, int(counts.sum()))]
                 )
         return positions, neighbours
 

@@ -68,16 +68,15 @@ _MAX_DEPTH = 64
 
 #: Function name -> engine phase.  A sampled stack is attributed to the
 #: phase of its **innermost** matching frame: a sample caught inside
-#: ``csr_repair_affected`` counts as ``repair`` even though
+#: ``repair_level`` counts as ``repair`` even though
 #: ``_apply_chunk`` (coalesce) is further up the stack.  Names mirror
 #: the call graph of :mod:`repro.serving.service` /
 #: :mod:`repro.core.inchl_fast`.
 PHASE_MARKERS: dict[str, str] = {
-    # find sweep
-    "csr_find_affected_mixed": "find",
-    # repair sweep (the engine's per-landmark Phase C and its kernel)
-    "_repair_landmark": "repair",
-    "csr_repair_affected": "repair",
+    # the engine's stacked find and repair kernels
+    "stacked_find_affected": "find",
+    "repair_level": "repair",
+    "repair_removed": "repair",
     # engine/batch apply entry points
     "apply_events_batch": "apply",
     "insert_edges_batch": "apply",
@@ -155,7 +154,7 @@ class SamplingProfiler:
 
     >>> prof = SamplingProfiler(interval_ms=1.0)
     >>> prof.add_sample(("repro.serving.service._apply_chunk",
-    ...                  "repro.core.inchl_fast.csr_repair_affected"), 3)
+    ...                  "repro.core.sweeps.repair_level"), 3)
     >>> prof.phase_table()["repair"]["samples"]
     3
     """

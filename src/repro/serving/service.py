@@ -8,7 +8,7 @@ Concurrency model (docs/DESIGN.md §7):
   accepted events — inserts, deletes or any mix — as **one** batch
   through :meth:`~repro.core.dynamic.DynamicHCL.apply_events_batch` on
   the vectorized update engine (:mod:`repro.core.inchl_fast`; one
-  find/repair sweep per landmark, in the writer thread) before
+  find and one repair pass over all landmarks, in the writer thread) before
   publishing a fresh :class:`~repro.serving.snapshot.OracleSnapshot`.  The labelling is
   byte-identical to a one-at-a-time replay on the reference kernels.
 * **Many readers.**  ``query`` / ``query_many`` / ``shortest_path`` run on

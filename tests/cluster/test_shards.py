@@ -199,6 +199,28 @@ def test_each_pair_is_searched_on_one_shard_only(num_shards, monkeypatch):
         assert min(column) == bfs_distances(graph, u).get(v, float("inf")), (u, v)
 
 
+def test_label_join_edge_cases():
+    """``shard_min_distance`` sums in int64: a sum with an ``UNREACH``
+    term is unreachable, never a wrapped int32; no rows and columns the
+    frozen rows do not cover give ``INF``."""
+    import numpy as np
+
+    from repro.graph.dyncsr import UNREACH
+    from repro.graph.traversal import INF
+
+    unreach = int(UNREACH)
+    dist = np.array([[1, unreach, 3], [2, 5, unreach]], dtype=np.int32)
+    index_of = {10: 0, 11: 1, 12: 2, 13: 3}
+    join = sharding.shard_min_distance
+    assert join(dist, index_of, 10, 11) == 7  # row 1: 2 + 5
+    assert join(dist, index_of, 11, 12) == INF  # UNREACH in every sum
+    assert join(np.full((2, 3), unreach, dtype=np.int32), index_of, 10, 12) == INF
+    assert join(dist[:0], index_of, 10, 11) == INF  # no owned rows
+    assert join(dist, index_of, 10, 13) == INF  # column past the rows
+    assert join(dist, index_of, 10, 99) == INF  # no column at all
+    assert join(dist, index_of, 12, 12) == 6
+
+
 # ----------------------------------------------------------------------
 # Socket-level scatter-gather
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from repro.core.highway import Highway
 from repro.core.labels import LabelStore
-from repro.parallel.sweeps import LandmarkSweep, landmark_sweep, merge_sweep
+from repro.core.sweeps import LandmarkSweep, landmark_sweep, merge_sweep
 
 
 class TestSweepKernel:

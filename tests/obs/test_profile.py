@@ -32,13 +32,13 @@ class TestAttribution:
     def test_innermost_marker_wins(self):
         stack = (
             "repro.serving.service._apply_chunk",  # coalesce
-            "repro.core.inchl_fast.csr_repair_affected",  # repair (inner)
+            "repro.core.sweeps.repair_level",  # repair (inner)
         )
         assert attribute_stack(stack) == "repair"
 
     def test_bare_function_names_match(self):
-        assert attribute_stack(["csr_find_affected_mixed"]) == "find"
-        assert attribute_stack(["_repair_landmark"]) == "repair"
+        assert attribute_stack(["stacked_find_affected"]) == "find"
+        assert attribute_stack(["repair_level"]) == "repair"
 
     def test_unmatched_stack_is_other(self):
         assert attribute_stack(["a.read", "b.loop"]) == OTHER_PHASE
@@ -50,7 +50,7 @@ class TestAttribution:
 
     def test_attribute_folded_round_trips_phase_table(self):
         prof = SamplingProfiler(interval_ms=1.0)
-        prof.add_sample(("m._apply_chunk", "m.csr_repair_affected"), 3)
+        prof.add_sample(("m._apply_chunk", "m.repair_level"), 3)
         prof.add_sample(("m.readline",), 1)
         assert attribute_folded(prof.folded()) == {"repair": 3, "other": 1}
         table = prof.phase_table()

@@ -20,14 +20,13 @@ import repro.core.highway
 import repro.core.labels
 import repro.core.query
 import repro.core.inchl_fast
+import repro.core.sweeps
 import repro.core.weighted_hcl
 import repro.graph.dyncsr
 import repro.graph.dynamic_graph
 import repro.graph.digraph
 import repro.graph.generators
 import repro.graph.weighted
-import repro.parallel
-import repro.parallel.sweeps
 import repro.cluster.shards
 import repro.cluster.wal
 import repro.knobs
@@ -51,10 +50,9 @@ _MODULES = [
     repro.core.query,
     repro.core.dynamic,
     repro.core.inchl_fast,
+    repro.core.sweeps,
     repro.core.directed,
     repro.core.weighted_hcl,
-    repro.parallel,
-    repro.parallel.sweeps,
     repro.baselines.bfs,
     repro.baselines.pll,
     repro.baselines.incpll,

@@ -15,9 +15,14 @@ after every op:
 * sampled distance queries == BFS ground truth on the reference graph;
 * the labelling equals a from-scratch minimal rebuild at the end.
 
-Every round also replays the same op sequence through an
-``OracleService`` (writer thread, coalesced batches, snapshot
-publication) and verifies the served answers against BFS.
+Every round also replays each edge op on a 2-shard split of the oracle
+(``make_shard_oracle``; re-split after a landmark promotion, and only
+while the oracle has two landmarks to split) and checks after every op
+that each shard's labelling is the restriction of the oracle's and that
+its ``highway_updates`` counts the cells of that restriction the op
+changed.  It replays the same op sequence through an ``OracleService``
+(writer thread, coalesced batches, snapshot publication) too, and
+verifies the served answers against BFS.
 
 On failure the harness **shrinks** the op sequence: it repeatedly tries
 dropping ops (largest chunks first, ddmin-style) while the failure
@@ -42,6 +47,7 @@ import random
 import sys
 import time
 
+from repro.cluster.shards import ShardPlan, make_shard_oracle
 from repro.core.batch import apply_edge_insertions_batch, replay_events
 from repro.core.construction import build_hcl
 from repro.core.dechl import apply_edge_deletion_partial
@@ -59,6 +65,7 @@ from tests.proptest.strategies import (  # noqa: E402
     mixed_event_stream,
     random_graph,
 )
+from tests.shard_labellings import restrict_labelling  # noqa: E402
 
 # An op is a JSON-friendly list: ["insert", u, v] | ["batch", [[u, v], ...]]
 # | ["delete", u, v] | ["mixed", [["insert"|"delete", u, v], ...]]
@@ -178,6 +185,55 @@ def _applicable(graph, landmarks: set, op) -> bool:
     raise ValueError(f"unknown op {op!r}")
 
 
+def _split(oracle) -> tuple[ShardPlan | None, list]:
+    """A 2-shard split of ``oracle`` (none below two landmarks)."""
+    if len(oracle.landmarks) < 2:
+        return None, []
+    plan = ShardPlan.for_landmarks(oracle.landmarks, 2)
+    return plan, [make_shard_oracle(oracle, plan, i) for i in range(2)]
+
+
+def _highway_cells(labelling) -> dict:
+    return {
+        (r, w): d
+        for r, row in labelling.highway.as_dict().items()
+        for w, d in row.items()
+        if r < w
+    }
+
+
+def _replay_on_shards(plan, shards, fast, op, step: int) -> None:
+    """Apply edge op ``op`` to every shard and check it against ``fast``
+    (already updated): restriction equality and ``highway_updates``."""
+    kind = op[0]
+    for i, shard in enumerate(shards):
+        before = _highway_cells(shard.labelling)
+        if kind == "insert":
+            stats = shard.insert_edge(op[1], op[2])
+        elif kind == "batch":
+            stats = shard.insert_edges_batch([tuple(e) for e in op[1]])
+        elif kind == "delete":
+            stats = shard.remove_edge(op[1], op[2])
+        else:
+            stats = shard.apply_events_batch(
+                [(evkind, (u, v)) for evkind, u, v in op[1]]
+            )
+        after = shard.labelling
+        if after != restrict_labelling(fast.labelling, plan.owned(i)):
+            raise FuzzFailure(
+                f"shard {i} != restriction of the oracle after step {step}: {op}"
+            )
+        cells = _highway_cells(after)
+        changed = sum(
+            before.get(key) != cells.get(key) for key in before.keys() | cells.keys()
+        )
+        if stats.highway_updates != changed:
+            raise FuzzFailure(
+                f"shard {i} highway_updates {stats.highway_updates} != "
+                f"{changed} changed cells after step {step}: {op}"
+            )
+
+
 def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int = 8):
     """Apply ``ops`` on the oracle and the reference; raise FuzzFailure on
     any divergence.  Inapplicable ops (possible after shrinking) are
@@ -186,10 +242,15 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
     fast = DynamicHCL.build(base_graph.copy(), landmarks=list(landmarks))
     ref_graph = base_graph.copy()
     ref = build_hcl(ref_graph, list(landmarks))
+    plan, shards = _split(fast)
     for step, op in enumerate(ops):
         if not _applicable(ref_graph, set(fast.landmarks), op):
             continue
         kind = op[0]
+        # An absent-edge delete changes nothing and is not replayed.
+        edge_op = kind != "landmark" and (
+            kind != "delete" or ref_graph.has_edge(op[1], op[2])
+        )
         if kind == "insert":
             fast.insert_edge(op[1], op[2])
             replay_events(ref_graph, ref, [("insert", (op[1], op[2]))])
@@ -235,8 +296,11 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
         elif kind == "landmark":
             fast.add_landmark(op[1])
             add_landmark(ref_graph, ref, op[1])
+            plan, shards = _split(fast)
         if fast.labelling != ref:
             raise FuzzFailure(f"oracle != paper kernels after step {step}: {op}")
+        if edge_op:
+            _replay_on_shards(plan, shards, fast, op, step)
         if sorted(fast.graph.edges()) != sorted(ref_graph.edges()):
             raise FuzzFailure(
                 f"oracle graph != reference graph after step {step}: {op}"
