@@ -268,7 +268,7 @@ class DynamicHCL:
         cached = self._snapshot_cache
         if cached is not None and cached.epoch == self._version:
             return cached
-        snap = OracleSnapshot.capture(self)
+        snap = OracleSnapshot.capture(self, cached)
         self._snapshot_cache = snap
         return snap
 

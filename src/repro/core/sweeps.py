@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.exceptions import InvariantViolationError
-from repro.graph.csr import _gather_neighbors
+from repro.graph.csr import _gather_neighbors, distinct_at_depth
 from repro.graph.dyncsr import UNREACH
 
 __all__ = [
@@ -228,18 +228,6 @@ def _gathers(dyn, entries: np.ndarray, capacity: int):
         yield chunk, positions, (chunk - columns)[positions] + neighbours
 
 
-def _distinct(flat: np.ndarray, candidates: np.ndarray, depth: int) -> np.ndarray:
-    """The distinct entries among ``candidates``, their slots in ``flat``
-    left at ``depth``.  Dedupes by scatter, not by sort: every candidate
-    writes its own negative mark into its slot, and the candidate whose
-    mark survives stands for the slot."""
-    marks = np.arange(-1, -1 - candidates.size, -1, dtype=np.int32)
-    flat[candidates] = marks
-    entries = candidates[flat[candidates] == marks]
-    flat[entries] = depth
-    return entries
-
-
 def _push(queue: dict, entries: np.ndarray, depths: np.ndarray) -> None:
     """File ``entries`` into the depth-keyed bucket ``queue``, each at
     its own depth in ``depths``."""
@@ -317,7 +305,7 @@ def stacked_find_affected(
         groups = []
         while queue:
             depth, group = _pop(queue)
-            group = _distinct(flat, group, depth)
+            group = distinct_at_depth(flat, group, depth)
             groups.append(group)
             for _, _, neighbours in _gathers(dyn, group, capacity):
                 children = neighbours[flat[neighbours] == depth + 1]
@@ -344,7 +332,7 @@ def stacked_find_affected(
         candidates = candidates[flat[candidates] >= depth]
         if not candidates.size:
             continue
-        entries = _distinct(flat, candidates, depth)
+        entries = distinct_at_depth(flat, candidates, depth)
         for chunk, positions, neighbours in _gathers(dyn, entries, capacity):
             onward = neighbours[flat[neighbours] > depth]
             if onward.size:

@@ -57,6 +57,23 @@ class SelfLoopError(GraphError, ValueError):
         self.vertex = vertex
 
 
+class SkipSetError(GraphError, ValueError):
+    """A snapshot graph was asked to search with a ``skip`` set other than
+    its own landmark set, the only set its sparsified rows leave out.
+
+    Search a detached ``graph.copy()`` for any other ``skip``.
+    """
+
+    def __init__(self, skip: object, landmarks: frozenset) -> None:
+        super().__init__(
+            f"a snapshot graph searches G[V \\ R] only for its own "
+            f"{len(landmarks)} landmarks, not for a skip set of {len(skip)} "
+            f"vertices; search graph.copy() instead"
+        )
+        self.skip = skip
+        self.landmarks = landmarks
+
+
 class LabellingError(ReproError):
     """Base class for errors concerning distance labellings."""
 

@@ -29,7 +29,22 @@ import numpy as np
 
 from repro.exceptions import GraphError, VertexNotFoundError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "distinct_at_depth"]
+
+
+def distinct_at_depth(
+    dist: np.ndarray, candidates: np.ndarray, depth: int
+) -> np.ndarray:
+    """The distinct entries among ``candidates``, their slots in ``dist``
+    set to ``depth``.  Dedupes by scatter, not by sort (``np.unique`` is
+    hash-based and slow on small arrays): every candidate writes its own
+    negative mark into its slot, and the candidate whose mark survives
+    stands for the slot."""
+    marks = np.arange(-1, -1 - candidates.size, -1, dtype=dist.dtype)
+    dist[candidates] = marks
+    entries = candidates[dist[candidates] == marks]
+    dist[entries] = depth
+    return entries
 
 
 def _gather_neighbors(
@@ -219,8 +234,7 @@ class CSRGraph:
             neighbours = neighbours[dist[neighbours] < 0]
             if neighbours.size == 0:
                 break
-            frontier = np.unique(neighbours)
-            dist[frontier] = depth
+            frontier = distinct_at_depth(dist, neighbours, depth)
         return dist
 
     def bfs_many(self, source_ids: Sequence[int]) -> np.ndarray:
@@ -234,10 +248,8 @@ class CSRGraph:
         if not source_ids:
             raise GraphError("multi_source_bfs needs at least one source")
         dist = np.full(self.num_vertices, -1, dtype=np.int32)
-        frontier = np.unique(
-            np.fromiter((self.index(s) for s in source_ids), dtype=np.int64)
-        )
-        dist[frontier] = 0
+        sources = np.fromiter((self.index(s) for s in source_ids), dtype=np.int64)
+        frontier = distinct_at_depth(dist, sources, 0)
         depth = 0
         while frontier.size:
             depth += 1
@@ -247,8 +259,7 @@ class CSRGraph:
             neighbours = neighbours[dist[neighbours] < 0]
             if neighbours.size == 0:
                 break
-            frontier = np.unique(neighbours)
-            dist[frontier] = depth
+            frontier = distinct_at_depth(dist, neighbours, depth)
         return dist
 
     def distances_from(self, source_id: int) -> dict[int, int]:

@@ -47,8 +47,9 @@ from itertools import chain
 import numpy as np
 
 from repro.exceptions import GraphError, VertexNotFoundError
+from repro.graph.csr import CSRGraph, distinct_at_depth
 
-__all__ = ["DynCSR", "UNREACH"]
+__all__ = ["DynCSR", "SparsifiedRows", "UNREACH"]
 
 #: Distance sentinel for "unreachable" in the int32 kernels.  Large enough
 #: that ``UNREACH >= depth`` always holds for any real BFS depth, small
@@ -80,6 +81,8 @@ class DynCSR:
         "_views",
         "_frozen_delta",
         "_base_shared",
+        "_touched",
+        "_freezes",
     )
 
     def __init__(self) -> None:
@@ -106,6 +109,10 @@ class DynCSR:
         # Copy-on-write state of :meth:`freeze` (see :meth:`_unshared_delta`).
         self._frozen_delta: dict[int, list[int]] = {}
         self._base_shared = False
+        # Columns whose rows changed since the last :meth:`freeze`, and
+        # the number of freezes taken (see :meth:`changed_since`).
+        self._touched: set[int] = set()
+        self._freezes = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -118,8 +125,6 @@ class DynCSR:
         compact indices in sorted-id order) so ground-truth comparisons
         line up index for index.
         """
-        from repro.graph.csr import CSRGraph
-
         csr = CSRGraph.from_graph(graph)
         return cls.from_arrays(csr.ids, csr.indptr, csr.indices)
 
@@ -278,8 +283,30 @@ class DynCSR:
             setattr(frozen, name, getattr(self, name))
         frozen._delta = self._frozen_delta = dict(self._delta)
         frozen._delta_count = self._delta_count[:n].copy()
+        frozen._touched = self._touched
+        frozen._freezes = self._freezes = self._freezes + 1
+        self._touched = set()
         self._base_shared = True
         return frozen
+
+    def changed_since(self, previous: "DynCSR") -> np.ndarray | None:
+        """The columns whose rows differ between :meth:`freeze` copies
+        ``previous`` and ``self``, or ``None`` unless ``self`` is the
+        next freeze of the overlay ``previous`` was frozen from.
+
+        The columns are the endpoints of every edge inserted or removed
+        in between plus the vertices registered in between, each once.
+        """
+        if self._index_of is not previous._index_of or (
+            self._freezes != previous._freezes + 1
+        ):
+            return None
+        old = previous._n
+        kept = [c for c in self._touched if c < old]
+        return np.concatenate([
+            np.array(kept, dtype=np.int64),
+            np.arange(old, self._n, dtype=np.int64),
+        ])
 
     def _unshared_delta(self, vi: int) -> list[int]:
         """``vi``'s delta list (created if absent), detached from any
@@ -351,6 +378,7 @@ class DynCSR:
         for u, v in edges:
             ui = self.ensure_vertex(u)
             vi = self.ensure_vertex(v)
+            self._touched.update((ui, vi))
             self._unshared_delta(ui).append(vi)
             self._unshared_delta(vi).append(ui)
             self._delta_count[ui] += 1
@@ -409,6 +437,7 @@ class DynCSR:
         for u, v in edges:
             ui = self.index(u)
             vi = self.index(v)
+            self._touched.update((ui, vi))
             self._remove_directed(ui, vi)
             self._remove_directed(vi, ui)
             self._num_edges -= 1
@@ -545,29 +574,6 @@ class DynCSR:
         index += np.repeat(shift, counts)
         return self._base_indices[index]
 
-    def degree_sum(self, frontier: np.ndarray) -> int:
-        """Total degree (base + delta) of the vertices in ``frontier``."""
-        return int(self._base_len[frontier].sum() + self._delta_count[frontier].sum())
-
-    def gather_neighbours(self, frontier: np.ndarray) -> np.ndarray:
-        """Flattened neighbours of ``frontier`` (duplicates included).
-
-        The find kernel's expansion needs only the target side of each
-        edge, so this skips materializing the source column.
-        """
-        neighbours = self._base_neighbours(frontier, self._base_len[frontier])
-        if self._delta_total:
-            mask = self._delta_count[frontier] > 0
-            if mask.any():
-                delta = self._delta
-                extra: list[int] = []
-                for vi in frontier[mask].tolist():
-                    extra.extend(delta[vi])
-                neighbours = np.concatenate(
-                    [neighbours, np.array(extra, dtype=np.int64)]
-                )
-        return neighbours
-
     def gather_with_positions(
         self, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -596,6 +602,61 @@ class DynCSR:
                 )
         return positions, neighbours
 
+    def _rows_without(
+        self, rows: np.ndarray, skip: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, flat)``: the rows ``rows`` (live base slice, then
+        delta list) without the columns the bool mask ``skip`` marks,
+        flattened row after row."""
+        base_counts = self._base_len[rows]
+        parts = [(base_counts, self._base_neighbours(rows, base_counts))]
+        if self._delta_total:
+            delta_counts = self._delta_count[rows]
+            delta = self._delta
+            extra = chain.from_iterable(
+                [delta[vi] for vi in rows[delta_counts > 0].tolist()]
+            )
+            parts.append(
+                (delta_counts, np.fromiter(extra, np.int64, int(delta_counts.sum())))
+            )
+        kept = []
+        for part_counts, values in parts:
+            keep = ~skip[values]
+            owner = np.repeat(np.arange(rows.size), part_counts)[keep]
+            kept.append((np.bincount(owner, minlength=rows.size), values[keep]))
+        counts = sum(part_counts for part_counts, _ in kept)
+        flat = np.empty(int(counts.sum()), dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        for part_counts, values in kept:
+            _scatter_rows(flat, starts, part_counts, values)
+            starts += part_counts
+        return counts, flat
+
+    def sparsified(self, skip: np.ndarray) -> "SparsifiedRows":
+        """This overlay without the columns the bool mask ``skip`` marks,
+        as fresh :class:`SparsifiedRows`, rows back to back.
+
+        One pass over the rows and no sort, in chunks of at most
+        :data:`_REWRITE_CHUNK` entries, so no temporary grows with the
+        graph.  Headroom past the rows takes the rows later freezes
+        rewrite (:meth:`SparsifiedRows.derive`).
+        """
+        n = self._n
+        widths = np.cumsum(self._base_len[:n] + self._delta_count[:n])
+        total = int(widths[-1]) if n else 0
+        indices = np.empty(total + max(total >> 3, 1024), dtype=np.int64)
+        indptr = np.empty(n, dtype=np.int64)
+        degree = np.empty(n, dtype=np.int64)
+        end = 0
+        cuts = np.searchsorted(widths, np.arange(_REWRITE_CHUNK, total, _REWRITE_CHUNK))
+        for chunk in np.split(np.arange(n), cuts):
+            counts, flat = self._rows_without(chunk, skip)
+            indptr[chunk] = end + np.cumsum(counts) - counts
+            degree[chunk] = counts
+            indices[end : end + flat.size] = flat
+            end += flat.size
+        return SparsifiedRows(indptr, degree, indices, end, [end])
+
     def bfs_compact(self, source_index: int) -> np.ndarray:
         """Distances from ``source_index`` over base + delta edges.
 
@@ -614,8 +675,7 @@ class DynCSR:
             neighbours = neighbours[dist[neighbours] == UNREACH]
             if neighbours.size == 0:
                 break
-            frontier = np.unique(neighbours)
-            dist[frontier] = depth
+            frontier = distinct_at_depth(dist, neighbours, depth)
         return dist
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -623,3 +683,81 @@ class DynCSR:
             f"DynCSR(|V|={self._n}, |E|={self._num_edges}, "
             f"delta={self.num_delta_edges})"
         )
+
+
+#: Most row entries :meth:`DynCSR.sparsified` filters at once, which
+#: bounds its temporaries.
+_REWRITE_CHUNK = 1 << 12
+
+
+def _scatter_rows(
+    out: np.ndarray, starts: np.ndarray, counts: np.ndarray, values: np.ndarray
+) -> None:
+    """Write the rows of ``values`` (``counts[j]`` entries for row ``j``,
+    back to back) to ``out`` from ``starts[j]`` on."""
+    index = np.arange(values.size, dtype=np.int64)
+    index += np.repeat(starts - np.cumsum(counts) + counts, counts)
+    out[index] = values
+
+
+class SparsifiedRows:
+    """Delta-free rows of ``G[V \\ R]`` over a frozen overlay's columns.
+
+    Row ``v`` is ``indices[indptr[v] : indptr[v] + degree[v]]``, the
+    neighbours of column ``v`` outside the skipped columns ``R``, in
+    int64 like every CSR array here (numpy casts any other index dtype
+    on every gather).  Skipped columns keep their rows too, so a search
+    can leave an endpoint in ``R``; no row holds one, so it is entered
+    only from its own row.  :attr:`views` are the memoryviews the scalar
+    search reads.
+
+    Built once per overlay by :meth:`DynCSR.sparsified`, then carried
+    from freeze to freeze by :meth:`derive`: a derived copy rewrites
+    only the rows that changed, appended past the end of the ``indices``
+    buffer it shares with its predecessor, whose rows all lie before
+    that end and so stay as they are.
+    """
+
+    __slots__ = ("indptr", "degree", "indices", "views", "_end", "_fill")
+
+    def __init__(self, indptr, degree, indices, end: int, fill: list[int]) -> None:
+        self.indptr = indptr
+        self.degree = degree
+        self.indices = indices
+        self.views = (memoryview(indptr), memoryview(degree), memoryview(indices))
+        self._end = end  # this copy's rows lie in indices[:end]
+        self._fill = fill  # [entries written to the shared buffer]
+
+    def gather(
+        self, frontier: np.ndarray, counts: np.ndarray, total: int
+    ) -> np.ndarray:
+        """The rows of ``frontier`` flattened; ``counts`` is
+        ``degree[frontier]`` and ``total`` its sum."""
+        index = np.arange(total, dtype=np.int64)
+        index += np.repeat(self.indptr[frontier] - np.cumsum(counts) + counts, counts)
+        return self.indices[index]
+
+    def derive(
+        self, csr: DynCSR, changed: np.ndarray, skip: np.ndarray
+    ) -> "SparsifiedRows":
+        """These rows carried to ``csr``, a later freeze of the overlay
+        they were built from: only the rows of the columns ``changed``
+        (:meth:`DynCSR.changed_since`) are rewritten, without the columns
+        ``skip`` marks.  O(|V| + their degrees); a full
+        :meth:`DynCSR.sparsified` once the buffer's headroom runs out."""
+        counts, flat = csr._rows_without(changed, skip)
+        end = self._end
+        new_end = end + flat.size
+        if self._fill[0] != end or new_end > self.indices.size:
+            return csr.sparsified(skip)
+        self.indices[end:new_end] = flat
+        self._fill[0] = new_end
+        n = csr.num_vertices
+        old = self.indptr.size
+        indptr = np.empty(n, dtype=np.int64)
+        indptr[:old] = self.indptr
+        indptr[changed] = end + np.cumsum(counts) - counts
+        degree = np.empty(n, dtype=np.int64)
+        degree[:old] = self.degree
+        degree[changed] = counts
+        return SparsifiedRows(indptr, degree, self.indices, new_end, self._fill)

@@ -12,7 +12,8 @@ convention.
 The bounded bidirectional searches implement the paper's query step: an exact
 distance search over the *sparsified* graph ``G[V \\ R]`` (landmarks excluded
 from path interiors) under the labelling-derived upper bound ``d⊤`` (Eq. 2).
-On a ``FrozenGraph`` the search runs over the columns of its frozen CSR.
+On a ``FrozenGraph`` the search runs over the snapshot's delta-free rows of
+``G[V \\ R]`` (:class:`~repro.graph.dyncsr.SparsifiedRows`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from collections.abc import Collection
 import numpy as np
 
 from repro.exceptions import VertexNotFoundError
+from repro.graph.csr import distinct_at_depth
 
 INF = float("inf")
 
@@ -151,26 +153,31 @@ def bidirectional_bfs(
     exactly ``k + 1``: the search returns it at once.  It gives up once
     ``k + 1`` reaches ``bound``, and the level that would bring it there
     only checks for a meeting, recording nothing.  A dict graph is
-    searched over its adjacency mapping.  A snapshot graph, which carries
-    a frozen CSR, is searched over the CSR's columns, and a frontier
-    larger than :data:`NUMPY_FRONTIER` switches that search for good to
-    level-synchronous numpy (:func:`_numpy_levels`), which takes over its
-    column sets as they are.
+    searched over its adjacency mapping.  A snapshot graph is searched
+    over the delta-free rows of ``G[V \\ R]`` it hands out for its own
+    landmark set (``graph.sparsified(skip)``, which raises for any other
+    ``skip``); see :func:`_sparsified_search`.
     """
-    csr = getattr(graph, "csr", None)
-    if csr is None:
-        adj = graph.adjacency()
-        if source not in adj:
-            raise VertexNotFoundError(source)
-        if target not in adj:
-            raise VertexNotFoundError(target)
-        mask = None
-    else:
-        # Search the columns instead: ids map to them, ``skip`` too.
-        adj = None
-        source, target = graph.column(source), graph.column(target)
-        mask, skip = graph.skip_columns(skip)
-        indptr, base_len, indices, delta, delta_count = graph.views
+    sparsified = getattr(graph, "sparsified", None)
+    if sparsified is not None:
+        rows = sparsified(skip)
+        s, t = graph.column(source), graph.column(target)
+        if s == t:
+            return 0 if bound > 0 else INF
+        if bound <= 1:
+            return INF
+        first = []
+        if source in skip or target in skip:
+            first = [side for side, v in enumerate((source, target)) if v in skip]
+            if len(first) == 2 and graph.has_edge(source, target):
+                return 1  # no row holds the edge between two skipped endpoints
+        return _sparsified_search(rows, s, t, bound, first)
+
+    adj = graph.adjacency()
+    if source not in adj:
+        raise VertexNotFoundError(source)
+    if target not in adj:
+        raise VertexNotFoundError(target)
     if source == target:
         return 0 if bound > 0 else INF
     if bound <= 1:
@@ -187,24 +194,12 @@ def bidirectional_bfs(
             frontier, seen_own, seen_other = frontier_s, seen_s, seen_t
         else:
             frontier, seen_own, seen_other = frontier_t, seen_t, seen_s
-        if mask is not None and len(frontier) > NUMPY_FRONTIER:
-            return _numpy_levels(
-                csr, mask, bound, radius,
-                [seen_s, seen_t], [frontier_s, frontier_t],
-            )
         radius += 1
         # The last level: only a meeting can still beat ``bound``.
         last = radius + 1 >= bound
         next_frontier = []
         for v in frontier:
-            if adj is None:
-                # A column's live base slice, plus its delta list.
-                start = indptr[v]
-                row = indices[start : start + base_len[v]]
-                if delta_count[v]:
-                    row = [*row, *delta[v]]
-            else:
-                row = adj[v]
+            row = adj[v]
             if last:
                 if not seen_other.isdisjoint(row):
                     return radius
@@ -225,55 +220,116 @@ def bidirectional_bfs(
     return INF
 
 
-#: Frontier size past which :func:`bidirectional_bfs` leaves its column
-#: loop for numpy (64–128 measured safe on a web and a social graph).
-NUMPY_FRONTIER = 64
+#: Frontier size past which :func:`_sparsified_search` leaves its scalar
+#: loop for numpy levels.
+NUMPY_FRONTIER = 16
+
+
+def _sparsified_search(rows, source: int, target: int, bound: float, first) -> float:
+    """:func:`bidirectional_bfs` over ``rows``, a
+    :class:`~repro.graph.dyncsr.SparsifiedRows`, between columns
+    ``source != target`` with ``bound > 1``.
+
+    ``first`` lists the sides (0 source, 1 target) whose endpoint is
+    skipped.  No row holds a skipped endpoint, so its side expands before
+    any other level: from then on every meeting is between columns that
+    rows do hold, and the two sides see each other.  The scalar loop
+    reads plain row slices, with no skip test; a frontier larger than
+    :data:`NUMPY_FRONTIER` hands both sides to :func:`_numpy_levels`.
+    """
+    indptr, degree, indices = rows.views
+    seen_s = {source}
+    seen_t = {target}
+    frontier_s = [source]
+    frontier_t = [target]
+    radius = 0  # sum of the two search radii; radius + 1 < bound holds
+    while frontier_s and frontier_t:
+        if first:
+            own = first.pop()
+        else:
+            own = len(frontier_t) < len(frontier_s)
+            if len(frontier_t if own else frontier_s) > NUMPY_FRONTIER:
+                return _numpy_levels(
+                    rows, bound, radius, [seen_s, seen_t], [frontier_s, frontier_t]
+                )
+        if own:
+            frontier, seen_own, seen_other = frontier_t, seen_t, seen_s
+        else:
+            frontier, seen_own, seen_other = frontier_s, seen_s, seen_t
+        radius += 1
+        # The last level: only a meeting can still beat ``bound``.
+        last = radius + 1 >= bound
+        next_frontier = []
+        for v in frontier:
+            start = indptr[v]
+            row = indices[start : start + degree[v]]
+            if last:
+                if not seen_other.isdisjoint(row):
+                    return radius
+                continue
+            for w in row:
+                if w in seen_other:
+                    return radius
+                if w not in seen_own:
+                    seen_own.add(w)
+                    next_frontier.append(w)
+        if last:
+            return INF
+        if own:
+            frontier_t = next_frontier
+        else:
+            frontier_s = next_frontier
+    return INF
+
 
 _per_thread = threading.local()
 
 
-def _stamp_buffers(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """This thread's ``(stamp, seen, position)`` buffers over at least
-    ``n`` columns.  ``seen[side][i] == stamp`` marks column ``i`` visited
-    by that side in this search: a fresh stamp replaces an O(n) clear,
-    and per-thread buffers keep readers that share a snapshot apart."""
+def _stamp_buffer(n: int) -> tuple[int, np.ndarray]:
+    """This thread's ``(stamp, seen)`` over at least ``n`` columns.
+    ``seen[i] == stamp + side`` marks column ``i`` visited by that side
+    (0 source, 1 target) in this search: a fresh stamp replaces an O(n)
+    clear, and per-thread buffers keep readers that share a snapshot
+    apart."""
     buffers = _per_thread.__dict__
-    if len(buffers.get("position", ())) < n:
-        buffers.update(
-            seen=np.zeros((2, 2 * n), np.int64),
-            position=np.zeros(2 * n, np.int64),
-        )
-    stamp = buffers["stamp"] = buffers.get("stamp", 0) + 1
-    return stamp, buffers["seen"], buffers["position"]
+    if len(buffers.get("seen", ())) < n:
+        buffers["seen"] = np.zeros(2 * n, np.int64)
+    stamp = buffers["stamp"] = buffers.get("stamp", 0) + 2
+    return stamp, buffers["seen"]
 
 
-def _numpy_levels(csr, mask, bound, radius, visited, frontiers) -> float:
-    """The numpy phase of :func:`bidirectional_bfs`, from radius sum
+def _numpy_levels(rows, bound, radius, visited, frontiers) -> float:
+    """The numpy phase of :func:`_sparsified_search`, from radius sum
     ``radius``; returns its answer.
 
     Takes over the scalar loop's per-side visited sets and frontiers of
     columns (source side first) and expands the side with the smaller
-    degree sum, under the same stopping rule; a position scatter drops
-    duplicates in linear time.
+    degree sum, under the same stopping rule.  Each side's degree counts
+    come from the level that produced its frontier, and one stamp array
+    serves both sides: a gathered column is fresh when its stamp predates
+    this search, and a scatter of positions dedupes the fresh ones.
     """
-    stamp, seen, position = _stamp_buffers(csr.num_vertices)
+    degree = rows.degree
+    stamp, seen = _stamp_buffer(degree.size)
+    counts, totals = [], []
     for side in (0, 1):
-        seen[side][np.fromiter(visited[side], np.int64, len(visited[side]))] = stamp
-        frontiers[side] = np.array(frontiers[side], dtype=np.int64)
-    while frontiers[0].size and frontiers[1].size:
-        own = int(csr.degree_sum(frontiers[1]) < csr.degree_sum(frontiers[0]))
-        neighbours = csr.gather_neighbours(frontiers[own])
+        seen[np.fromiter(visited[side], np.int64, len(visited[side]))] = stamp + side
+        frontiers[side] = frontier = np.array(frontiers[side], dtype=np.int64)
+        counts.append(degree[frontier])
+        totals.append(int(counts[side].sum()))
+    while totals[0] and totals[1]:
+        own = int(totals[1] < totals[0])
+        neighbours = rows.gather(frontiers[own], counts[own], totals[own])
         radius += 1
-        if (seen[1 - own][neighbours] == stamp).any():
+        marks = seen[neighbours]
+        if (marks == stamp + 1 - own).any():
             return radius
         if radius + 1 >= bound:
             break
-        fresh = neighbours[(seen[own][neighbours] != stamp) & ~mask[neighbours]]
-        order = np.arange(fresh.size)
-        position[fresh] = order
-        fresh = fresh[position[fresh] == order]
-        seen[own][fresh] = stamp
+        fresh = distinct_at_depth(seen, neighbours[marks < stamp], stamp + own)
         frontiers[own] = fresh
+        counts[own] = degree[fresh]
+        totals[own] = int(counts[own].sum())
     return INF
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.paths import bfs_leg
 from repro.core.sharding import bfs_shortest_path, pair_owners, shard_min_distance
-from repro.exceptions import VertexNotFoundError
+from repro.exceptions import SkipSetError, VertexNotFoundError
 from repro.graph.traversal import INF
 
 __all__ = ["FrozenGraph", "OracleSnapshot"]
@@ -45,37 +45,59 @@ class FrozenGraph:
     Answers the read surface of a graph (``has_vertex``, ``has_edge``,
     ``neighbors``, ``vertices``, ``edges``, ``degree``) from ``csr``, a
     frozen :class:`~repro.graph.dyncsr.DynCSR`; offers no mutators.  The
-    bounded search reads the CSR's columns directly, and :meth:`copy`
-    detaches a :class:`~repro.graph.dynamic_graph.DynamicGraph` for the
-    reference kernels.
+    bounded search reads :meth:`sparsified`, and :meth:`copy` detaches
+    a :class:`~repro.graph.dynamic_graph.DynamicGraph` for the reference
+    kernels.
+
+    ``previous`` is the view this one succeeds.  When it already holds
+    its sparsified rows, this view derives its own from them at once,
+    rewriting only the rows that changed in between
+    (:meth:`~repro.graph.dyncsr.SparsifiedRows.derive`); otherwise they
+    are built at the first search.
     """
 
-    __slots__ = ("csr", "views", "_index_of", "_n", "_landmark_set", "_skip")
+    __slots__ = ("csr", "_index_of", "_n", "_landmark_set", "_sparsified")
 
-    def __init__(self, csr, landmark_set: frozenset[int]) -> None:
+    def __init__(
+        self,
+        csr,
+        landmark_set: frozenset[int],
+        previous: "FrozenGraph | None" = None,
+    ) -> None:
         self.csr = csr
-        #: The CSR's scalar views, which the bounded search reads
-        #: (:meth:`~repro.graph.dyncsr.DynCSR.scalar_views`).
-        self.views = csr.scalar_views()
         # The live, append-only id map: a column ``>= n`` is a vertex
         # added after this view.
         self._index_of = csr.index_of()
         self._n = csr.num_vertices
         self._landmark_set = landmark_set
-        self._skip = self._columns(landmark_set)
+        self._sparsified = None
+        rows = previous._sparsified if previous is not None else None
+        if rows is not None and previous._landmark_set == landmark_set:
+            changed = csr.changed_since(previous.csr)
+            if changed is not None:
+                self._sparsified = rows.derive(csr, changed, self._skip_mask())
 
-    def skip_columns(self, skip) -> tuple[np.ndarray, frozenset[int]]:
-        """``skip`` over the columns of :attr:`csr`, as a bool mask and as
-        a set: kept for the landmark set, built for any other ``skip``."""
-        if skip is self._landmark_set:
-            return self._skip
-        return self._columns(skip)
+    def sparsified(self, skip):
+        """The delta-free rows of ``G[V \\ R]`` the bounded search reads
+        (:class:`~repro.graph.dyncsr.SparsifiedRows`), built at the first
+        call unless derived at construction.  ``skip`` must be this
+        view's landmark set ``R``; any other raises
+        :class:`~repro.exceptions.SkipSetError`."""
+        if skip is not self._landmark_set and skip != self._landmark_set:
+            raise SkipSetError(skip, self._landmark_set)
+        rows = self._sparsified
+        if rows is None:
+            # A write-once memo, not a change to what the view answers:
+            # readers see ``None`` (and build their own) or whole rows.
+            rows = self.csr.sparsified(self._skip_mask())
+            self._sparsified = rows  # reprolint: disable=RL002
+        return rows
 
-    def _columns(self, vertices) -> tuple[np.ndarray, frozenset[int]]:
-        columns = frozenset(self.column(v) for v in vertices if self.has_vertex(v))
+    def _skip_mask(self) -> np.ndarray:
+        """The landmark set as a bool mask over the columns."""
         mask = np.zeros(self._n, dtype=bool)
-        mask[list(columns)] = True
-        return mask, columns
+        mask[[self.column(r) for r in self._landmark_set if self.has_vertex(r)]] = True
+        return mask
 
     def column(self, v: int) -> int:
         """The CSR column of vertex ``v``."""
@@ -186,16 +208,22 @@ class OracleSnapshot:
         self.owners = pair_owners(landmarks, row_landmarks)
 
     @classmethod
-    def capture(cls, oracle) -> "OracleSnapshot":
+    def capture(
+        cls, oracle, previous: "OracleSnapshot | None" = None
+    ) -> "OracleSnapshot":
         """Freeze ``oracle`` at its current version (single-writer only:
-        must be called from the thread that applies updates)."""
+        must be called from the thread that applies updates).
+        ``previous`` is the oracle's last snapshot, whose graph's
+        sparsified rows this one's derives from (:class:`FrozenGraph`)."""
         landmarks = list(oracle.landmarks)
         landmark_set = frozenset(landmarks)
         dist, entry, csr = oracle.frozen_rows()
         owned = oracle.owned_landmarks
         return cls(
             oracle.version,
-            FrozenGraph(csr, landmark_set),
+            FrozenGraph(
+                csr, landmark_set, previous.graph if previous is not None else None
+            ),
             landmarks,
             landmark_set,
             (dist, csr.index_of()),

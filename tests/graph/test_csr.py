@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import GraphError, VertexNotFoundError
 from repro.graph.csr import CSRGraph, _gather_neighbors
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dyncsr import UNREACH, DynCSR
 from repro.graph.generators import erdos_renyi, grid_graph, ring_of_cliques
 from repro.graph.traversal import bfs_distances
 
 from tests.conftest import random_connected_graph, reference_bfs
+from tests.proptest.strategies import GRAPH_FAMILIES, mixed_event_stream, random_graph
 
 
 class TestConstruction:
@@ -168,6 +170,36 @@ class TestBFS:
         for i in range(csr.num_vertices):
             finite = [int(r[i]) for r in rows if r[i] >= 0]
             assert int(combined[i]) == (min(finite) if finite else -1)
+
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
+    def test_distance_rows_on_the_test_families(self, family):
+        """The scatter dedupe per level (``distinct_at_depth``) leaves the
+        distance rows of every BFS here exactly as a plain BFS has them:
+        the CSR's single- and multi-source rows, and the overlay's rows
+        after mixed updates."""
+        graph, rng = random_graph(5, family=family, n_min=20, n_max=60)
+        csr = CSRGraph.from_graph(graph)
+        sources = rng.sample(sorted(graph.vertices()), 3)
+        rows = [reference_bfs(graph, s) for s in sources]
+        for source, expected in zip(sources, rows):
+            dist = csr.bfs(source)
+            assert {v: int(dist[csr.index(v)]) for v in graph.vertices()} == {
+                v: expected.get(v, -1) for v in graph.vertices()
+            }
+        combined = csr.multi_source_bfs(sources + sources[:1])
+        for v in graph.vertices():
+            finite = [row[v] for row in rows if v in row]
+            assert int(combined[csr.index(v)]) == (min(finite) if finite else -1)
+        dyn = DynCSR.from_graph(graph)
+        for kind, (u, v) in mixed_event_stream(graph, 30, rng):
+            (graph.add_edge if kind == "insert" else graph.remove_edge)(u, v)
+            (dyn.insert_edge if kind == "insert" else dyn.remove_edge)(u, v)
+        for source in sources:
+            expected = reference_bfs(graph, source)
+            dist = dyn.bfs_compact(dyn.index(source))
+            assert {v: int(dist[dyn.index(v)]) for v in graph.vertices()} == {
+                v: expected.get(v, int(UNREACH)) for v in graph.vertices()
+            }
 
     def test_multi_source_requires_sources(self):
         csr = CSRGraph.from_graph(grid_graph(2, 2))

@@ -244,8 +244,7 @@ class TestGather:
         )
         sources, nbrs = dyn.gather(frontier)
         positions, nbrs_p = dyn.gather_with_positions(frontier)
-        only = dyn.gather_neighbours(frontier)
-        assert sorted(nbrs.tolist()) == sorted(nbrs_p.tolist()) == sorted(only.tolist())
+        assert sorted(nbrs.tolist()) == sorted(nbrs_p.tolist())
         assert np.array_equal(frontier[positions], sources)
         # pair multiset equals the true adjacency of the frontier
         expected = sorted(
@@ -267,3 +266,44 @@ class TestGather:
         assert views2 is not views1
         # views reflect the delta through delta_count
         assert views2[4][dyn.index(u)] >= 1
+
+
+class TestSparsified:
+    """``DynCSR.sparsified``: the rows of ``G[V \\ R]`` per column."""
+
+    @staticmethod
+    def _overlay(seed: int):
+        """A frozen overlay with delta lists, swap-removed base rows and
+        new vertices, its reference graph and a skip set."""
+        rng = random.Random(seed)
+        graph = erdos_renyi(60, 150, rng=rng)
+        dyn = DynCSR.from_graph(graph)
+        edges = sorted(graph.edges())
+        for u, v in rng.sample(edges, 20):
+            graph.remove_edge(u, v)
+            dyn.remove_edge(u, v)
+        for u, v in rng.sample(non_edges(graph), 25) + [(60, 3), (61, 60)]:
+            for w in (u, v):
+                if not graph.has_vertex(w):
+                    graph.add_vertex(w)
+            graph.add_edge(u, v)
+            dyn.insert_edge(u, v)
+        skip = set(rng.sample(range(60), 6))
+        return dyn.freeze(), graph, skip
+
+    @pytest.mark.parametrize("chunk", [3, 1 << 14])
+    def test_rows_are_the_neighbours_outside_skip(self, monkeypatch, chunk):
+        import repro.graph.dyncsr as dyncsr
+
+        monkeypatch.setattr(dyncsr, "_REWRITE_CHUNK", chunk)
+        frozen, graph, skip = self._overlay(7)
+        assert frozen.num_delta_edges and frozen.num_vertices == 62
+        mask = np.zeros(frozen.num_vertices, dtype=bool)
+        mask[frozen.indices(sorted(skip))] = True
+        rows = frozen.sparsified(mask)
+        for v in graph.vertices():
+            c = frozen.index(v)
+            row = rows.indices[rows.indptr[c] : rows.indptr[c] + rows.degree[c]]
+            assert sorted(frozen.ids[row].tolist()) == sorted(
+                w for w in graph.neighbors(v) if w not in skip
+            )

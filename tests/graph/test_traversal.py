@@ -169,7 +169,8 @@ class TestBoundedSearchWork:
     an inclusive search, which had to expand the level holding the paths
     of length exactly ``bound``.  On a path the search reads one row (or
     gathers one frontier vertex) per level, so the counts pin the
-    stopping rule of the dict loop, the column loop and the numpy phase."""
+    stopping rule of the dict loop and of the sparsified search's scalar
+    and numpy phases."""
 
     LENGTH = 8
 
@@ -193,15 +194,17 @@ class TestBoundedSearchWork:
         [(LENGTH, INF, LENGTH - 1), (LENGTH + 1, LENGTH, LENGTH)],
     )
     def test_column_loop_levels(self, long_path, bound, expected, levels):
+        """The scalar phase over a snapshot's sparsified rows reads one
+        row per level."""
         from repro.core.dynamic import DynamicHCL
 
         snap = DynamicHCL.build(long_path, landmarks=[9]).snapshot()
-        graph = snap.graph
-        indptr, *rest = graph.views
+        rows = snap.graph.sparsified(snap.landmark_set)
+        indptr, *rest = rows.views
         reads = _RowCounter(enumerate(indptr))
-        graph.views = (reads, *rest)
+        rows.views = (reads, *rest)
         got = bidirectional_bfs(
-            graph, 0, self.LENGTH, bound=bound, skip=snap.landmark_set
+            snap.graph, 0, self.LENGTH, bound=bound, skip=snap.landmark_set
         )
         assert got == expected
         assert reads.reads == levels
@@ -211,19 +214,20 @@ class TestBoundedSearchWork:
         [(LENGTH, INF, LENGTH - 1), (LENGTH + 1, LENGTH, LENGTH)],
     )
     def test_numpy_levels(self, long_path, monkeypatch, bound, expected, levels):
+        """The numpy phase gathers one one-column frontier per level."""
         from repro.core.dynamic import DynamicHCL
-        from repro.graph.dyncsr import DynCSR
+        from repro.graph.dyncsr import SparsifiedRows
 
         snap = DynamicHCL.build(long_path, landmarks=[9]).snapshot()
         gathers = []
-        gather = DynCSR.gather_neighbours
+        gather = SparsifiedRows.gather
 
-        def counting_gather(csr, frontier):
+        def counting_gather(rows, frontier, counts, total):
             gathers.append(frontier.size)
-            return gather(csr, frontier)
+            return gather(rows, frontier, counts, total)
 
         monkeypatch.setattr(traversal, "NUMPY_FRONTIER", 0)
-        monkeypatch.setattr(DynCSR, "gather_neighbours", counting_gather)
+        monkeypatch.setattr(SparsifiedRows, "gather", counting_gather)
         skip = snap.landmark_set
         got = bidirectional_bfs(snap.graph, 0, self.LENGTH, bound=bound, skip=skip)
         assert got == expected

@@ -189,7 +189,7 @@ def _non_edges(graph) -> list[tuple[int, int]]:
 
 def _csr_rows(csr) -> list[list[int]]:
     return [
-        sorted(csr.gather_neighbours(np.array([i])).tolist())
+        sorted(csr.neighbors_compact(i).tolist())
         for i in range(csr.num_vertices)
     ]
 
@@ -258,5 +258,127 @@ def test_concurrent_readers_share_a_snapshot_exactly(monkeypatch):
             thread.join(timeout=60)
             assert not thread.is_alive()
         assert not wrong
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _count_row_builds(monkeypatch) -> dict[str, int]:
+    """Count full builds and derivations of sparsified rows."""
+    from repro.graph.dyncsr import DynCSR, SparsifiedRows
+
+    counts = {"build": 0, "derive": 0}
+    for cls, name in ((DynCSR, "sparsified"), (SparsifiedRows, "derive")):
+        method = getattr(cls, name)
+
+        def counted(*args, _method=method, _kind=name, **kwargs):
+            counts["build" if _kind == "sparsified" else "derive"] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+def test_write_only_stream_builds_no_sparsified_rows(monkeypatch):
+    """Publishing without reads never builds or derives search rows."""
+    counts = _count_row_builds(monkeypatch)
+    oracle = DynamicHCL.build(barabasi_albert(200, 2, rng=3), num_landmarks=4)
+    rng = random.Random(5)
+    events = mixed_event_stream(oracle.graph.copy(), 60, rng)
+    for start in range(0, len(events), 6):
+        oracle.apply_events_batch(events[start : start + 6])
+        oracle.snapshot()
+    assert counts == {"build": 0, "derive": 0}
+
+
+def test_reads_between_publishes_build_once_then_derive(monkeypatch):
+    """With a read after every publish, the first snapshot's rows are
+    built in full and every later snapshot derives its own at capture."""
+    counts = _count_row_builds(monkeypatch)
+    oracle = DynamicHCL.build(barabasi_albert(200, 2, rng=3), num_landmarks=4)
+    reference = oracle.graph.copy()
+    rng = random.Random(5)
+    vertices = sorted(reference.vertices())
+    events = mixed_event_stream(reference.copy(), 60, rng)
+    oracle.query(*rng.sample(vertices, 2))
+    publishes = 0
+    for start in range(0, len(events), 6):
+        batch = events[start : start + 6]
+        oracle.apply_events_batch(batch)
+        for kind, edge in batch:
+            (reference.add_edge if kind == "insert" else reference.remove_edge)(*edge)
+        publishes += 1
+        u, v = rng.sample(vertices, 2)
+        assert oracle.query(u, v) == reference_bfs(reference, u).get(v, INF)
+    assert counts == {"build": 1, "derive": publishes}
+
+
+def test_snapshot_search_takes_only_its_landmark_set():
+    """A snapshot graph searches ``G[V \\ R]`` for its own landmark set
+    (equal sets too); any other ``skip`` raises a structured error, and
+    a detached copy searches with any."""
+    from repro.exceptions import SkipSetError
+    from repro.graph.traversal import bidirectional_bfs
+
+    oracle = DynamicHCL.build(grid_graph(4, 4), landmarks=[5, 10])
+    snap = oracle.snapshot()
+    graph = snap.graph
+    equal = set(snap.landmark_set)
+    assert bidirectional_bfs(graph, 0, 15, skip=equal) == 6
+    for skip in (frozenset(), {5}, {5, 10, 6}):
+        with pytest.raises(SkipSetError) as caught:
+            bidirectional_bfs(graph, 0, 15, skip=skip)
+        assert caught.value.skip == skip
+        assert caught.value.landmarks == snap.landmark_set
+    assert bidirectional_bfs(graph.copy(), 0, 15, skip={5, 6, 9, 10}) == 6
+
+
+def test_readers_on_published_snapshots_while_captures_derive(monkeypatch):
+    """Readers search the latest published snapshot while the writer
+    keeps capturing: each capture derives its rows into the buffer the
+    readers' snapshots share, past the end of their rows, so every answer
+    stays BFS-exact for the snapshot it was read from."""
+    monkeypatch.setattr(traversal, "NUMPY_FRONTIER", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        oracle = DynamicHCL.build(barabasi_albert(300, 2, rng=5), num_landmarks=4)
+        reference = oracle.graph.copy()
+        rng = random.Random(11)
+        vertices = sorted(reference.vertices())
+        pairs = [tuple(rng.sample(vertices, 2)) for _ in range(20)]
+
+        def expected_answers():
+            return [reference_bfs(reference, u).get(v, INF) for u, v in pairs]
+
+        published = [(oracle.snapshot(), expected_answers())]
+        oracle.snapshot().query_many(pairs)  # the one full build
+        done = threading.Event()
+        wrong: list = []
+
+        def read() -> None:
+            while not done.is_set():
+                snap, expected = published[-1]
+                answers = snap.query_many(pairs)
+                wrong.extend(
+                    (snap.epoch, p) for p, a, e in zip(pairs, answers, expected)
+                    if a != e
+                )
+
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        events = mixed_event_stream(reference.copy(), 120, rng)
+        for start in range(0, len(events), 8):
+            batch = events[start : start + 8]
+            oracle.apply_events_batch(batch)
+            for kind, edge in batch:
+                (reference.add_edge if kind == "insert" else reference.remove_edge)(*edge)
+            published.append((oracle.snapshot(), expected_answers()))
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert not wrong
+        assert all(snap.graph._sparsified is not None for snap, _ in published)
     finally:
         sys.setswitchinterval(interval)

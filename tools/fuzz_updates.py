@@ -13,6 +13,9 @@ after every op:
 * the oracle's graph (its engine's CSR) has exactly the reference
   graph's edges;
 * sampled distance queries == BFS ground truth on the reference graph;
+* the latest snapshot's sparsified rows (derived at capture from the
+  previous snapshot's) == rows built from scratch, as sets per column,
+  on the oracle and on each shard;
 * the labelling equals a from-scratch minimal rebuild at the end.
 
 Every round also replays each edge op on a 2-shard split of the oracle
@@ -66,6 +69,7 @@ from tests.proptest.strategies import (  # noqa: E402
     random_graph,
 )
 from tests.shard_labellings import restrict_labelling  # noqa: E402
+from tests.sparsified_rows import fresh_row_sets, snapshot_row_sets  # noqa: E402
 
 # An op is a JSON-friendly list: ["insert", u, v] | ["batch", [[u, v], ...]]
 # | ["delete", u, v] | ["mixed", [["insert"|"delete", u, v], ...]]
@@ -234,6 +238,18 @@ def _replay_on_shards(plan, shards, fast, op, step: int) -> None:
             )
 
 
+def _check_sparsified(oracles, step: int, op) -> None:
+    """Each oracle's latest snapshot searches the rows a fresh build of
+    its frozen overlay gives.  The check reads every snapshot's rows, so
+    each capture after the first derives its rows from the last one."""
+    for name, oracle in oracles:
+        snap = oracle.snapshot()
+        if snapshot_row_sets(snap) != fresh_row_sets(snap):
+            raise FuzzFailure(
+                f"{name}: sparsified rows != a fresh build after step {step}: {op}"
+            )
+
+
 def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int = 8):
     """Apply ``ops`` on the oracle and the reference; raise FuzzFailure on
     any divergence.  Inapplicable ops (possible after shrinking) are
@@ -301,6 +317,10 @@ def run_sequence(base_graph, landmarks, ops, rng_seed: int, query_samples: int =
             raise FuzzFailure(f"oracle != paper kernels after step {step}: {op}")
         if edge_op:
             _replay_on_shards(plan, shards, fast, op, step)
+        _check_sparsified(
+            [("oracle", fast)] + [(f"shard {i}", s) for i, s in enumerate(shards)],
+            step, op,
+        )
         if sorted(fast.graph.edges()) != sorted(ref_graph.edges()):
             raise FuzzFailure(
                 f"oracle graph != reference graph after step {step}: {op}"
